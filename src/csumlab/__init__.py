@@ -16,9 +16,8 @@ from .ramanujan import (
     generalized_ramanujan_sum,
     ramanujan_sum,
     ramanujan_sum_direct,
-    ramanujan_table,
 )
-from .report import ConvergenceReport, build_report, emit_csv, render_text
+from .report import ConvergenceReport, build_report, emit_csv
 from .series import (
     INFINITE_PRIME,
     PartialSumSeries,
@@ -66,7 +65,6 @@ __all__ = [
     "generalized_ramanujan_sum",
     "ramanujan_sum",
     "ramanujan_sum_direct",
-    "ramanujan_table",
     "INFINITE_PRIME",
     "PartialSumSeries",
     "PrimeWeight",
@@ -85,6 +83,5 @@ __all__ = [
     "ConvergenceReport",
     "build_report",
     "emit_csv",
-    "render_text",
     "__version__",
 ]

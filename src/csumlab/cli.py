@@ -9,7 +9,7 @@ Subcommands and their exit codes (stable API):
     identity   evaluate both sides of the finite-x rearrangement identity
 
     0  success
-    2  usage error (bad flags, invalid (k, l), limit < 2, ...)
+    2  usage error (bad flags, invalid (k, l), limit < 2 or > 2**32 - 1, ...)
     3  oracle mismatch in csum --check-oracle
     4  verify --assert-tol breached at the last checkpoint
     5  identity sides differ beyond tolerance
@@ -23,10 +23,10 @@ tables are cached as spf_<limit>.bin and reused across runs.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
 import sys
 import time
-from dataclasses import dataclass
 from decimal import Decimal, InvalidOperation
 
 from .ramanujan import (
@@ -42,9 +42,10 @@ from .series import (
     PrimeWeight,
     SeriesSpec,
     difference_term,
+    resolve_workers,
     run_series,
 )
-from .sieve import SpfTable, build_spf_table, load_spf_table, save_spf_table
+from .sieve import MAX_LIMIT, SpfTable, build_spf_table, load_spf_table, save_spf_table
 
 CACHE_ENV = "CSUMLAB_CACHE_DIR"
 
@@ -57,31 +58,11 @@ EXIT_ORACLE = 3
 EXIT_TOLERANCE = 4
 EXIT_IDENTITY = 5
 
-VERIFY_KINDS = tuple(k for k in SERIES_KINDS if k != "difference-term")
+VERIFY_KINDS = tuple(name for name, kind in SERIES_KINDS.items() if kind.units)
 
 
 class UsageError(Exception):
     """Invalid arguments detected after argparse; maps to exit 2."""
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Resolved run parameters shared by the table-driven subcommands."""
-
-    limit: int
-    checkpoints: tuple[int, ...]
-    out: str | None = None
-    exact: bool = False
-    workers: int = 1
-    cache: str | None = None
-
-    def __post_init__(self):
-        if self.workers < 1:
-            raise UsageError(f"workers must be >= 1, got {self.workers}")
-        if any(c > self.limit for c in self.checkpoints):
-            raise UsageError(
-                f"checkpoint {max(self.checkpoints)} exceeds limit {self.limit}"
-            )
 
 
 def parse_count(text: str) -> int:
@@ -165,36 +146,42 @@ def parse_checkpoints(text: str | None, limit: int) -> tuple[int, ...]:
     return cps
 
 
-def resolve_workers(text: str) -> int:
-    if text == "auto":
-        return os.cpu_count() or 1
+def _check_limit(limit: int) -> None:
+    """Reject a table limit the sieve cannot hold, before anything is allocated."""
+    if limit > MAX_LIMIT:
+        raise UsageError(f"table limit must be at most {MAX_LIMIT}")
+
+
+def _load_cache(path: str) -> SpfTable | None:
+    """The table cached at path, or None after a warning if it fails validation."""
     try:
-        w = int(text)
-    except ValueError:
-        raise UsageError(f"workers must be an integer or 'auto', got {text!r}") from None
-    if w < 1:
-        raise UsageError(f"workers must be >= 1, got {w}")
-    return w
+        return load_spf_table(path)
+    except ValueError as exc:
+        print(f"warning: {exc}; rebuilding", file=sys.stderr)
+        return None
 
 
 def obtain_table(limit: int, cache: str | None, workers: int) -> SpfTable:
     """Load a cached table covering `limit` if one exists, else build.
 
     Explicit --cache wins; otherwise CSUMLAB_CACHE_DIR is consulted, and a
-    freshly built table is saved there for next time.
+    freshly built table is saved there for next time.  A cache file that
+    fails validation (damaged, truncated, another format) is rebuilt and
+    rewritten.
     """
+    _check_limit(limit)
     if cache and os.path.exists(cache):
-        t = load_spf_table(cache)
-        if t.limit >= limit:
+        t = _load_cache(cache)
+        if t is not None and t.limit >= limit:
             return t
-        print(
-            f"cache {cache} only covers {t.limit} < {limit}; rebuilding",
-            file=sys.stderr,
-        )
+        if t is not None:
+            print(f"cache {cache} only covers {t.limit} < {limit}; rebuilding", file=sys.stderr)
     cache_dir = os.environ.get(CACHE_ENV)
     default = os.path.join(cache_dir, f"spf_{limit}.bin") if cache_dir else None
     if default and os.path.exists(default):
-        return load_spf_table(default)
+        t = _load_cache(default)
+        if t is not None:
+            return t
     t = build_spf_table(limit, workers=workers)
     if cache:
         save_spf_table(t, cache)
@@ -211,6 +198,7 @@ def obtain_table(limit: int, cache: str | None, workers: int) -> SpfTable:
 
 def cmd_sieve(args) -> int:
     limit = parse_count(args.limit)
+    _check_limit(limit)
     workers = resolve_workers(args.workers)
     out = args.out
     if out is None:
@@ -261,24 +249,12 @@ def cmd_csum(args) -> int:
 
 
 def _series_spec_from_args(args, checkpoints) -> SeriesSpec:
-    kind = args.kind
-    need = {
-        "mu-baseline": (),
-        "alladi": ("k", "l"),
-        "ramanujan-alladi": ("m", "k", "l"),
-        "mu-mn": ("m", "k", "l"),
-        "mertens-restricted": ("y",),
-        "mu-over-n-restricted": ("y",),
-        "weighted-lhs": ("m", "weight"),
-        "lpf-density": ("weight",),
-    }[kind]
-    for name in need:
-        if getattr(args, name) is None:
-            raise UsageError(f"{kind} requires --{name}")
+    """The spec the verify flags describe; SeriesSpec rejects a missing
+    flag the kind requires and a flag it does not take."""
     weight = parse_weight(args.weight) if args.weight is not None else None
     try:
         return SeriesSpec(
-            kind=kind,
+            kind=args.kind,
             m=args.m,
             k=args.k,
             l=args.l,
@@ -293,21 +269,13 @@ def _series_spec_from_args(args, checkpoints) -> SeriesSpec:
 def cmd_verify(args) -> int:
     limit = parse_count(args.limit)
     workers = resolve_workers(args.workers)
-    checkpoints = parse_checkpoints(args.checkpoints, limit)
-    cfg = RunConfig(
-        limit=limit,
-        checkpoints=checkpoints,
-        out=args.out,
-        workers=workers,
-        cache=args.cache,
-    )
-    spec = _series_spec_from_args(args, cfg.checkpoints)
-    t = obtain_table(cfg.limit, cfg.cache, cfg.workers)
-    series = run_series(t, spec, workers=cfg.workers)
+    spec = _series_spec_from_args(args, parse_checkpoints(args.checkpoints, limit))
+    t = obtain_table(limit, args.cache, workers)
+    series = run_series(t, spec, workers=workers)
     report = build_report(series)
-    if cfg.out:
-        emit_csv(report, cfg.out)
-        print(f"wrote {cfg.out}")
+    if args.out:
+        emit_csv(report, args.out)
+        print(f"wrote {args.out}")
     else:
         emit_csv(report, sys.stdout)
     if args.assert_tol is not None:
@@ -326,6 +294,24 @@ def cmd_verify(args) -> int:
     return EXIT_OK
 
 
+@contextlib.contextmanager
+def _int_digits_unlimited():
+    """Lift Python's int-to-str digit cap (3.10.7+) inside the block.
+
+    The exact identity sides have tens of thousands of digits at x = 1e5,
+    beyond the default 4300-digit cap.
+    """
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(old)
+
+
 def cmd_identity(args) -> int:
     m = args.m
     x = parse_count(args.x)
@@ -337,9 +323,10 @@ def cmd_identity(args) -> int:
     lhs, rhs = difference_term(t, m, weight, x, exact=args.exact)
     if args.exact:
         diff = lhs - rhs
-        print(f"lhs  = {lhs}")
-        print(f"rhs  = {rhs}")
-        print(f"diff = {diff}")
+        with _int_digits_unlimited():
+            print(f"lhs  = {lhs}")
+            print(f"rhs  = {rhs}")
+            print(f"diff = {diff}")
         if diff != 0:
             print("identity breach: sides differ in exact arithmetic", file=sys.stderr)
             return EXIT_IDENTITY

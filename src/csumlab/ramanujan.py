@@ -25,15 +25,6 @@ _RESIDUE_TOL = 1e-6
 
 
 @dataclass(frozen=True)
-class RamanujanValue:
-    """One evaluated sum: |value| <= phi(n) for the classical c_n(m)."""
-
-    n: int
-    m: int
-    value: int
-
-
-@dataclass(frozen=True)
 class WeightFunction:
     """Divisor weight g with exponent s for generalized Ramanujan sums.
 
@@ -159,11 +150,3 @@ def generalized_ramanujan_sum(t: SpfTable, n: int, m: int, g: WeightFunction):
             total += g.value_at(d) * moebius(t, n // d)
     return total
 
-
-def ramanujan_table(t: SpfTable, n_values, m_values) -> list[RamanujanValue]:
-    """Evaluate c_n(m) over the cross product of the two ranges."""
-    out = []
-    for n in n_values:
-        for m in m_values:
-            out.append(RamanujanValue(n=n, m=m, value=ramanujan_sum(t, n, m)))
-    return out

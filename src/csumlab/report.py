@@ -120,18 +120,3 @@ def _emit(report: ConvergenceReport, fh: io.TextIOBase) -> None:
         fh.write("# fitted_c unavailable (fewer than "
                  f"{MIN_FIT_POINTS} checkpoints above noise floor)\n")
 
-
-def render_text(report: ConvergenceReport) -> str:
-    """Fixed-width table for terminal display."""
-    buf = io.StringIO()
-    spec = report.series.spec
-    buf.write(spec.describe() + "\n")
-    buf.write(f"{'x':>12} {'value':>24} {'abs_error':>12} {'ratio':>8}\n")
-    for row, ratio in zip(report.series.rows, report.decay_ratios):
-        err = f"{row.error:.3e}" if row.error is not None else "-"
-        rat = f"{ratio:.4f}" if ratio is not None else "-"
-        buf.write(f"{row.x:>12} {row.value:>24.17g} {err:>12} {rat:>8}\n")
-    if report.fitted_c is not None:
-        buf.write(f"fitted_c = {report.fitted_c:.4f}"
-                  f" (rms residual {report.fit_residual:.3f})\n")
-    return buf.getvalue()

@@ -8,31 +8,22 @@ are combined in ascending index order.  Chunk boundaries depend only on the
 checkpoint schedule, never on the worker count, so rows are bit-identical
 for any parallelism.
 
-Series kinds and their limits:
-    mu-baseline            -sum mu(n)/n over 2 <= n <= x             -> 1
-    alladi                 same, restricted to p(n) = l (mod k)      -> 1/phi(k)
-    ramanujan-alladi       -sum c_n(m)/n over p(n) = l (mod k)       -> 1/phi(k)
-    mu-mn                  -sum mu(m*n)/n over p(n) = l (mod k)      -> mu(m)/phi(k)
-    mertens-restricted     sum mu(n) over n <= x with p(n) > y       (integer)
-    mu-over-n-restricted   sum mu(n)/n over n <= x with p(n) > y     -> 0
-    weighted-lhs           -sum c_n(m) f(p(n))/n                     (caller target)
-    lpf-density            (1/x) sum f(P(n)) over 2 <= n <= x        -> 1/phi(k) for
-                           residue-indicator weights
-    difference-term        both sides of the exact finite-x identity relating
-                           sum (c_n(m)-mu(n)) f(p(n))/n to its divisor-swapped
-                           rearrangement (see difference_term)
-
-The restricted kinds include n = 1 through the convention p(1) = infinity,
-which exceeds every threshold y.
+The kinds live in one registry, SERIES_KINDS: each maps to its required
+parameters, its target and a unit factory.  One checkpoint driver runs the
+units over the chunk grid, and the float kinds reduce every chunk through
+one term reducer, so the paper's sum -sum c_n(m) f(p(n))/n and its special
+cases (Alladi's and Dawsey's m = 1 series) share a single code path.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from math import fsum, gcd
+from typing import Callable
 
 import numpy as np
 
@@ -40,7 +31,7 @@ from .sieve import SpfTable, euler_phi, factorize, moebius
 
 try:
     from gmpy2 import mpq as _rational
-except ImportError:  # pragma: no cover - gmpy2 is a declared dependency
+except ImportError:  # gmpy2 is optional (the "exact" extra)
     _rational = Fraction
 
 #: Sentinel for p(1): larger than every prime, used by restricted sums.
@@ -49,18 +40,6 @@ INFINITE_PRIME = math.inf
 #: Terms per summation chunk.  Fixed so that chunk boundaries (and hence
 #: the exact floating-point result) never depend on worker scheduling.
 CHUNK = 1 << 20
-
-SERIES_KINDS = (
-    "mu-baseline",
-    "alladi",
-    "ramanujan-alladi",
-    "mu-mn",
-    "mertens-restricted",
-    "mu-over-n-restricted",
-    "weighted-lhs",
-    "lpf-density",
-    "difference-term",
-)
 
 
 @dataclass(frozen=True)
@@ -155,7 +134,11 @@ class PrimeWeight:
 
 @dataclass(frozen=True)
 class SeriesSpec:
-    """Parameters of one partial-sum experiment."""
+    """Parameters of one partial-sum experiment.
+
+    The kind's SERIES_KINDS entry names which of m, k, l, y and weight it
+    requires; it takes no others.
+    """
 
     kind: str
     m: int | None = None
@@ -167,18 +150,39 @@ class SeriesSpec:
     target: float | None = None
 
     def __post_init__(self):
-        if self.kind not in SERIES_KINDS:
+        kind = SERIES_KINDS.get(self.kind)
+        if kind is None:
             raise ValueError(f"unknown series kind {self.kind!r}")
+        for name in ("m", "k", "l", "y", "weight"):
+            given = getattr(self, name) is not None
+            if given and name not in kind.params:
+                raise ValueError(f"{self.kind} does not take {name}")
+            if not given and name in kind.params:
+                raise ValueError(f"{self.kind} requires {name}")
         if self.k is not None:
             if self.k < 1:
                 raise ValueError(f"modulus k must be >= 1, got {self.k}")
-            if self.l is None or gcd(self.l, self.k) != 1:
+            if gcd(self.l, self.k) != 1:
                 raise ValueError(f"residue l={self.l} is not coprime to k={self.k}")
+        if self.m is not None and self.m < 1:
+            raise ValueError(f"m must be >= 1, got {self.m}")
+        if self.y is not None and self.y < 1:
+            raise ValueError(f"threshold y must be >= 1, got {self.y}")
         cps = self.checkpoints
         if any(b <= a for a, b in zip(cps, cps[1:])):
             raise ValueError(f"checkpoints must be strictly ascending: {cps}")
         if cps and cps[0] < 1:
             raise ValueError(f"checkpoints must be >= 1: {cps}")
+
+    @property
+    def prime_weight(self) -> PrimeWeight:
+        """f read at the prime factor: the explicit weight, else the
+        (k, l) class indicator, else 1."""
+        if self.weight is not None:
+            return self.weight
+        if self.k is not None:
+            return PrimeWeight.residue_class(self.k, self.l)
+        return PrimeWeight.constant_one()
 
     def describe(self) -> str:
         parts = [f"kind={self.kind}"]
@@ -215,7 +219,7 @@ class PartialSumSeries:
 
 
 # ---------------------------------------------------------------------------
-# evaluation engine
+# evaluation engine: one reducer, one column builder, one checkpoint driver
 # ---------------------------------------------------------------------------
 
 
@@ -260,101 +264,265 @@ def _map_units(unit_fn, units, workers: int) -> list:
         return list(pool.map(lambda u: unit_fn(*u), units))
 
 
-def _resolve_workers(workers) -> int:
+def resolve_workers(workers) -> int:
+    """Thread count for a ``workers`` argument: an int >= 1, or None/"auto"
+    for one thread per CPU.  Integer strings are accepted (the CLI passes
+    ``--workers`` through unchanged)."""
     if workers in (None, "auto"):
-        import os
-
         return os.cpu_count() or 1
-    w = int(workers)
+    try:
+        w = int(workers)
+    except (TypeError, ValueError):
+        raise ValueError(f"workers must be an integer or 'auto', got {workers!r}") from None
     if w < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     return w
 
 
-def _run_float_series(
-    spec: SeriesSpec,
-    t: SpfTable,
-    unit_fn,
-    start: int,
-    workers,
-    head_terms: tuple[float, ...] = (),
-) -> PartialSumSeries:
-    """Drive unit_fn over the checkpoint schedule and assemble rows.
+def _drive(unit, combine, checkpoints: tuple[int, ...], workers=1, start: int = 2) -> list:
+    """combine(x, unit results) for each checkpoint x.
 
-    head_terms are exact leading contributions (the n = 1 sentinel term)
-    prepended before the first numeric unit.
+    unit(lo, hi) reduces the half-open range [lo, hi); the ranges come from
+    _plan_units, so the results handed to combine for x are those of the
+    grid cells below x plus the probe cell ending at x.
     """
+    if checkpoints[-1] >= start:
+        units, plans = _plan_units(start, checkpoints)
+    else:
+        units, plans = [], [(0, None)] * len(checkpoints)
+    results = _map_units(unit, units, resolve_workers(workers))
+    return [
+        combine(x, results[:n_full] + ([] if probe is None else [results[probe]]))
+        for x, (n_full, probe) in zip(checkpoints, plans)
+    ]
+
+
+def _float_total(head: tuple[float, ...] = ()):
+    """Combine step of the float kinds: fsum of the head terms and unit sums."""
+    return lambda x, sums: (fsum([*head, *sums]), None)
+
+
+def _reduce(col: np.ndarray, keep, primes: np.ndarray, weight: PrimeWeight, lo: int,
+            sign: int = 1) -> float:
+    """fsum of sign * col[i] * f(primes[i]) / (lo + i) over the kept terms.
+
+    col is an integer column in its stored dtype and keep an optional
+    boolean support mask.  Only entries with col != 0, keep and
+    f(primes) != 0 are converted to float64.
+    """
+    if weight.kind == "table":
+        fv = weight.values(primes)
+        support = fv != 0.0
+    else:
+        fv, support = None, weight.mask(primes)
+    if keep is not None:
+        support = keep if support is None else support & keep
+    nz = col != 0
+    sel = np.flatnonzero(nz if support is None else support & nz)
+    num = col[sel].astype(np.float64)
+    if fv is not None:
+        num *= fv[sel]
+    terms = num / (sel + lo).astype(np.float64)
+    return fsum((-terms if sign < 0 else terms).tolist())
+
+
+def _c_column(mu: np.ndarray, divisors, lo: int, hi: int) -> np.ndarray:
+    """sum of d * mu(n / d) over the given divisors d dividing n, n in [lo, hi).
+
+    With every divisor of m this is c_n(m); leaving out d = 1 gives
+    c_n(m) - mu(n) with no cancellation.  Each divisor adds one contiguous
+    mu slice at stride d (n = d*j walks j0..j1).
+    """
+    col = np.zeros(hi - lo, dtype=np.int64)
+    for d in divisors:
+        j0 = (lo + d - 1) // d
+        j1 = (hi - 1) // d
+        if j1 >= j0:
+            col[j0 * d - lo : j1 * d - lo + 1 : d] += d * mu[j0 : j1 + 1].astype(np.int64)
+    return col
+
+
+def _divisors(t: SpfTable, m: int) -> list[int]:
+    return factorize(t, m).divisors() if m > 1 else [1]
+
+
+# --- unit factories: (table, spec) -> (unit, combine) for the driver ---
+
+
+def _weighted_units(t: SpfTable, spec: SeriesSpec):
+    """-sum c_n(m) f(p(n)) / n; m defaults to 1, f to the spec's weight."""
+    spf, mu, weight = t.spf, t.mu_table(), spec.prime_weight
+    divs = _divisors(t, spec.m or 1)
+
+    def unit(lo: int, hi: int) -> float:
+        return _reduce(_c_column(mu, divs, lo, hi), None, spf[lo:hi], weight, lo, -1)
+
+    return unit, _float_total()
+
+
+def _mu_mn_units(t: SpfTable, spec: SeriesSpec):
+    """-sum mu(m n) / n with f(p(n)) the (k, l) class indicator.
+
+    mu(m*n) never factors m*n directly: it is mu(m)*mu(n) when
+    gcd(m, n) = 1 and 0 otherwise (a shared prime makes m*n non-squarefree),
+    so m only needs to fit inside this table, not m*x.
+    """
+    m = spec.m
+    if m > t.limit:
+        raise ValueError(f"m={m} outside table range [1, {t.limit}]")
+    mu_m = moebius(t, m)
+    if mu_m == 0:
+        return (lambda lo, hi: 0.0), _float_total()
+    spf, mu, weight = t.spf, t.mu_table(), spec.prime_weight
+    m_primes = [p for p, _ in factorize(t, m).factors] if m > 1 else []
+
+    def unit(lo: int, hi: int) -> float:
+        keep = None
+        if m_primes:
+            n = np.arange(lo, hi, dtype=np.int64)
+            keep = np.logical_and.reduce([n % p != 0 for p in m_primes])
+        return _reduce(mu[lo:hi], keep, spf[lo:hi], weight, lo, -mu_m)
+
+    return unit, _float_total()
+
+
+def _above(t: SpfTable, y: int):
+    """Support mask p(n) > y.  spf <= limit, so comparing against
+    min(y, limit) is the same test and keeps any y inside uint32."""
+    bar = np.uint32(min(y, t.limit))
+    return lambda lo, hi: t.spf[lo:hi] > bar
+
+
+def _mertens_units(t: SpfTable, spec: SeriesSpec):
+    above, mu = _above(t, spec.y), t.mu_table()
+
+    def unit(lo: int, hi: int) -> int:
+        return int(mu[lo:hi][above(lo, hi)].astype(np.int64).sum())
+
+    # 1 is the n = 1 sentinel term
+    return unit, lambda x, sums: (float(1 + sum(sums)), None)
+
+
+def _mu_over_n_units(t: SpfTable, spec: SeriesSpec):
+    above, mu, spf, weight = _above(t, spec.y), t.mu_table(), t.spf, spec.prime_weight
+
+    def unit(lo: int, hi: int) -> float:
+        return _reduce(mu[lo:hi], above(lo, hi), spf[lo:hi], weight, lo)
+
+    return unit, _float_total(head=(1.0,))  # 1.0 is the n = 1 sentinel term
+
+
+def _lpf_units(t: SpfTable, spec: SeriesSpec):
+    """(1/x) sum f(P(n)); indicator weights also keep the integer count."""
+    lpf, weight = t.lpf_table(), spec.weight
+    indicator = weight.kind in ("residue", "one")
+
+    def unit(lo: int, hi: int):
+        if indicator:
+            wmask = weight.mask(lpf[lo:hi])
+            cnt = hi - lo if wmask is None else int(np.count_nonzero(wmask))
+            return float(cnt), cnt
+        vals = weight.values(lpf[lo:hi])
+        return fsum(vals[vals != 0.0].tolist()), None
+
+    def combine(x: int, parts):
+        value = fsum(s for s, _ in parts) / x
+        return value, (sum(c for _, c in parts) if indicator else None)
+
+    return unit, combine
+
+
+def _inverse_phi(t: SpfTable, spec: SeriesSpec) -> float:
+    return 1.0 / euler_phi(t, spec.k)
+
+
+def _lpf_target(t: SpfTable, spec: SeriesSpec) -> float | None:
+    if spec.target is not None:
+        return spec.target
+    if spec.weight.kind == "residue":
+        return 1.0 / euler_phi(t, spec.weight.k)
+    return 1.0 if spec.weight.kind == "one" else None
+
+
+@dataclass(frozen=True)
+class SeriesKind:
+    """One entry of the kind registry.
+
+    params: the SeriesSpec fields among m, k, l, y, weight that the kind
+        requires; it takes no others.
+    target: (table, spec) -> the value the series tends to, or None.
+    units: (table, spec) -> (unit, combine) for the checkpoint driver;
+        None for a kind that is not checkpoint-driven.
+    """
+
+    params: tuple[str, ...]
+    target: Callable[[SpfTable, SeriesSpec], float | None] | None = None
+    units: Callable | None = None
+
+
+#: The series kinds.  p(n) is the smallest and P(n) the largest prime
+#: factor; the restricted kinds include n = 1 through p(1) = infinity.
+SERIES_KINDS: dict[str, SeriesKind] = {
+    # -sum mu(n)/n over 2 <= n <= x -> 1
+    "mu-baseline": SeriesKind((), lambda t, s: 1.0, _weighted_units),
+    # the same restricted to p(n) = l (mod k) -> 1/phi(k)
+    "alladi": SeriesKind(("k", "l"), _inverse_phi, _weighted_units),
+    # -sum c_n(m)/n over p(n) = l (mod k) -> 1/phi(k)
+    "ramanujan-alladi": SeriesKind(("m", "k", "l"), _inverse_phi, _weighted_units),
+    # -sum mu(m*n)/n over p(n) = l (mod k) -> mu(m)/phi(k)
+    "mu-mn": SeriesKind(
+        ("m", "k", "l"), lambda t, s: moebius(t, s.m) / euler_phi(t, s.k), _mu_mn_units
+    ),
+    # sum mu(n) over 1 <= n <= x with p(n) > y (integer values)
+    "mertens-restricted": SeriesKind(("y",), lambda t, s: None, _mertens_units),
+    # sum mu(n)/n over 1 <= n <= x with p(n) > y -> 0
+    "mu-over-n-restricted": SeriesKind(("y",), lambda t, s: 0.0, _mu_over_n_units),
+    # -sum c_n(m) f(p(n))/n -> the caller's target, if any
+    "weighted-lhs": SeriesKind(("m", "weight"), lambda t, s: s.target, _weighted_units),
+    # (1/x) sum f(P(n)) over 2 <= n <= x -> 1/phi(k) for residue indicators
+    "lpf-density": SeriesKind(("weight",), _lpf_target, _lpf_units),
+    # both sides of the finite-x identity; see difference_term
+    "difference-term": SeriesKind(("m", "weight")),
+}
+
+
+def run_series(t: SpfTable, spec: SeriesSpec, workers=1) -> PartialSumSeries:
+    """Evaluate a checkpoint-driven SeriesSpec (difference-term excluded).
+
+    The returned series carries the spec with the kind's target filled in.
+    """
+    kind = SERIES_KINDS[spec.kind]
+    if kind.units is None:
+        raise ValueError(f"series kind {spec.kind!r} is not checkpoint-driven; "
+                         "use difference_term() for the identity check")
     cps = spec.checkpoints
     if not cps:
         raise ValueError("at least one checkpoint is required")
     if cps[-1] > t.limit:
         raise ValueError(f"checkpoint {cps[-1]} exceeds sieve limit {t.limit}")
-    units, plans = _plan_units(start, cps) if cps[-1] >= start else ([], [(0, None)] * len(cps))
-    sums = _map_units(unit_fn, units, _resolve_workers(workers))
-    rows = []
-    for cp, (n_full, probe) in zip(cps, plans):
-        acc = list(head_terms) + sums[:n_full]
-        if probe is not None:
-            acc.append(sums[probe])
-        value = fsum(acc)
-        err = abs(value - spec.target) if spec.target is not None else None
-        rows.append(SeriesRow(x=cp, value=value, error=err))
-    return PartialSumSeries(spec=spec, rows=tuple(rows))
+    unit, combine = kind.units(t, spec)
+    spec = replace(spec, target=kind.target(t, spec))
+    rows = tuple(
+        SeriesRow(x, value, None if spec.target is None else abs(value - spec.target), count)
+        for x, (value, count) in zip(cps, _drive(unit, combine, cps, workers))
+    )
+    return PartialSumSeries(spec=spec, rows=rows)
 
 
-def _weighted_unit_factory(t: SpfTable, m: int, weight: PrimeWeight, sign: int):
-    """Unit summer for -sum c_n(m) f(p(n)) / n style series (sign=-1)."""
-    spf = t.spf
-    mu = t.mu_table()
-    divs = [1] if m == 1 else factorize(t, m).divisors()
-
-    def c_column(lo: int, hi: int) -> np.ndarray:
-        # c_n(m) = sum over divisors d of m dividing n of d * mu(n/d),
-        # assembled with contiguous mu slices (n = d*j walks j0..j1).
-        col = np.zeros(hi - lo, dtype=np.int64)
-        for d in divs:
-            j0 = (lo + d - 1) // d
-            j1 = (hi - 1) // d
-            if j1 < j0:
-                continue
-            col[j0 * d - lo : j1 * d - lo + 1 : d] += d * mu[j0 : j1 + 1].astype(np.int64)
-        return col
-
-    def unit(lo: int, hi: int) -> float:
-        col = c_column(lo, hi)
-        wmask = weight.mask(spf[lo:hi])
-        if weight.kind == "table":
-            fv = weight.values(spf[lo:hi])
-            sel = np.flatnonzero((fv != 0.0) & (col != 0))
-            num = (sign * col[sel]).astype(np.float64) * fv[sel]
-        else:
-            nz = col != 0
-            sel = np.flatnonzero(nz if wmask is None else (wmask & nz))
-            num = (sign * col[sel]).astype(np.float64)
-        den = (sel + lo).astype(np.float64)
-        return fsum((num / den).tolist())
-
-    return unit
+# ---------------------------------------------------------------------------
+# public series functions
+# ---------------------------------------------------------------------------
 
 
 def mu_baseline(t: SpfTable, checkpoints, workers=1) -> PartialSumSeries:
     """-sum mu(n)/n for 2 <= n <= x at each checkpoint; target 1."""
-    spec = SeriesSpec(kind="mu-baseline", checkpoints=tuple(checkpoints), target=1.0)
-    unit = _weighted_unit_factory(t, 1, PrimeWeight.constant_one(), -1)
-    return _run_float_series(spec, t, unit, 2, workers)
+    return run_series(t, SeriesSpec(kind="mu-baseline", checkpoints=tuple(checkpoints)), workers)
 
 
 def alladi_partial_sum(t: SpfTable, k: int, l: int, checkpoints, workers=1) -> PartialSumSeries:
     """-sum mu(n)/n over n <= x with p(n) = l (mod k); target 1/phi(k)."""
-    spec = SeriesSpec(
-        kind="alladi",
-        k=k,
-        l=l,
-        checkpoints=tuple(checkpoints),
-        target=1.0 / euler_phi(t, k),
-    )
-    unit = _weighted_unit_factory(t, 1, PrimeWeight.residue_class(k, l), -1)
-    return _run_float_series(spec, t, unit, 2, workers)
+    spec = SeriesSpec(kind="alladi", k=k, l=l, checkpoints=tuple(checkpoints))
+    return run_series(t, spec, workers)
 
 
 def ramanujan_alladi_partial_sum(
@@ -363,21 +531,11 @@ def ramanujan_alladi_partial_sum(
     """-sum c_n(m)/n over n <= x with p(n) = l (mod k); target 1/phi(k).
 
     With m = 1 this is row-for-row bit-identical to alladi_partial_sum:
-    both run the same weighted engine and c_n(1) is assembled from the
+    both run the same weighted units and c_n(1) is assembled from the
     exact same mu table entries.
     """
-    if m < 1:
-        raise ValueError(f"m must be >= 1, got {m}")
-    spec = SeriesSpec(
-        kind="ramanujan-alladi",
-        m=m,
-        k=k,
-        l=l,
-        checkpoints=tuple(checkpoints),
-        target=1.0 / euler_phi(t, k),
-    )
-    unit = _weighted_unit_factory(t, m, PrimeWeight.residue_class(k, l), -1)
-    return _run_float_series(spec, t, unit, 2, workers)
+    spec = SeriesSpec(kind="ramanujan-alladi", m=m, k=k, l=l, checkpoints=tuple(checkpoints))
+    return run_series(t, spec, workers)
 
 
 def weighted_lhs(
@@ -388,17 +546,10 @@ def weighted_lhs(
     No target is recorded unless the caller supplies the density it
     expects the dual largest-prime-factor count to have.
     """
-    if m < 1:
-        raise ValueError(f"m must be >= 1, got {m}")
     spec = SeriesSpec(
-        kind="weighted-lhs",
-        m=m,
-        weight=weight,
-        checkpoints=tuple(checkpoints),
-        target=target,
+        kind="weighted-lhs", m=m, weight=weight, checkpoints=tuple(checkpoints), target=target
     )
-    unit = _weighted_unit_factory(t, m, weight, -1)
-    return _run_float_series(spec, t, unit, 2, workers)
+    return run_series(t, spec, workers)
 
 
 def mu_mn_partial_sum(
@@ -406,42 +557,10 @@ def mu_mn_partial_sum(
 ) -> PartialSumSeries:
     """-sum mu(m*n)/n over n <= x with p(n) = l (mod k); target mu(m)/phi(k).
 
-    mu(m*n) never factors m*n directly: it is mu(m)*mu(n) when
-    gcd(m, n) = 1 and 0 otherwise (a shared prime makes m*n non-squarefree),
-    so m only needs to fit inside this table, not m*x.
+    m needs to lie in the table, m*x does not.
     """
-    if not 1 <= m <= t.limit:
-        raise ValueError(f"m={m} outside table range [1, {t.limit}]")
-    mu_m = moebius(t, m)
-    spec = SeriesSpec(
-        kind="mu-mn",
-        m=m,
-        k=k,
-        l=l,
-        checkpoints=tuple(checkpoints),
-        target=mu_m / euler_phi(t, k),
-    )
-    spf = t.spf
-    mu = t.mu_table()
-    m_primes = [p for p, _ in factorize(t, m).factors] if m > 1 else []
-    lmod = np.uint32(l % k)
-    ku32 = np.uint32(k)
-
-    def unit(lo: int, hi: int) -> float:
-        if mu_m == 0:
-            return 0.0
-        mask = (spf[lo:hi] % ku32) == lmod
-        mask &= mu[lo:hi] != 0
-        if m_primes:
-            n_idx = np.arange(lo, hi, dtype=np.int64)
-            for p in m_primes:
-                mask &= (n_idx % p) != 0
-        sel = np.flatnonzero(mask)
-        num = (-mu_m * mu[lo:hi][sel]).astype(np.float64)
-        den = (sel + lo).astype(np.float64)
-        return fsum((num / den).tolist())
-
-    return _run_float_series(spec, t, unit, 2, workers)
+    spec = SeriesSpec(kind="mu-mn", m=m, k=k, l=l, checkpoints=tuple(checkpoints))
+    return run_series(t, spec, workers)
 
 
 def mertens_restricted(t: SpfTable, y: int, checkpoints, workers=1) -> PartialSumSeries:
@@ -450,30 +569,8 @@ def mertens_restricted(t: SpfTable, y: int, checkpoints, workers=1) -> PartialSu
     n = 1 always qualifies via the sentinel p(1) = infinity, so
     M(x, y) = 1 exactly whenever y >= x.
     """
-    if y < 1:
-        raise ValueError(f"threshold y must be >= 1, got {y}")
     spec = SeriesSpec(kind="mertens-restricted", y=y, checkpoints=tuple(checkpoints))
-    spf = t.spf
-    mu = t.mu_table()
-
-    def unit(lo: int, hi: int) -> int:
-        sel = spf[lo:hi] > np.uint32(y)
-        return int(mu[lo:hi][sel].astype(np.int64).sum())
-
-    cps = spec.checkpoints
-    if not cps:
-        raise ValueError("at least one checkpoint is required")
-    if cps[-1] > t.limit:
-        raise ValueError(f"checkpoint {cps[-1]} exceeds sieve limit {t.limit}")
-    units, plans = _plan_units(2, cps) if cps[-1] >= 2 else ([], [(0, None)] * len(cps))
-    sums = _map_units(unit, units, _resolve_workers(workers))
-    rows = []
-    for cp, (n_full, probe) in zip(cps, plans):
-        total = 1 + sum(sums[:n_full])  # 1 is the n = 1 sentinel term
-        if probe is not None:
-            total += sums[probe]
-        rows.append(SeriesRow(x=cp, value=float(total)))
-    return PartialSumSeries(spec=spec, rows=tuple(rows))
+    return run_series(t, spec, workers)
 
 
 def mu_over_n_restricted(t: SpfTable, y: int, checkpoints, workers=1) -> PartialSumSeries:
@@ -481,22 +578,8 @@ def mu_over_n_restricted(t: SpfTable, y: int, checkpoints, workers=1) -> Partial
 
     Includes the n = 1 term (value 1) via the p(1) = infinity sentinel.
     """
-    if y < 1:
-        raise ValueError(f"threshold y must be >= 1, got {y}")
-    spec = SeriesSpec(
-        kind="mu-over-n-restricted", y=y, checkpoints=tuple(checkpoints), target=0.0
-    )
-    spf = t.spf
-    mu = t.mu_table()
-
-    def unit(lo: int, hi: int) -> float:
-        mask = (spf[lo:hi] > np.uint32(y)) & (mu[lo:hi] != 0)
-        sel = np.flatnonzero(mask)
-        num = mu[lo:hi][sel].astype(np.float64)
-        den = (sel + lo).astype(np.float64)
-        return fsum((num / den).tolist())
-
-    return _run_float_series(spec, t, unit, 2, workers, head_terms=(1.0,))
+    spec = SeriesSpec(kind="mu-over-n-restricted", y=y, checkpoints=tuple(checkpoints))
+    return run_series(t, spec, workers)
 
 
 def lpf_density(
@@ -507,67 +590,10 @@ def lpf_density(
     For residue-indicator weights the target defaults to 1/phi(k) and each
     row keeps the exact integer count alongside the ratio.
     """
-    if target is None:
-        if weight.kind == "residue":
-            target = 1.0 / euler_phi(t, weight.k)
-        elif weight.kind == "one":
-            target = 1.0
     spec = SeriesSpec(
         kind="lpf-density", weight=weight, checkpoints=tuple(checkpoints), target=target
     )
-    cps = spec.checkpoints
-    if not cps:
-        raise ValueError("at least one checkpoint is required")
-    if cps[-1] > t.limit:
-        raise ValueError(f"checkpoint {cps[-1]} exceeds sieve limit {t.limit}")
-    lpf = t.lpf_table()
-    indicator = weight.kind in ("residue", "one")
-
-    def unit(lo: int, hi: int):
-        wmask = weight.mask(lpf[lo:hi])
-        if indicator:
-            cnt = int(hi - lo) if wmask is None else int(np.count_nonzero(wmask))
-            return float(cnt), cnt
-        vals = weight.values(lpf[lo:hi])
-        sel = vals[vals != 0.0]
-        return fsum(sel.tolist()), None
-
-    units, plans = _plan_units(2, cps) if cps[-1] >= 2 else ([], [(0, None)] * len(cps))
-    results = _map_units(unit, units, _resolve_workers(workers))
-    rows = []
-    for cp, (n_full, probe) in zip(cps, plans):
-        picked = results[:n_full] + ([results[probe]] if probe is not None else [])
-        value = fsum(s for s, _ in picked) / cp
-        count = sum(c for _, c in picked if c is not None)
-        err = abs(value - target) if target is not None else None
-        rows.append(
-            SeriesRow(x=cp, value=value, error=err, count=count if indicator else None)
-        )
-    return PartialSumSeries(spec=spec, rows=tuple(rows))
-
-
-def run_series(t: SpfTable, spec: SeriesSpec, workers=1) -> PartialSumSeries:
-    """Dispatch a SeriesSpec to its evaluator (difference-term excluded)."""
-    kind = spec.kind
-    cps = spec.checkpoints
-    if kind == "mu-baseline":
-        return mu_baseline(t, cps, workers)
-    if kind == "alladi":
-        return alladi_partial_sum(t, spec.k, spec.l, cps, workers)
-    if kind == "ramanujan-alladi":
-        return ramanujan_alladi_partial_sum(t, spec.m, spec.k, spec.l, cps, workers)
-    if kind == "mu-mn":
-        return mu_mn_partial_sum(t, spec.m, spec.k, spec.l, cps, workers)
-    if kind == "mertens-restricted":
-        return mertens_restricted(t, spec.y, cps, workers)
-    if kind == "mu-over-n-restricted":
-        return mu_over_n_restricted(t, spec.y, cps, workers)
-    if kind == "weighted-lhs":
-        return weighted_lhs(t, spec.m, spec.weight, cps, workers, target=spec.target)
-    if kind == "lpf-density":
-        return lpf_density(t, spec.weight, cps, workers, target=spec.target)
-    raise ValueError(f"series kind {kind!r} is not checkpoint-driven; "
-                     "use difference_term() for the identity check")
+    return run_series(t, spec, workers)
 
 
 # ---------------------------------------------------------------------------
@@ -600,67 +626,24 @@ def difference_term(
 
 
 def _difference_float(t: SpfTable, m: int, weight: PrimeWeight, x: int):
-    spf = t.spf
-    mu = t.mu_table()
+    spf, mu = t.spf, t.mu_table()
+    # the d = 1 term of c_n(m) is mu(n), so the lhs column leaves it out
+    divs = _divisors(t, m)[1:]
 
-    # lhs: the d = 1 divisor term of c_n(m) is mu(n), so dropping it from
-    # the column assembly computes c_n(m) - mu(n) with no cancellation.
     def lhs_unit(lo: int, hi: int) -> float:
-        divs = factorize(t, m).divisors() if m > 1 else [1]
-        col = np.zeros(hi - lo, dtype=np.int64)
-        for d in divs:
-            if d == 1:
-                continue  # c_n - mu cancels the d = 1 term
-            j0 = (lo + d - 1) // d
-            j1 = (hi - 1) // d
-            if j1 < j0:
-                continue
-            col[j0 * d - lo : j1 * d - lo + 1 : d] += d * mu[j0 : j1 + 1].astype(np.int64)
-        if weight.kind == "table":
-            fv = weight.values(spf[lo:hi])
-            sel = np.flatnonzero((fv != 0.0) & (col != 0))
-            num = col[sel].astype(np.float64) * fv[sel]
-        else:
-            wmask = weight.mask(spf[lo:hi])
-            nz = col != 0
-            sel = np.flatnonzero(nz if wmask is None else (wmask & nz))
-            num = col[sel].astype(np.float64)
-        den = (sel + lo).astype(np.float64)
-        return fsum((num / den).tolist())
+        return _reduce(_c_column(mu, divs, lo, hi), None, spf[lo:hi], weight, lo)
 
-    lhs_sums = [lhs_unit(lo, hi) for lo, hi in _chunks(2, x + 1)] if x >= 2 else []
-    lhs = fsum(lhs_sums)
+    def rhs_unit(d: int):
+        # n walks [lo, hi) and f reads p(d*n)
+        return lambda lo, hi: _reduce(mu[lo:hi], None, spf[d * lo : d * (hi - 1) + 1 : d],
+                                      weight, lo)
 
-    rhs_parts = []
-    for d in factorize(t, m).divisors() if m > 1 else []:
-        if d == 1:
-            continue
-        top = x // d
-        if top < 1:
-            continue
-        part = []
-        for lo, hi in _chunks(1, top + 1):
-            mu_sl = mu[lo:hi]
-            pdx = spf[d * lo : d * (hi - 1) + 1 : d]  # p(d*n) for n in [lo, hi)
-            if weight.kind == "table":
-                fv = weight.values(pdx)
-                sel = np.flatnonzero((fv != 0.0) & (mu_sl != 0))
-                num = mu_sl[sel].astype(np.float64) * fv[sel]
-            else:
-                wmask = weight.mask(pdx)
-                nz = mu_sl != 0
-                sel = np.flatnonzero(nz if wmask is None else (wmask & nz))
-                num = mu_sl[sel].astype(np.float64)
-            den = (sel + lo).astype(np.float64)
-            part.append(fsum((num / den).tolist()))
-        rhs_parts.append(fsum(part))
-    rhs = fsum(rhs_parts)
+    def total(unit, top: int, start: int) -> float:
+        return _drive(unit, _float_total(), (top,), start=start)[0][0]
+
+    lhs = total(lhs_unit, x, 2)
+    rhs = fsum([total(rhs_unit(d), x // d, 1) for d in divs if x // d >= 1])
     return lhs, rhs
-
-
-def _chunks(start: int, stop: int) -> list[tuple[int, int]]:
-    edges = [start] + list(range((start // CHUNK + 1) * CHUNK, stop, CHUNK)) + [stop]
-    return [(lo, hi) for lo, hi in zip(edges, edges[1:]) if hi > lo]
 
 
 def _balanced_sum(terms: list):

@@ -7,8 +7,8 @@ mu(n), phi(n), the largest prime factor P(n), and full factorizations.
 
 Memory budget: 4 bytes per entry for the spf array (uint32), so a limit of
 10**8 costs ~400 MB resident.  Limits must stay below 2**32.  Optional
-whole-range mu / phi / largest-prime-factor tables cost 1 / 8 / 4 additional
-bytes per entry and are built lazily for bulk workloads.
+whole-range mu / largest-prime-factor tables cost 1 / 4 additional bytes
+per entry and are built lazily for bulk workloads.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ class SpfTable:
             must never be read.  spf[n] == n exactly when n is prime.
 
     The array is frozen after construction and safe to share across
-    threads.  The lazy mu/phi/lpf tables are pure functions of spf, so a
+    threads.  The lazy mu/lpf tables are pure functions of spf, so a
     racy double build is harmless.
     """
 
@@ -50,7 +50,6 @@ class SpfTable:
     spf: np.ndarray
     _primes: np.ndarray | None = field(default=None, repr=False, compare=False)
     _mu: np.ndarray | None = field(default=None, repr=False, compare=False)
-    _phi: np.ndarray | None = field(default=None, repr=False, compare=False)
     _lpf: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def primes(self) -> np.ndarray:
@@ -78,20 +77,6 @@ class SpfTable:
             mu.setflags(write=False)
             self._mu = mu
         return self._mu
-
-    def phi_table(self) -> np.ndarray:
-        """Precomputed phi(n) for all n <= limit (int64); phi[0] = 0.
-
-        Opt-in bulk companion to :func:`euler_phi`; costs 8 bytes per entry.
-        """
-        if self._phi is None:
-            phi = np.arange(self.limit + 1, dtype=np.int64)
-            for p in self.primes().tolist():
-                view = phi[p::p]
-                view -= view // p
-            phi.setflags(write=False)
-            self._phi = phi
-        return self._phi
 
     def lpf_table(self) -> np.ndarray:
         """Largest prime factor of every n in [2, limit] (uint32); 0 below 2."""

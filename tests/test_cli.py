@@ -6,6 +6,7 @@ from csumlab.cli import (
     EXIT_OK,
     EXIT_TOLERANCE,
     EXIT_USAGE,
+    VERIFY_KINDS,
     UsageError,
     main,
     parse_checkpoints,
@@ -13,6 +14,7 @@ from csumlab.cli import (
     parse_range,
     parse_weight,
 )
+from csumlab.series import SERIES_KINDS
 
 from conftest import csum_totient
 
@@ -87,6 +89,18 @@ def test_sieve_rejects_tiny_limit(tmp_path):
     assert main(["sieve", "--limit", "1", "--out", str(tmp_path / "x.bin")]) == EXIT_USAGE
 
 
+def test_table_limit_above_max_is_usage_error(tmp_path):
+    out = tmp_path / "x.bin"
+    for argv in (
+        ["sieve", "--limit", "5e9", "--out", str(out)],
+        ["csum", "--n", "5e9", "--m", "1"],
+        ["verify", "mu-baseline", "--limit", "5e9"],
+        ["identity", "--m", "2", "--x", "5e9"],
+    ):
+        assert main(argv) == EXIT_USAGE, argv
+    assert not out.exists()
+
+
 def test_unknown_subcommand_is_usage_error():
     assert main(["frobnicate"]) == EXIT_USAGE
 
@@ -148,9 +162,31 @@ def test_verify_rejects_bad_residue_pair():
     assert code == EXIT_USAGE
 
 
-def test_verify_missing_parameter_is_usage_error():
-    assert main(["verify", "alladi", "--limit", "1000"]) == EXIT_USAGE
-    assert main(["verify", "mertens-restricted", "--limit", "1000"]) == EXIT_USAGE
+#: a valid value for each flag a series kind can require
+FLAG_VALUES = {"m": "2", "k": "4", "l": "3", "y": "3", "weight": "residue:4,3"}
+
+
+def test_verify_missing_parameter_is_usage_error(capsys):
+    for kind in VERIFY_KINDS:
+        params = SERIES_KINDS[kind].params
+        flags = {name: ["--" + name, FLAG_VALUES[name]] for name in params}
+        base = ["verify", kind, "--limit", "1000"]
+        assert main(base + sum(flags.values(), [])) == EXIT_OK, kind
+        for name in params:
+            rest = sum((f for other, f in flags.items() if other != name), [])
+            assert main(base + rest) == EXIT_USAGE, (kind, name)
+    # a flag the kind does not take
+    assert main(["verify", "mu-baseline", "--limit", "1000", "--m", "5"]) == EXIT_USAGE
+
+
+@pytest.mark.parametrize("kind", ["mertens-restricted", "mu-over-n-restricted"])
+def test_verify_threshold_beyond_uint32(capsys, kind):
+    # every p(n) is below y, so each row is the n = 1 sentinel value 1
+    code = main(["verify", kind, "--y", "5000000000", "--limit", "1e4"])
+    assert code == EXIT_OK
+    lines = capsys.readouterr().out.splitlines()[1:]
+    values = [float(ln.split(",")[1]) for ln in lines if not ln.startswith("#")]
+    assert values == [1.0] * 4
 
 
 def test_verify_tolerance_breach_exits_4(capsys):
@@ -221,6 +257,12 @@ def test_identity_exact_mode(capsys):
     assert "diff = 0" in capsys.readouterr().out
 
 
+def test_identity_exact_mode_past_digit_cap(capsys):
+    # the exact sides here have more than 4300 decimal digits
+    assert main(["identity", "--m", "6", "--x", "3e4", "--exact"]) == EXIT_OK
+    assert "diff = 0" in capsys.readouterr().out
+
+
 def test_identity_weight_spec(capsys):
     code = main(
         ["identity", "--m", "30", "--x", "5000", "--weight", "residue:4,1"]
@@ -243,6 +285,24 @@ def test_cache_dir_env_round_trip(tmp_path, monkeypatch):
     assert main(["csum", "--n", "1..50", "--m", "1"]) == EXIT_OK
     assert stored[0].stat().st_mtime_ns == mtime
     assert stored[0].read_bytes() == before
+
+
+def test_damaged_cache_is_rebuilt(tmp_path, monkeypatch, capsys):
+    monkeypatch.delenv("CSUMLAB_CACHE_DIR", raising=False)
+    argv = ["verify", "alladi", "--k", "3", "--l", "2", "--limit", "1e4"]
+    assert main(argv) == EXIT_OK
+    fresh = capsys.readouterr().out
+    cache = tmp_path / "spf.bin"
+    assert main(["sieve", "--limit", "1e4", "--out", str(cache)]) == EXIT_OK
+    good = cache.read_bytes()
+    for damaged in (good[: len(good) // 2], b"JUNK" + good[4:]):
+        cache.write_bytes(damaged)
+        capsys.readouterr()
+        assert main(argv + ["--cache", str(cache)]) == EXIT_OK
+        captured = capsys.readouterr()
+        assert captured.out == fresh
+        assert "warning" in captured.err
+        assert cache.read_bytes() == good
 
 
 def test_explicit_cache_file_reused(tmp_path):

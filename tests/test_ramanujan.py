@@ -11,7 +11,6 @@ from csumlab import (
     generalized_ramanujan_sum,
     ramanujan_sum,
     ramanujan_sum_direct,
-    ramanujan_table,
 )
 
 from conftest import csum_divisor_naive, csum_totient, mu_naive
@@ -111,13 +110,6 @@ def test_argument_validation(table_small):
         ramanujan_sum(table_small, 10**4 + 1, 1)
     with pytest.raises(ValueError):
         ramanujan_sum_direct(0, 1)
-
-
-def test_table_helper_shape_and_values(table_small):
-    rows = ramanujan_table(table_small, range(1, 6), range(1, 4))
-    assert len(rows) == 15
-    for rv in rows:
-        assert rv.value == csum_totient(rv.n, rv.m)
 
 
 # --- generalized sums -------------------------------------------------------

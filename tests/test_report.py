@@ -13,7 +13,6 @@ from csumlab import (
     build_report,
     emit_csv,
     ramanujan_alladi_partial_sum,
-    render_text,
     weighted_lhs,
 )
 from csumlab.report import CSV_HEADER, NOISE_FLOOR
@@ -114,13 +113,6 @@ def test_real_run_has_positive_fitted_c(table_big):
     )
     rep = build_report(series)
     assert rep.fitted_c is not None and rep.fitted_c > 0
-
-
-def test_render_text_mentions_fit(table_small):
-    series = ramanujan_alladi_partial_sum(table_small, 2, 4, 1, [100, 1000, 10**4])
-    text = render_text(build_report(series))
-    assert "fitted_c" in text
-    assert "kind=ramanujan-alladi" in text
 
 
 def test_weighted_series_without_target_renders(table_small):

@@ -25,6 +25,7 @@ from csumlab import (
     run_series,
     weighted_lhs,
 )
+from csumlab.series import SERIES_KINDS
 
 from conftest import csum_totient, lpf_naive, mu_naive, spf_naive
 
@@ -231,6 +232,15 @@ def test_mu_over_n_restricted_trivial_endpoint(table_small):
     assert s.spec.target == 0.0
 
 
+def test_restricted_threshold_beyond_uint32(table_small):
+    # p(n) <= limit < y, so only the n = 1 sentinel term is left
+    cps = [1, 10, 10**4]
+    for fn in (mertens_restricted, mu_over_n_restricted):
+        rows = frac_rows(fn(table_small, 5 * 10**9, cps))
+        assert rows == [(x, 1.0) for x in cps], fn.__name__
+        assert rows == frac_rows(fn(table_small, 4 * 10**9, cps)), fn.__name__
+
+
 def test_restricted_threshold_validation(table_small):
     with pytest.raises(ValueError):
         mertens_restricted(table_small, 0, [10])
@@ -382,13 +392,42 @@ def test_checkpoint_prefix_consistency(table_small):
         assert alone.rows[0].value == row.value, row.x
 
 
+TABLE_W = PrimeWeight.from_table({2: 0.5, 3: -0.25, 7: 1.0})
+
+#: spec parameters and the direct call of every checkpoint-driven kind
+DISPATCH = {
+    "mu-baseline": ({}, lambda t, cps: mu_baseline(t, cps)),
+    "alladi": ({"k": 4, "l": 3}, lambda t, cps: alladi_partial_sum(t, 4, 3, cps)),
+    "ramanujan-alladi": (
+        {"m": 6, "k": 3, "l": 2},
+        lambda t, cps: ramanujan_alladi_partial_sum(t, 6, 3, 2, cps),
+    ),
+    "mu-mn": ({"m": 2, "k": 3, "l": 1}, lambda t, cps: mu_mn_partial_sum(t, 2, 3, 1, cps)),
+    "mertens-restricted": ({"y": 3}, lambda t, cps: mertens_restricted(t, 3, cps)),
+    "mu-over-n-restricted": ({"y": 5}, lambda t, cps: mu_over_n_restricted(t, 5, cps)),
+    "weighted-lhs": ({"m": 2, "weight": TABLE_W}, lambda t, cps: weighted_lhs(t, 2, TABLE_W, cps)),
+    "lpf-density": (
+        {"weight": PrimeWeight.residue_class(4, 3)},
+        lambda t, cps: lpf_density(t, PrimeWeight.residue_class(4, 3), cps),
+    ),
+}
+
+
 def test_run_series_dispatch_matches_direct_calls(table_small):
-    spec = SeriesSpec(kind="alladi", k=4, l=3, checkpoints=(100, 1000), target=0.5)
-    via_dispatch = run_series(table_small, spec)
-    direct = alladi_partial_sum(table_small, 4, 3, [100, 1000])
-    assert frac_rows(via_dispatch) == frac_rows(direct)
+    kinds = [name for name, kind in SERIES_KINDS.items() if kind.units]
+    assert sorted(kinds) == sorted(DISPATCH)
+    cps = (1, 100, 1000, 9999)
+    for kind in kinds:
+        params, direct = DISPATCH[kind]
+        via = run_series(table_small, SeriesSpec(kind=kind, checkpoints=cps, **params))
+        want = direct(table_small, list(cps))
+        hexed = [[(r.x, float.hex(r.value), r.count) for r in s.rows] for s in (via, want)]
+        assert hexed[0] == hexed[1], kind
+        assert via.spec == want.spec, kind
+    spec = SeriesSpec(kind="difference-term", m=2, weight=PrimeWeight.constant_one(),
+                      checkpoints=(10,))
     with pytest.raises(ValueError):
-        run_series(table_small, SeriesSpec(kind="difference-term", checkpoints=(10,)))
+        run_series(table_small, spec)
 
 
 def test_spec_validation():
@@ -400,6 +439,10 @@ def test_spec_validation():
         SeriesSpec(kind="mu-baseline", checkpoints=(10, 10))
     with pytest.raises(ValueError):
         SeriesSpec(kind="mu-baseline", checkpoints=(100, 10))
+    with pytest.raises(ValueError):
+        SeriesSpec(kind="alladi", checkpoints=(10,))  # requires k and l
+    with pytest.raises(ValueError):
+        SeriesSpec(kind="mu-baseline", m=5, checkpoints=(10,))  # takes no m
 
 
 def test_checkpoint_beyond_limit_rejected(table_small):

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import math
 import os
 import sys
 import time
@@ -111,7 +112,10 @@ def parse_weight(text: str) -> PrimeWeight:
             values = {}
             for item in rest.split(","):
                 p_s, _, v_s = item.partition("=")
-                values[parse_count(p_s)] = float(v_s)
+                v = float(v_s)
+                if not math.isfinite(v):
+                    raise UsageError(f"weight value {v_s!r} is not finite")
+                values[parse_count(p_s)] = v
             return PrimeWeight.from_table(values)
     except (ValueError, UsageError) as exc:
         raise UsageError(f"bad weight spec {text!r}: {exc}") from None
@@ -144,6 +148,17 @@ def parse_checkpoints(text: str | None, limit: int) -> tuple[int, ...]:
     if cps[-1] > limit:
         raise UsageError(f"checkpoint {cps[-1]} exceeds limit {limit}")
     return cps
+
+
+def parse_tolerance(text: str) -> float:
+    """A finite tolerance >= 0 (argparse type for --assert-tol)."""
+    try:
+        tol = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"cannot parse tolerance: {text!r}") from None
+    if not (math.isfinite(tol) and tol >= 0):
+        raise argparse.ArgumentTypeError(f"tolerance must be finite and >= 0, got {text!r}")
+    return tol
 
 
 def _check_limit(limit: int) -> None:
@@ -284,7 +299,7 @@ def cmd_verify(args) -> int:
             raise UsageError(
                 f"--assert-tol needs a targeted series; {spec.kind} has no target"
             )
-        if last.error > args.assert_tol:
+        if not last.error <= args.assert_tol:
             print(
                 f"tolerance breach: |{last.value!r} - {series.spec.target!r}| "
                 f"= {last.error!r} > {args.assert_tol!r} at x={last.x}",
@@ -335,7 +350,7 @@ def cmd_identity(args) -> int:
         print(f"lhs  = {lhs!r}")
         print(f"rhs  = {rhs!r}")
         print(f"diff = {diff!r}")
-        if diff > IDENTITY_TOL:
+        if not diff <= IDENTITY_TOL:
             print(
                 f"identity breach: |lhs - rhs| = {diff!r} > {IDENTITY_TOL!r}",
                 file=sys.stderr,
@@ -388,7 +403,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="one | residue:K,L | table:P=V,... (weighted kinds)")
     p.add_argument("--checkpoints", default=None,
                    help="comma list or start:factor:count (default: decades)")
-    p.add_argument("--assert-tol", type=float, default=None,
+    p.add_argument("--assert-tol", type=parse_tolerance, default=None,
                    help="fail with exit 4 if the final error exceeds this")
     p.add_argument("--out", default=None, help="write the report CSV here")
     common(p)

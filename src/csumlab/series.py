@@ -27,7 +27,7 @@ from typing import Callable
 
 import numpy as np
 
-from .sieve import SpfTable, euler_phi, factorize, moebius
+from .sieve import MAX_LIMIT, SpfTable, factorize, moebius
 
 try:
     from gmpy2 import mpq as _rational
@@ -40,6 +40,17 @@ INFINITE_PRIME = math.inf
 #: Terms per summation chunk.  Fixed so that chunk boundaries (and hence
 #: the exact floating-point result) never depend on worker scheduling.
 CHUNK = 1 << 20
+
+
+def _check_class(k: int, l: int) -> None:
+    """Reject a modulus outside [1, 2**32) or a residue not coprime to it.
+
+    Primes are uint32, so the class mask works modulo a uint32 k.
+    """
+    if not 1 <= k <= MAX_LIMIT:
+        raise ValueError(f"modulus k must be in [1, {MAX_LIMIT}], got {k}")
+    if gcd(l, k) != 1:
+        raise ValueError(f"residue l={l} is not coprime to k={k}")
 
 
 @dataclass(frozen=True)
@@ -65,10 +76,7 @@ class PrimeWeight:
         if self.kind not in ("residue", "one", "table"):
             raise ValueError(f"unknown prime-weight kind {self.kind!r}")
         if self.kind == "residue":
-            if self.k < 1:
-                raise ValueError(f"modulus k must be >= 1, got {self.k}")
-            if gcd(self.l, self.k) != 1:
-                raise ValueError(f"residue l={self.l} is not coprime to k={self.k}")
+            _check_class(self.k, self.l)
 
     @classmethod
     def residue_class(cls, k: int, l: int, at_infinity: float = 0.0) -> "PrimeWeight":
@@ -160,10 +168,7 @@ class SeriesSpec:
             if not given and name in kind.params:
                 raise ValueError(f"{self.kind} requires {name}")
         if self.k is not None:
-            if self.k < 1:
-                raise ValueError(f"modulus k must be >= 1, got {self.k}")
-            if gcd(self.l, self.k) != 1:
-                raise ValueError(f"residue l={self.l} is not coprime to k={self.k}")
+            _check_class(self.k, self.l)
         if self.m is not None and self.m < 1:
             raise ValueError(f"m must be >= 1, got {self.m}")
         if self.y is not None and self.y < 1:
@@ -432,15 +437,29 @@ def _lpf_units(t: SpfTable, spec: SeriesSpec):
     return unit, combine
 
 
+def _totient(k: int) -> int:
+    """phi(k) by trial division, so a target never needs k inside the table."""
+    phi, d = k, 2
+    while d * d <= k:
+        if k % d == 0:
+            phi -= phi // d
+            while k % d == 0:
+                k //= d
+        d += 1
+    if k > 1:
+        phi -= phi // k
+    return phi
+
+
 def _inverse_phi(t: SpfTable, spec: SeriesSpec) -> float:
-    return 1.0 / euler_phi(t, spec.k)
+    return 1.0 / _totient(spec.k)
 
 
 def _lpf_target(t: SpfTable, spec: SeriesSpec) -> float | None:
     if spec.target is not None:
         return spec.target
     if spec.weight.kind == "residue":
-        return 1.0 / euler_phi(t, spec.weight.k)
+        return 1.0 / _totient(spec.weight.k)
     return 1.0 if spec.weight.kind == "one" else None
 
 
@@ -471,7 +490,7 @@ SERIES_KINDS: dict[str, SeriesKind] = {
     "ramanujan-alladi": SeriesKind(("m", "k", "l"), _inverse_phi, _weighted_units),
     # -sum mu(m*n)/n over p(n) = l (mod k) -> mu(m)/phi(k)
     "mu-mn": SeriesKind(
-        ("m", "k", "l"), lambda t, s: moebius(t, s.m) / euler_phi(t, s.k), _mu_mn_units
+        ("m", "k", "l"), lambda t, s: moebius(t, s.m) / _totient(s.k), _mu_mn_units
     ),
     # sum mu(n) over 1 <= n <= x with p(n) > y (integer values)
     "mertens-restricted": SeriesKind(("y",), lambda t, s: None, _mertens_units),

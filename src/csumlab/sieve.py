@@ -5,15 +5,39 @@ from one immutable SpfTable: an array holding the smallest prime factor of
 every n up to a configured limit.  From that array we derive, on demand,
 mu(n), phi(n), the largest prime factor P(n), and full factorizations.
 
-Memory budget: 4 bytes per entry for the spf array (uint32), so a limit of
-10**8 costs ~400 MB resident.  Limits must stay below 2**32.  Optional
-whole-range mu / largest-prime-factor tables cost 1 / 4 additional bytes
-per entry and are built lazily for bulk workloads.
+The sieve walks the base primes p <= sqrt(limit) in descending order and
+stores p at every multiple from p*p on, so the smallest prime is written
+last and wins; entries left at 0 are primes and get themselves.
+
+The bulk mu and largest-prime-factor tables come from spf alone, by the
+cofactor recurrence of the linear sieve (Gries & Misra, CACM 1978).  With
+s = spf(n) and q = n / s:
+
+    mu(n)  = 0 if spf(q) = s else -mu(q),   mu(1) = 1
+    lpf(n) = max(lpf(q), s),                lpf(1) = 0
+
+The recurrence runs over doubling blocks [lo, hi) with hi <= 2*lo.  Every
+cofactor of a block is below lo, so it is already filled, and the block is
+one vectorised pass; its sub-blocks of at most 2**20 entries are mapped
+over one thread per CPU.
+
+Memory per n: 4 bytes for spf (uint32), so a limit of 10**8 costs ~400 MB
+resident.  Limits must stay below 2**32.  The optional mu and lpf tables,
+built lazily for bulk workloads, cost 1 and 4 more bytes per n.
+
+Cache file (version 2, little-endian): the 21-byte header b"SPFT",
+uint32 version, uint64 limit, uint8 entry width (4) and uint32 zlib.crc32
+of the payload, then the limit+1 uint32 spf entries.  A save writes a
+temporary file beside the target and renames it into place, so an
+interrupted save leaves the old file or none.  A load rejects any other
+version, a wrong size or a checksum mismatch with ValueError.
 """
 
 from __future__ import annotations
 
+import os
 import struct
+import zlib
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from math import isqrt
@@ -26,9 +50,17 @@ MAX_LIMIT = 2**32 - 1
 #: Default segment length for sieve construction.
 DEFAULT_SEGMENT = 1 << 22
 
+#: Entries per sub-block of the mu/lpf derivation.
+_SUB_BLOCK = 1 << 20
+
+#: Threads deriving the mu and lpf tables: one per CPU.
+_DERIVE_THREADS = os.cpu_count() or 1
+
 _CACHE_MAGIC = b"SPFT"
-_CACHE_VERSION = 1
+_CACHE_VERSION = 2
 _ENTRY_WIDTH = 4
+#: magic, version, limit, entry width, crc32 of the payload
+_HEADER = struct.Struct("<4sIQBI")
 
 
 @dataclass
@@ -48,18 +80,8 @@ class SpfTable:
 
     limit: int
     spf: np.ndarray
-    _primes: np.ndarray | None = field(default=None, repr=False, compare=False)
     _mu: np.ndarray | None = field(default=None, repr=False, compare=False)
     _lpf: np.ndarray | None = field(default=None, repr=False, compare=False)
-
-    def primes(self) -> np.ndarray:
-        """All primes <= limit, ascending (int64)."""
-        if self._primes is None:
-            idx = np.arange(self.limit + 1, dtype=np.uint32)
-            mask = self.spf == idx
-            mask[:2] = False
-            self._primes = np.flatnonzero(mask)
-        return self._primes
 
     def mu_table(self) -> np.ndarray:
         """Precomputed mu(n) for all n <= limit (int8); mu[0] = 0.
@@ -67,13 +89,9 @@ class SpfTable:
         Opt-in bulk companion to :func:`moebius`; costs one byte per entry.
         """
         if self._mu is None:
-            mu = np.ones(self.limit + 1, dtype=np.int8)
-            mu[0] = 0
-            for p in self.primes().tolist():
-                mu[p::p] *= -1
-                sq = p * p
-                if sq <= self.limit:
-                    mu[sq::sq] = 0
+            mu = np.empty(self.limit + 1, dtype=np.int8)
+            mu[:2] = (0, 1)
+            _derive(self.spf, mu, _mu_step)
             mu.setflags(write=False)
             self._mu = mu
         return self._mu
@@ -81,13 +99,58 @@ class SpfTable:
     def lpf_table(self) -> np.ndarray:
         """Largest prime factor of every n in [2, limit] (uint32); 0 below 2."""
         if self._lpf is None:
-            lpf = np.zeros(self.limit + 1, dtype=np.uint32)
-            # ascending primes: the last prime to mark n is its largest factor
-            for p in self.primes().tolist():
-                lpf[p::p] = p
+            lpf = np.empty(self.limit + 1, dtype=np.uint32)
+            lpf[:2] = 0
+            _derive(self.spf, lpf, _lpf_step)
             lpf.setflags(write=False)
             self._lpf = lpf
         return self._lpf
+
+
+def _cofactors(spf: np.ndarray, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+    """spf(n) and n / spf(n) for n in [lo, hi), 2 <= lo.
+
+    The float64 quotient is exact: n < 2**32 < 2**53 and spf(n) divides n.
+    """
+    s = spf[lo:hi]
+    q = np.arange(lo, hi, dtype=np.float64)
+    q /= s
+    return s, q.astype(np.intp)
+
+
+def _mu_step(spf: np.ndarray, mu: np.ndarray, lo: int, hi: int) -> None:
+    s, q = _cofactors(spf, lo, hi)
+    mu[lo:hi] = np.where(spf[q] == s, 0, -mu[q])
+
+
+def _lpf_step(spf: np.ndarray, lpf: np.ndarray, lo: int, hi: int) -> None:
+    s, q = _cofactors(spf, lo, hi)
+    np.maximum(lpf[q], s, out=lpf[lo:hi])
+
+
+def _derive(spf: np.ndarray, out: np.ndarray, step) -> None:
+    """Fill out[2:] by step(spf, out, lo, hi), given out[0] and out[1].
+
+    Doubling blocks [lo, hi), hi <= 2*lo, run in order: every cofactor
+    n / spf(n) of a block is below lo and so already filled.  The
+    sub-blocks of one block are independent and are mapped over threads.
+    """
+    n = len(spf)
+    blocks = []
+    lo = 2
+    while lo < n:
+        hi = min(2 * lo, n)
+        blocks.append([(a, min(a + _SUB_BLOCK, hi)) for a in range(lo, hi, _SUB_BLOCK)])
+        lo = hi
+    threads = min(_DERIVE_THREADS, max(map(len, blocks), default=1))
+    if threads == 1:
+        for block in blocks:
+            for a, b in block:
+                step(spf, out, a, b)
+        return
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        for block in blocks:
+            list(pool.map(lambda ab: step(spf, out, *ab), block))
 
 
 @dataclass(frozen=True)
@@ -118,15 +181,13 @@ class Factorization:
 
 
 def _mark_segment(spf: np.ndarray, base: list[int], lo: int, hi: int) -> None:
-    # Ascending base primes: the first prime to reach a composite is its
-    # smallest factor.  Composites n with spf(n)=p satisfy n >= p*p, so
-    # starting at p*p never skips one.
-    for p in base:
+    # Descending base primes with plain stores: the last prime written to a
+    # composite is its smallest factor.  Composites n with spf(n)=p satisfy
+    # n >= p*p, so starting at p*p never skips one.
+    for p in reversed(base):
         start = max(p * p, ((lo + p - 1) // p) * p)
-        if start >= hi:
-            continue
-        view = spf[start:hi:p]
-        view[view == 0] = p
+        if start < hi:
+            spf[start:hi:p] = p
     # untouched entries >= 2 are primes
     rel = np.flatnonzero(spf[lo:hi] == 0) + lo
     rel = rel[rel >= 2]
@@ -177,17 +238,11 @@ def build_spf_table(
 
 
 def _base_primes(r: int) -> list[int]:
-    """Primes <= r by direct in-place marking (r is at most sqrt(limit))."""
+    """Primes <= r, sieved with the primes <= sqrt(r) (r is at most sqrt(limit))."""
     if r < 2:
         return []
     small = np.zeros(r + 1, dtype=np.uint32)
-    for p in range(2, isqrt(r) + 1):
-        if small[p] == 0:
-            view = small[p * p :: p]
-            view[view == 0] = p
-    rel = np.flatnonzero(small == 0)
-    rel = rel[rel >= 2]
-    small[rel] = rel.astype(np.uint32)
+    _mark_segment(small, _base_primes(isqrt(r)), 0, r + 1)
     idx = np.arange(r + 1, dtype=np.uint32)
     return np.flatnonzero((small == idx) & (idx >= 2)).tolist()
 
@@ -270,37 +325,59 @@ def factorize(t: SpfTable, n: int) -> Factorization:
 
 
 def save_spf_table(t: SpfTable, path: str) -> None:
-    """Write the spf array as a binary cache (little-endian, SPFT header)."""
-    header = _CACHE_MAGIC + struct.pack("<IQB", _CACHE_VERSION, t.limit, _ENTRY_WIDTH)
+    """Write the spf array as a version-2 binary cache (see the module doc).
+
+    The bytes go to a temporary file beside path, which then replaces path,
+    so an interrupted save leaves the previous file or none.
+    """
+    payload = t.spf.astype("<u4", copy=False)
+    header = _HEADER.pack(
+        _CACHE_MAGIC, _CACHE_VERSION, t.limit, _ENTRY_WIDTH, zlib.crc32(payload)
+    )
+    tmp = f"{path}.{os.urandom(6).hex()}.tmp"
     try:
-        with open(path, "wb") as fh:
-            fh.write(header)
-            fh.write(t.spf.astype("<u4", copy=False).tobytes())
+        try:
+            with open(tmp, "xb") as fh:
+                fh.write(header)
+                fh.write(payload.data)
+            os.replace(tmp, path)
+        except BaseException:
+            if os.path.exists(tmp):
+                os.remove(tmp)
+            raise
     except OSError as exc:
         raise OSError(f"cannot write spf cache to {path}: {exc}") from exc
 
 
 def load_spf_table(path: str) -> SpfTable:
-    """Load a cache written by save_spf_table, validating the header."""
+    """Load a cache written by save_spf_table, validating header, size and checksum."""
     try:
         with open(path, "rb") as fh:
-            blob = fh.read()
+            head = fh.read(_HEADER.size)
+            size = os.fstat(fh.fileno()).st_size
+            if len(head) < 8 or head[:4] != _CACHE_MAGIC:
+                raise ValueError(f"{path}: not an spf cache (bad magic)")
+            (version,) = struct.unpack_from("<I", head, 4)
+            if version != _CACHE_VERSION:
+                raise ValueError(f"{path}: unsupported cache version {version}")
+            if len(head) < _HEADER.size:
+                raise ValueError(f"{path}: truncated cache header")
+            _, _, limit, width, crc = _HEADER.unpack(head)
+            if width != _ENTRY_WIDTH:
+                raise ValueError(f"{path}: unsupported entry width {width}")
+            if not 2 <= limit <= MAX_LIMIT:
+                raise ValueError(f"{path}: table limit {limit} out of range")
+            expected = (limit + 1) * _ENTRY_WIDTH
+            if size - _HEADER.size != expected:
+                raise ValueError(
+                    f"{path}: truncated cache (expected {expected} entry bytes, "
+                    f"got {size - _HEADER.size})"
+                )
+            spf = np.fromfile(fh, dtype="<u4", count=limit + 1)
     except OSError as exc:
         raise OSError(f"cannot read spf cache from {path}: {exc}") from exc
-    head = len(_CACHE_MAGIC) + struct.calcsize("<IQB")
-    if len(blob) < head or blob[:4] != _CACHE_MAGIC:
-        raise ValueError(f"{path}: not an spf cache (bad magic)")
-    version, limit, width = struct.unpack("<IQB", blob[4:head])
-    if version != _CACHE_VERSION:
-        raise ValueError(f"{path}: unsupported cache version {version}")
-    if width != _ENTRY_WIDTH:
-        raise ValueError(f"{path}: unsupported entry width {width}")
-    expected = (limit + 1) * _ENTRY_WIDTH
-    if len(blob) - head != expected:
-        raise ValueError(
-            f"{path}: truncated cache (expected {expected} entry bytes, "
-            f"got {len(blob) - head})"
-        )
-    spf = np.frombuffer(blob, dtype="<u4", offset=head).astype(np.uint32)
+    if len(spf) != limit + 1 or zlib.crc32(spf) != crc:
+        raise ValueError(f"{path}: damaged cache (payload checksum mismatch)")
+    spf = spf.astype(np.uint32, copy=False)
     spf.setflags(write=False)
     return SpfTable(limit=int(limit), spf=spf)

@@ -1,8 +1,9 @@
 """Shared fixtures and independent reference implementations.
 
 The references here deliberately avoid the package's own code paths:
-factorization is plain trial division, the large Mobius table comes from a
-Boolean Eratosthenes sieve, and Ramanujan sums are evaluated through the
+factorization is plain trial division, the large Mobius and largest-prime-
+factor tables come from per-prime passes over a Boolean Eratosthenes sieve,
+and Ramanujan sums are evaluated through the
 totient-quotient formula c_n(m) = mu(n/g) phi(n) / phi(n/g) with
 g = gcd(n, m).  Small-range agreement between these routes is itself
 asserted in test_sieve, so the faster references are anchored to the
@@ -85,20 +86,33 @@ def csum_divisor_naive(n: int, m: int) -> int:
     return sum(d * mu_naive(n // d) for d in divisors_naive(gcd(n, m)))
 
 
-def mu_reference(limit: int) -> np.ndarray:
-    """Mobius table from a Boolean Eratosthenes sieve (no SPF machinery)."""
+def primes_reference(limit: int) -> list[int]:
+    """Primes <= limit from a Boolean Eratosthenes sieve."""
     composite = np.zeros(limit + 1, dtype=bool)
     for p in range(2, int(limit**0.5) + 1):
         if not composite[p]:
             composite[p * p :: p] = True
+    return (np.flatnonzero(~composite[2:]) + 2).tolist()
+
+
+def mu_reference(limit: int) -> np.ndarray:
+    """Mobius table from one pass per prime (no SPF machinery)."""
     mu = np.ones(limit + 1, dtype=np.int8)
     mu[0] = 0
-    for p in np.flatnonzero(~composite[2:]) + 2:
-        p = int(p)
+    for p in primes_reference(limit):
         mu[p::p] *= -1
         if p * p <= limit:
             mu[p * p :: p * p] = 0
     return mu
+
+
+def lpf_reference(limit: int) -> np.ndarray:
+    """Largest prime factor table from one pass per prime; 0 below 2."""
+    lpf = np.zeros(limit + 1, dtype=np.uint32)
+    # ascending primes: the last prime to mark n is its largest factor
+    for p in primes_reference(limit):
+        lpf[p::p] = p
+    return lpf
 
 
 # --- exact series enumerations (Fraction arithmetic) -----------------------

@@ -1,8 +1,13 @@
 """Command-line surface: parsers, subcommands, exit codes, cache plumbing."""
 
+import struct
+from dataclasses import replace
+
 import pytest
 
+import csumlab.cli as cli
 from csumlab.cli import (
+    EXIT_IDENTITY,
     EXIT_OK,
     EXIT_TOLERANCE,
     EXIT_USAGE,
@@ -197,6 +202,45 @@ def test_verify_tolerance_breach_exits_4(capsys):
     assert "tolerance breach" in capsys.readouterr().err
 
 
+def test_assert_tol_must_be_finite_and_non_negative(capsys):
+    for tol in ("nan", "inf", "-1", "-0.5"):
+        code = main(["verify", "mu-baseline", "--limit", "1e4", "--assert-tol", tol])
+        assert code == EXIT_USAGE, tol
+    assert main(["verify", "mu-baseline", "--limit", "1e4", "--assert-tol", "0"]) == EXIT_TOLERANCE
+
+
+def test_nan_error_is_a_tolerance_breach(monkeypatch, capsys):
+    real = cli.run_series
+
+    def nan_series(t, spec, workers=1):
+        series = real(t, spec, workers)
+        last = replace(series.rows[-1], value=float("nan"), error=float("nan"))
+        return replace(series, rows=series.rows[:-1] + (last,))
+
+    monkeypatch.setattr(cli, "run_series", nan_series)
+    code = main(["verify", "mu-baseline", "--limit", "1e4", "--assert-tol", "0.5"])
+    assert code == EXIT_TOLERANCE
+
+
+def test_nan_identity_sides_are_a_breach(monkeypatch, capsys):
+    nan = float("nan")
+    monkeypatch.setattr(cli, "difference_term", lambda *a, **k: (nan, nan))
+    assert main(["identity", "--m", "6", "--x", "1e3"]) == EXIT_IDENTITY
+
+
+@pytest.mark.parametrize("kind,flags", [
+    ("alladi", ["--k", "20011", "--l", "1"]),
+    ("ramanujan-alladi", ["--m", "6", "--k", "20011", "--l", "1"]),
+    ("lpf-density", ["--weight", "residue:20011,1"]),
+])
+def test_target_for_modulus_past_table(kind, flags, capsys):
+    # phi(20011) = 20010 although 20011 lies outside the 1e4 table
+    assert main(["verify", kind, *flags, "--limit", "1e4"]) == EXIT_OK
+    rows = [ln.split(",") for ln in capsys.readouterr().out.splitlines()[1:]
+            if not ln.startswith("#")]
+    assert rows and all(float(r[2]) == 1 / 20010 for r in rows)
+
+
 def test_verify_tol_on_targetless_series_is_usage_error():
     code = main(
         ["verify", "mertens-restricted", "--y", "3", "--limit", "1e4",
@@ -270,6 +314,14 @@ def test_identity_weight_spec(capsys):
     assert code == EXIT_OK
 
 
+def test_non_finite_weight_is_usage_error(capsys):
+    for value in ("nan", "inf", "-inf"):
+        with pytest.raises(UsageError):
+            parse_weight(f"table:2={value}")
+        code = main(["identity", "--m", "6", "--x", "1e4", "--weight", f"table:2={value}"])
+        assert code == EXIT_USAGE, value
+
+
 # --- cache directory ---------------------------------------------------------
 
 
@@ -296,6 +348,28 @@ def test_damaged_cache_is_rebuilt(tmp_path, monkeypatch, capsys):
     assert main(["sieve", "--limit", "1e4", "--out", str(cache)]) == EXIT_OK
     good = cache.read_bytes()
     for damaged in (good[: len(good) // 2], b"JUNK" + good[4:]):
+        cache.write_bytes(damaged)
+        capsys.readouterr()
+        assert main(argv + ["--cache", str(cache)]) == EXIT_OK
+        captured = capsys.readouterr()
+        assert captured.out == fresh
+        assert "warning" in captured.err
+        assert cache.read_bytes() == good
+
+
+def test_checksum_or_version_mismatch_is_rebuilt(tmp_path, monkeypatch, capsys):
+    monkeypatch.delenv("CSUMLAB_CACHE_DIR", raising=False)
+    argv = ["verify", "alladi", "--k", "3", "--l", "2", "--limit", "1e4"]
+    assert main(argv) == EXIT_OK
+    fresh = capsys.readouterr().out
+    cache = tmp_path / "spf.bin"
+    assert main(["sieve", "--limit", "1e4", "--out", str(cache)]) == EXIT_OK
+    good = cache.read_bytes()
+    payload = good[-(10**4 + 1) * 4:]
+    flipped = bytearray(good)
+    flipped[-400] ^= 0x01  # one payload bit; header and length stay valid
+    v1 = b"SPFT" + struct.pack("<IQB", 1, 10**4, 4) + payload
+    for damaged in (bytes(flipped), v1):
         cache.write_bytes(damaged)
         capsys.readouterr()
         assert main(argv + ["--cache", str(cache)]) == EXIT_OK

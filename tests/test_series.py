@@ -443,6 +443,8 @@ def test_spec_validation():
         SeriesSpec(kind="alladi", checkpoints=(10,))  # requires k and l
     with pytest.raises(ValueError):
         SeriesSpec(kind="mu-baseline", m=5, checkpoints=(10,))  # takes no m
+    with pytest.raises(ValueError):
+        SeriesSpec(kind="alladi", k=2**32, l=1, checkpoints=(10,))  # primes are uint32
 
 
 def test_checkpoint_beyond_limit_rejected(table_small):
@@ -455,6 +457,8 @@ def test_prime_weight_validation():
         PrimeWeight(kind="???")
     with pytest.raises(ValueError):
         PrimeWeight.residue_class(4, 2)
+    with pytest.raises(ValueError):
+        PrimeWeight.residue_class(2**32, 1)
     w = PrimeWeight.residue_class(4, 1)
     assert w.value_at(5) == 1.0
     assert w.value_at(7) == 0.0

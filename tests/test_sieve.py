@@ -1,8 +1,11 @@
 """Smallest-prime-factor table and derived arithmetic functions."""
 
+import struct
+
 import numpy as np
 import pytest
 
+import csumlab.sieve as sieve
 from csumlab import (
     Factorization,
     build_spf_table,
@@ -19,11 +22,18 @@ from conftest import (
     divisors_naive,
     factorize_naive,
     lpf_naive,
+    lpf_reference,
     mu_naive,
     mu_reference,
     phi_naive,
     spf_naive,
 )
+
+
+def self_factored(t):
+    """The n >= 2 with spf(n) = n, read straight off the spf array."""
+    idx = np.arange(t.limit + 1, dtype=np.uint32)
+    return np.flatnonzero(t.spf[2:] == idx[2:]) + 2
 
 
 def test_spf_matches_trial_division_exhaustive(table_small):
@@ -71,13 +81,13 @@ def test_oversized_limit_is_a_resource_error():
 
 def test_prime_counts_match_literature(table_small, table_mid):
     # pi(10^4) = 1229 and pi(10^6) = 78498
-    assert len(table_small.primes()) == 1229
-    assert len(table_mid.primes()) == 78498
+    assert len(self_factored(table_small)) == 1229
+    assert len(self_factored(table_mid)) == 78498
 
 
 def test_primes_are_exactly_the_self_factored(table_small):
     expected = [n for n in range(2, 10**4 + 1) if spf_naive(n) == n]
-    assert table_small.primes().tolist() == expected
+    assert self_factored(table_small).tolist() == expected
 
 
 def test_mu_table_against_trial_division(table_small):
@@ -92,6 +102,55 @@ def test_mu_reference_anchored_to_definition():
     ref = mu_reference(3000)
     for n in range(1, 3001):
         assert ref[n] == mu_naive(n), n
+
+
+def test_lpf_reference_anchored_to_definition():
+    ref = lpf_reference(3000)
+    assert ref[0] == ref[1] == 0
+    for n in range(2, 3001):
+        assert ref[n] == lpf_naive(n), n
+
+
+#: limits at the ends of the derivation's doubling blocks and around its
+#: 2**20-entry sub-blocks; the last one splits a block into two sub-blocks
+EDGE_LIMITS = [2, 3, 4, 5] + [2**k + d for k in (19, 20, 21) for d in (-1, 0, 1)] + [3 * 2**20 + 1]
+
+
+@pytest.fixture(scope="module")
+def edge_references():
+    top = max(EDGE_LIMITS)
+    return mu_reference(top), lpf_reference(top)
+
+
+def test_derived_tables_at_block_edges(edge_references):
+    mu_ref, lpf_ref = edge_references
+    points = {n + d for n in [2**j for j in range(1, 23)] + [3 * 2**20] for d in (-1, 0, 1)}
+    for limit in EDGE_LIMITS:
+        t = build_spf_table(limit)
+        mu, lpf = t.mu_table(), t.lpf_table()
+        assert (mu.dtype, lpf.dtype) == (np.int8, np.uint32)
+        assert np.array_equal(mu, mu_ref[: limit + 1]), limit
+        assert np.array_equal(lpf, lpf_ref[: limit + 1]), limit
+        assert mu[0] == lpf[0] == lpf[1] == 0 and mu[1] == 1
+        for n in sorted(p for p in points | {limit - 1, limit} if 2 <= p <= limit):
+            assert mu[n] == mu_naive(n), (limit, n)
+            assert lpf[n] == lpf_naive(n), (limit, n)
+
+
+def test_derived_tables_do_not_depend_on_thread_count(monkeypatch):
+    # 3*2**20 + 1 puts two sub-blocks in the last doubling block
+    tables = {}
+    for threads in (1, 3):
+        monkeypatch.setattr(sieve, "_DERIVE_THREADS", threads)
+        t = build_spf_table(3 * 2**20 + 1)
+        tables[threads] = (t.mu_table(), t.lpf_table())
+    assert np.array_equal(tables[1][0], tables[3][0])
+    assert np.array_equal(tables[1][1], tables[3][1])
+    # many small sub-blocks per block, mapped over several threads
+    monkeypatch.setattr(sieve, "_SUB_BLOCK", 1000)
+    t = build_spf_table(10**5)
+    assert np.array_equal(t.mu_table(), mu_reference(10**5))
+    assert np.array_equal(t.lpf_table(), lpf_reference(10**5))
 
 
 def test_mertens_value_at_one_million(table_mid):
@@ -198,6 +257,10 @@ def test_mu_table_matches_independent_sieve_at_scale(table_mid, mu_ref_mid):
     assert np.array_equal(table_mid.mu_table()[1:], mu_ref_mid[1:])
 
 
+def test_lpf_table_matches_independent_sieve_at_scale(table_mid):
+    assert np.array_equal(table_mid.lpf_table(), lpf_reference(10**6))
+
+
 def test_segment_size_does_not_change_table():
     base = build_spf_table(10**5)
     for seg in (1 << 10, 1 << 14, 10**5 + 1):
@@ -245,6 +308,62 @@ def test_load_rejects_truncated_payload(tmp_path, table_small):
     cut.write_bytes(raw[: len(raw) - 8])
     with pytest.raises(ValueError):
         load_spf_table(str(cut))
+
+
+def test_load_rejects_flipped_payload_bit(tmp_path, table_small):
+    path = tmp_path / "spf.bin"
+    save_spf_table(table_small, str(path))
+    raw = bytearray(path.read_bytes())
+    raw[-4 * 1000] ^= 0x08  # header and length stay valid
+    path.write_bytes(bytes(raw))
+    with pytest.raises(ValueError, match="checksum"):
+        load_spf_table(str(path))
+
+
+def v1_cache_bytes(t) -> bytes:
+    """A table in the version-1 layout: no checksum in the header."""
+    return b"SPFT" + struct.pack("<IQB", 1, t.limit, 4) + t.spf.astype("<u4").tobytes()
+
+
+def test_load_rejects_version_1(tmp_path, table_small):
+    path = tmp_path / "spf.bin"
+    path.write_bytes(v1_cache_bytes(table_small))
+    with pytest.raises(ValueError, match="version 1"):
+        load_spf_table(str(path))
+
+
+class _FailingWriter:
+    """A file whose second write (the payload) raises after a partial write."""
+
+    def __init__(self, fh, exc):
+        self.fh, self.exc, self.writes = fh, exc, 0
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        self.fh.close()
+
+    def write(self, data):
+        self.writes += 1
+        if self.writes == 2:
+            self.fh.write(bytes(memoryview(data).cast("B")[:100]))
+            raise self.exc
+        return self.fh.write(data)
+
+
+@pytest.mark.parametrize("exc", [OSError("disk full"), KeyboardInterrupt()])
+def test_interrupted_save_keeps_previous_file(tmp_path, monkeypatch, table_small, exc):
+    path = tmp_path / "spf.bin"
+    save_spf_table(build_spf_table(5000), str(path))
+    before = path.read_bytes()
+    monkeypatch.setattr(
+        sieve, "open", lambda *a, **k: _FailingWriter(open(*a, **k), exc), raising=False
+    )
+    with pytest.raises(type(exc)):
+        save_spf_table(table_small, str(path))
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["spf.bin"]
 
 
 def test_range_validation(table_small):

@@ -19,7 +19,6 @@ from .ramanujan import (
 )
 from .report import ConvergenceReport, build_report, emit_csv
 from .series import (
-    INFINITE_PRIME,
     PartialSumSeries,
     PrimeWeight,
     SeriesRow,
@@ -65,7 +64,6 @@ __all__ = [
     "generalized_ramanujan_sum",
     "ramanujan_sum",
     "ramanujan_sum_direct",
-    "INFINITE_PRIME",
     "PartialSumSeries",
     "PrimeWeight",
     "SeriesRow",

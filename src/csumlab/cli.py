@@ -9,13 +9,16 @@ Subcommands and their exit codes (stable API):
     identity   evaluate both sides of the finite-x rearrangement identity
 
     0  success
+    1  a cache or output file cannot be read or written
     2  usage error (bad flags, invalid (k, l), limit < 2 or > 2**32 - 1, ...)
     3  oracle mismatch in csum --check-oracle
     4  verify --assert-tol breached at the last checkpoint
     5  identity sides differ beyond tolerance
 
 Counts may be written as plain integers (underscores allowed), scientific
-shorthand (1e7), or caret powers (10^7); all are parsed to exact integers.
+shorthand (1e7), or caret powers (10^7); all are parsed to exact integers,
+and a count of more than 4300 digits is a usage error.  Every subcommand
+runs its parallel steps on one thread per CPU.
 The environment variable CSUMLAB_CACHE_DIR names a directory where sieve
 tables are cached as spf_<limit>.bin and reused across runs.
 """
@@ -43,7 +46,6 @@ from .series import (
     PrimeWeight,
     SeriesSpec,
     difference_term,
-    resolve_workers,
     run_series,
 )
 from .sieve import MAX_LIMIT, SpfTable, build_spf_table, load_spf_table, save_spf_table
@@ -59,7 +61,10 @@ EXIT_ORACLE = 3
 EXIT_TOLERANCE = 4
 EXIT_IDENTITY = 5
 
-VERIFY_KINDS = tuple(name for name, kind in SERIES_KINDS.items() if kind.units)
+VERIFY_KINDS = tuple(SERIES_KINDS)
+
+#: Digits a count may have: Python's default int <-> str conversion cap.
+MAX_COUNT_DIGITS = 4300
 
 
 class UsageError(Exception):
@@ -67,17 +72,26 @@ class UsageError(Exception):
 
 
 def parse_count(text: str) -> int:
-    """Parse '1000000', '1_000_000', '1e6', or '10^6' to an exact int."""
+    """Parse '1000000', '1_000_000', '1e6', or '10^6' to an exact int.
+
+    A count past MAX_COUNT_DIGITS digits is refused before it is computed.
+    """
     s = text.strip().replace("_", "")
     try:
         if "^" in s:
             base, _, exp = s.partition("^")
-            e = int(exp)
+            b, e = int(base), int(exp)
             if e < 0:
                 raise UsageError(f"negative exponent in count: {text!r}")
-            return int(base) ** e
+            # |b| >= 2 gives b**e at least e/4 digits
+            if abs(b) > 1 and (e > 4 * MAX_COUNT_DIGITS
+                               or e * math.log10(abs(b)) >= MAX_COUNT_DIGITS):
+                raise UsageError(f"count has more than {MAX_COUNT_DIGITS} digits: {text!r}")
+            return b**e
         if "e" in s or "E" in s:
             d = Decimal(s)
+            if d and d.adjusted() >= MAX_COUNT_DIGITS:
+                raise UsageError(f"count has more than {MAX_COUNT_DIGITS} digits: {text!r}")
             n = int(d)
             if d != n:
                 raise UsageError(f"count is not an integer: {text!r}")
@@ -140,6 +154,9 @@ def parse_checkpoints(text: str | None, limit: int) -> tuple[int, ...]:
         start, factor, count = (parse_count(p) for p in parts)
         if start < 1 or factor < 2 or count < 1:
             raise UsageError(f"bad geometric spec: {text!r}")
+        # factor >= 2 puts the last checkpoint at or above 2**(count - 1)
+        if count > limit.bit_length():
+            raise UsageError(f"geometric spec {text!r} passes limit {limit}")
         cps = tuple(start * factor**i for i in range(count))
     else:
         cps = tuple(parse_count(p) for p in text.split(","))
@@ -176,7 +193,7 @@ def _load_cache(path: str) -> SpfTable | None:
         return None
 
 
-def obtain_table(limit: int, cache: str | None, workers: int) -> SpfTable:
+def obtain_table(limit: int, cache: str | None) -> SpfTable:
     """Load a cached table covering `limit` if one exists, else build.
 
     Explicit --cache wins; otherwise CSUMLAB_CACHE_DIR is consulted, and a
@@ -197,7 +214,7 @@ def obtain_table(limit: int, cache: str | None, workers: int) -> SpfTable:
         t = _load_cache(default)
         if t is not None:
             return t
-    t = build_spf_table(limit, workers=workers)
+    t = build_spf_table(limit)
     if cache:
         save_spf_table(t, cache)
     elif default:
@@ -214,7 +231,6 @@ def obtain_table(limit: int, cache: str | None, workers: int) -> SpfTable:
 def cmd_sieve(args) -> int:
     limit = parse_count(args.limit)
     _check_limit(limit)
-    workers = resolve_workers(args.workers)
     out = args.out
     if out is None:
         cache_dir = os.environ.get(CACHE_ENV)
@@ -223,7 +239,7 @@ def cmd_sieve(args) -> int:
         os.makedirs(cache_dir, exist_ok=True)
         out = os.path.join(cache_dir, f"spf_{limit}.bin")
     t0 = time.perf_counter()
-    table = build_spf_table(limit, workers=workers)
+    table = build_spf_table(limit)
     build_s = time.perf_counter() - t0
     save_spf_table(table, out)
     print(f"limit {limit}: built in {build_s:.2f}s, wrote {out}")
@@ -236,8 +252,7 @@ def cmd_csum(args) -> int:
     weight = WeightFunction.power(args.s) if args.s is not None else None
     if weight is not None and args.check_oracle:
         raise UsageError("--check-oracle applies to classical sums only (drop --s)")
-    workers = resolve_workers(args.workers)
-    t = obtain_table(max(n_hi, 2), args.cache, workers)
+    t = obtain_table(max(n_hi, 2), args.cache)
     dest = open(args.out, "w", encoding="utf-8") if args.out else sys.stdout
     try:
         dest.write("n,m,c\n")
@@ -283,10 +298,12 @@ def _series_spec_from_args(args, checkpoints) -> SeriesSpec:
 
 def cmd_verify(args) -> int:
     limit = parse_count(args.limit)
-    workers = resolve_workers(args.workers)
+    _check_limit(limit)
     spec = _series_spec_from_args(args, parse_checkpoints(args.checkpoints, limit))
-    t = obtain_table(limit, args.cache, workers)
-    series = run_series(t, spec, workers=workers)
+    if args.assert_tol is not None and SERIES_KINDS[spec.kind].target(spec) is None:
+        raise UsageError(f"--assert-tol needs a targeted series; {spec.kind} has no target")
+    t = obtain_table(limit, args.cache)
+    series = run_series(t, spec)
     report = build_report(series)
     if args.out:
         emit_csv(report, args.out)
@@ -295,10 +312,6 @@ def cmd_verify(args) -> int:
         emit_csv(report, sys.stdout)
     if args.assert_tol is not None:
         last = series.rows[-1]
-        if last.error is None:
-            raise UsageError(
-                f"--assert-tol needs a targeted series; {spec.kind} has no target"
-            )
         if not last.error <= args.assert_tol:
             print(
                 f"tolerance breach: |{last.value!r} - {series.spec.target!r}| "
@@ -333,8 +346,7 @@ def cmd_identity(args) -> int:
     if m < 1 or x < 1:
         raise UsageError(f"need m >= 1 and x >= 1, got m={m}, x={x}")
     weight = parse_weight(args.weight)
-    workers = resolve_workers(args.workers)
-    t = obtain_table(max(x, m, 2), args.cache, workers)
+    t = obtain_table(max(x, m, 2), args.cache)
     lhs, rhs = difference_term(t, m, weight, x, exact=args.exact)
     if args.exact:
         diff = lhs - rhs
@@ -372,13 +384,11 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument("--workers", default="auto", help="worker count or 'auto'")
         p.add_argument("--cache", default=None, help="path to an spf table cache file")
 
     p = sub.add_parser("sieve", help="build an SPF table and write a cache file")
     p.add_argument("--limit", required=True, help="sieve limit (1e7, 10^7, ...)")
     p.add_argument("--out", default=None, help="output path for the table")
-    p.add_argument("--workers", default="auto", help="worker count or 'auto'")
     p.set_defaults(fn=cmd_sieve)
 
     p = sub.add_parser("csum", help="print Ramanujan sums c_n(m) as CSV")

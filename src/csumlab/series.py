@@ -5,7 +5,7 @@ summation order is part of its definition: terms are always accumulated in
 ascending n.  Evaluation is chunked; each chunk is summed exactly-rounded
 with math.fsum (an error-free-transformation summation), and chunk results
 are combined in ascending index order.  Chunk boundaries depend only on the
-checkpoint schedule, never on the worker count, so rows are bit-identical
+checkpoint schedule, never on the thread count, so rows are bit-identical
 for any parallelism.
 
 The kinds live in one registry, SERIES_KINDS: each maps to its required
@@ -17,9 +17,6 @@ cases (Alladi's and Dawsey's m = 1 series) share a single code path.
 
 from __future__ import annotations
 
-import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from math import fsum, gcd
@@ -27,18 +24,15 @@ from typing import Callable
 
 import numpy as np
 
-from .sieve import MAX_LIMIT, SpfTable, factorize, moebius
+from .sieve import MAX_LIMIT, SpfTable, _thread_map, factorize, moebius
 
 try:
     from gmpy2 import mpq as _rational
 except ImportError:  # gmpy2 is optional (the "exact" extra)
     _rational = Fraction
 
-#: Sentinel for p(1): larger than every prime, used by restricted sums.
-INFINITE_PRIME = math.inf
-
 #: Terms per summation chunk.  Fixed so that chunk boundaries (and hence
-#: the exact floating-point result) never depend on worker scheduling.
+#: the exact floating-point result) never depend on thread scheduling.
 CHUNK = 1 << 20
 
 
@@ -55,22 +49,18 @@ def _check_class(k: int, l: int) -> None:
 
 @dataclass(frozen=True)
 class PrimeWeight:
-    """A bounded weight f on primes, plus a value for the p(1) sentinel.
+    """A bounded weight f on primes.
 
     Kinds:
         "residue": f(p) = 1 if p = l (mod k) else 0, with gcd(l, k) = 1.
         "one":     f(p) = 1 everywhere.
         "table":   explicit finite map prime -> value; 0 off the table.
-
-    ``at_infinity`` is f at the sentinel p(1) = infinity (default 0).
-    ``bound`` records an explicit B with |f| <= B.
     """
 
     kind: str
     k: int = 0
     l: int = 0
     table: tuple[tuple[int, float], ...] = field(default=())
-    at_infinity: float = 0.0
 
     def __post_init__(self):
         if self.kind not in ("residue", "one", "table"):
@@ -79,35 +69,16 @@ class PrimeWeight:
             _check_class(self.k, self.l)
 
     @classmethod
-    def residue_class(cls, k: int, l: int, at_infinity: float = 0.0) -> "PrimeWeight":
-        return cls(kind="residue", k=k, l=l, at_infinity=at_infinity)
+    def residue_class(cls, k: int, l: int) -> "PrimeWeight":
+        return cls(kind="residue", k=k, l=l)
 
     @classmethod
-    def constant_one(cls, at_infinity: float = 0.0) -> "PrimeWeight":
-        return cls(kind="one", at_infinity=at_infinity)
+    def constant_one(cls) -> "PrimeWeight":
+        return cls(kind="one")
 
     @classmethod
-    def from_table(cls, values: dict[int, float], at_infinity: float = 0.0) -> "PrimeWeight":
-        return cls(kind="table", table=tuple(sorted(values.items())), at_infinity=at_infinity)
-
-    @property
-    def bound(self) -> float:
-        if self.kind in ("residue", "one"):
-            return max(1.0, abs(self.at_infinity))
-        return max([abs(self.at_infinity)] + [abs(v) for _, v in self.table])
-
-    def value_at(self, p) -> float:
-        """f(p) for a prime p, or f at the INFINITE_PRIME sentinel."""
-        if p == INFINITE_PRIME:
-            return self.at_infinity
-        if self.kind == "one":
-            return 1.0
-        if self.kind == "residue":
-            return 1.0 if p % self.k == self.l % self.k else 0.0
-        for key, val in self.table:
-            if key == p:
-                return val
-        return 0.0
+    def from_table(cls, values: dict[int, float]) -> "PrimeWeight":
+        return cls(kind="table", table=tuple(sorted(values.items())))
 
     # --- vectorized helpers over arrays of primes (spf/lpf slices) ---
 
@@ -130,14 +101,10 @@ class PrimeWeight:
     def describe(self) -> str:
         """Stable one-token description used in report metadata."""
         if self.kind == "one":
-            base = "one"
-        elif self.kind == "residue":
-            base = f"residue:{self.k},{self.l}"
-        else:
-            base = "table:" + ",".join(f"{p}={v!r}" for p, v in self.table)
-        if self.at_infinity:
-            base += f";inf={self.at_infinity!r}"
-        return base
+            return "one"
+        if self.kind == "residue":
+            return f"residue:{self.k},{self.l}"
+        return "table:" + ",".join(f"{p}={v!r}" for p, v in self.table)
 
 
 @dataclass(frozen=True)
@@ -169,8 +136,8 @@ class SeriesSpec:
                 raise ValueError(f"{self.kind} requires {name}")
         if self.k is not None:
             _check_class(self.k, self.l)
-        if self.m is not None and self.m < 1:
-            raise ValueError(f"m must be >= 1, got {self.m}")
+        if self.m is not None and not 1 <= self.m <= MAX_LIMIT:
+            raise ValueError(f"m must be in [1, {MAX_LIMIT}], got {self.m}")
         if self.y is not None and self.y < 1:
             raise ValueError(f"threshold y must be >= 1, got {self.y}")
         cps = self.checkpoints
@@ -262,40 +229,19 @@ def _plan_units(start: int, checkpoints: tuple[int, ...]):
     return units, plans
 
 
-def _map_units(unit_fn, units, workers: int) -> list:
-    if workers <= 1 or len(units) <= 1:
-        return [unit_fn(lo, hi) for lo, hi in units]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(lambda u: unit_fn(*u), units))
-
-
-def resolve_workers(workers) -> int:
-    """Thread count for a ``workers`` argument: an int >= 1, or None/"auto"
-    for one thread per CPU.  Integer strings are accepted (the CLI passes
-    ``--workers`` through unchanged)."""
-    if workers in (None, "auto"):
-        return os.cpu_count() or 1
-    try:
-        w = int(workers)
-    except (TypeError, ValueError):
-        raise ValueError(f"workers must be an integer or 'auto', got {workers!r}") from None
-    if w < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
-    return w
-
-
-def _drive(unit, combine, checkpoints: tuple[int, ...], workers=1, start: int = 2) -> list:
+def _drive(unit, combine, checkpoints: tuple[int, ...], start: int = 2) -> list:
     """combine(x, unit results) for each checkpoint x.
 
     unit(lo, hi) reduces the half-open range [lo, hi); the ranges come from
     _plan_units, so the results handed to combine for x are those of the
-    grid cells below x plus the probe cell ending at x.
+    grid cells below x plus the probe cell ending at x.  Units are mapped
+    over the sieve's threads.
     """
     if checkpoints[-1] >= start:
         units, plans = _plan_units(start, checkpoints)
     else:
         units, plans = [], [(0, None)] * len(checkpoints)
-    results = _map_units(unit, units, resolve_workers(workers))
+    results = _thread_map(unit, units)
     return [
         combine(x, results[:n_full] + ([] if probe is None else [results[probe]]))
         for x, (n_full, probe) in zip(checkpoints, plans)
@@ -437,25 +383,41 @@ def _lpf_units(t: SpfTable, spec: SeriesSpec):
     return unit, combine
 
 
-def _totient(k: int) -> int:
-    """phi(k) by trial division, so a target never needs k inside the table."""
-    phi, d = k, 2
+def _trial_factors(k: int) -> list[tuple[int, int]]:
+    """(prime, exponent) pairs of k by trial division, so that no target
+    needs the table (k and m are at most MAX_LIMIT)."""
+    out, d = [], 2
     while d * d <= k:
         if k % d == 0:
-            phi -= phi // d
+            e = 0
             while k % d == 0:
                 k //= d
+                e += 1
+            out.append((d, e))
         d += 1
     if k > 1:
-        phi -= phi // k
+        out.append((k, 1))
+    return out
+
+
+def _totient(k: int) -> int:
+    phi = k
+    for p, _ in _trial_factors(k):
+        phi -= phi // p
     return phi
 
 
-def _inverse_phi(t: SpfTable, spec: SeriesSpec) -> float:
+def _inverse_phi(spec: SeriesSpec) -> float:
     return 1.0 / _totient(spec.k)
 
 
-def _lpf_target(t: SpfTable, spec: SeriesSpec) -> float | None:
+def _mu_mn_target(spec: SeriesSpec) -> float:
+    factors = _trial_factors(spec.m)
+    mu_m = 0 if any(e > 1 for _, e in factors) else (-1) ** len(factors)
+    return mu_m / _totient(spec.k)
+
+
+def _lpf_target(spec: SeriesSpec) -> float | None:
     if spec.target is not None:
         return spec.target
     if spec.weight.kind == "residue":
@@ -469,61 +431,54 @@ class SeriesKind:
 
     params: the SeriesSpec fields among m, k, l, y, weight that the kind
         requires; it takes no others.
-    target: (table, spec) -> the value the series tends to, or None.
-    units: (table, spec) -> (unit, combine) for the checkpoint driver;
-        None for a kind that is not checkpoint-driven.
+    target: spec -> the value the series tends to, or None; it reads no
+        table, so a missing target is known before any table is built.
+    units: (table, spec) -> (unit, combine) for the checkpoint driver.
     """
 
     params: tuple[str, ...]
-    target: Callable[[SpfTable, SeriesSpec], float | None] | None = None
-    units: Callable | None = None
+    target: Callable[[SeriesSpec], float | None]
+    units: Callable
 
 
 #: The series kinds.  p(n) is the smallest and P(n) the largest prime
 #: factor; the restricted kinds include n = 1 through p(1) = infinity.
 SERIES_KINDS: dict[str, SeriesKind] = {
     # -sum mu(n)/n over 2 <= n <= x -> 1
-    "mu-baseline": SeriesKind((), lambda t, s: 1.0, _weighted_units),
+    "mu-baseline": SeriesKind((), lambda s: 1.0, _weighted_units),
     # the same restricted to p(n) = l (mod k) -> 1/phi(k)
     "alladi": SeriesKind(("k", "l"), _inverse_phi, _weighted_units),
     # -sum c_n(m)/n over p(n) = l (mod k) -> 1/phi(k)
     "ramanujan-alladi": SeriesKind(("m", "k", "l"), _inverse_phi, _weighted_units),
     # -sum mu(m*n)/n over p(n) = l (mod k) -> mu(m)/phi(k)
-    "mu-mn": SeriesKind(
-        ("m", "k", "l"), lambda t, s: moebius(t, s.m) / _totient(s.k), _mu_mn_units
-    ),
+    "mu-mn": SeriesKind(("m", "k", "l"), _mu_mn_target, _mu_mn_units),
     # sum mu(n) over 1 <= n <= x with p(n) > y (integer values)
-    "mertens-restricted": SeriesKind(("y",), lambda t, s: None, _mertens_units),
+    "mertens-restricted": SeriesKind(("y",), lambda s: None, _mertens_units),
     # sum mu(n)/n over 1 <= n <= x with p(n) > y -> 0
-    "mu-over-n-restricted": SeriesKind(("y",), lambda t, s: 0.0, _mu_over_n_units),
+    "mu-over-n-restricted": SeriesKind(("y",), lambda s: 0.0, _mu_over_n_units),
     # -sum c_n(m) f(p(n))/n -> the caller's target, if any
-    "weighted-lhs": SeriesKind(("m", "weight"), lambda t, s: s.target, _weighted_units),
+    "weighted-lhs": SeriesKind(("m", "weight"), lambda s: s.target, _weighted_units),
     # (1/x) sum f(P(n)) over 2 <= n <= x -> 1/phi(k) for residue indicators
     "lpf-density": SeriesKind(("weight",), _lpf_target, _lpf_units),
-    # both sides of the finite-x identity; see difference_term
-    "difference-term": SeriesKind(("m", "weight")),
 }
 
 
-def run_series(t: SpfTable, spec: SeriesSpec, workers=1) -> PartialSumSeries:
-    """Evaluate a checkpoint-driven SeriesSpec (difference-term excluded).
+def run_series(t: SpfTable, spec: SeriesSpec) -> PartialSumSeries:
+    """Evaluate a SeriesSpec at its checkpoints.
 
     The returned series carries the spec with the kind's target filled in.
     """
     kind = SERIES_KINDS[spec.kind]
-    if kind.units is None:
-        raise ValueError(f"series kind {spec.kind!r} is not checkpoint-driven; "
-                         "use difference_term() for the identity check")
     cps = spec.checkpoints
     if not cps:
         raise ValueError("at least one checkpoint is required")
     if cps[-1] > t.limit:
         raise ValueError(f"checkpoint {cps[-1]} exceeds sieve limit {t.limit}")
     unit, combine = kind.units(t, spec)
-    spec = replace(spec, target=kind.target(t, spec))
+    spec = replace(spec, target=kind.target(spec))
     rows = tuple(
         SeriesRow(x, value, None if spec.target is None else abs(value - spec.target), count)
-        for x, (value, count) in zip(cps, _drive(unit, combine, cps, workers))
+        for x, (value, count) in zip(cps, _drive(unit, combine, cps))
     )
     return PartialSumSeries(spec=spec, rows=rows)
 
@@ -533,19 +488,19 @@ def run_series(t: SpfTable, spec: SeriesSpec, workers=1) -> PartialSumSeries:
 # ---------------------------------------------------------------------------
 
 
-def mu_baseline(t: SpfTable, checkpoints, workers=1) -> PartialSumSeries:
+def mu_baseline(t: SpfTable, checkpoints) -> PartialSumSeries:
     """-sum mu(n)/n for 2 <= n <= x at each checkpoint; target 1."""
-    return run_series(t, SeriesSpec(kind="mu-baseline", checkpoints=tuple(checkpoints)), workers)
+    return run_series(t, SeriesSpec(kind="mu-baseline", checkpoints=tuple(checkpoints)))
 
 
-def alladi_partial_sum(t: SpfTable, k: int, l: int, checkpoints, workers=1) -> PartialSumSeries:
+def alladi_partial_sum(t: SpfTable, k: int, l: int, checkpoints) -> PartialSumSeries:
     """-sum mu(n)/n over n <= x with p(n) = l (mod k); target 1/phi(k)."""
     spec = SeriesSpec(kind="alladi", k=k, l=l, checkpoints=tuple(checkpoints))
-    return run_series(t, spec, workers)
+    return run_series(t, spec)
 
 
 def ramanujan_alladi_partial_sum(
-    t: SpfTable, m: int, k: int, l: int, checkpoints, workers=1
+    t: SpfTable, m: int, k: int, l: int, checkpoints
 ) -> PartialSumSeries:
     """-sum c_n(m)/n over n <= x with p(n) = l (mod k); target 1/phi(k).
 
@@ -554,11 +509,11 @@ def ramanujan_alladi_partial_sum(
     exact same mu table entries.
     """
     spec = SeriesSpec(kind="ramanujan-alladi", m=m, k=k, l=l, checkpoints=tuple(checkpoints))
-    return run_series(t, spec, workers)
+    return run_series(t, spec)
 
 
 def weighted_lhs(
-    t: SpfTable, m: int, weight: PrimeWeight, checkpoints, workers=1, target=None
+    t: SpfTable, m: int, weight: PrimeWeight, checkpoints, *, target=None
 ) -> PartialSumSeries:
     """-sum c_n(m) f(p(n)) / n for a bounded prime weight f.
 
@@ -568,42 +523,38 @@ def weighted_lhs(
     spec = SeriesSpec(
         kind="weighted-lhs", m=m, weight=weight, checkpoints=tuple(checkpoints), target=target
     )
-    return run_series(t, spec, workers)
+    return run_series(t, spec)
 
 
-def mu_mn_partial_sum(
-    t: SpfTable, m: int, k: int, l: int, checkpoints, workers=1
-) -> PartialSumSeries:
+def mu_mn_partial_sum(t: SpfTable, m: int, k: int, l: int, checkpoints) -> PartialSumSeries:
     """-sum mu(m*n)/n over n <= x with p(n) = l (mod k); target mu(m)/phi(k).
 
     m needs to lie in the table, m*x does not.
     """
     spec = SeriesSpec(kind="mu-mn", m=m, k=k, l=l, checkpoints=tuple(checkpoints))
-    return run_series(t, spec, workers)
+    return run_series(t, spec)
 
 
-def mertens_restricted(t: SpfTable, y: int, checkpoints, workers=1) -> PartialSumSeries:
+def mertens_restricted(t: SpfTable, y: int, checkpoints) -> PartialSumSeries:
     """M(x, y) = sum mu(n) over 1 <= n <= x with p(n) > y (integer values).
 
     n = 1 always qualifies via the sentinel p(1) = infinity, so
     M(x, y) = 1 exactly whenever y >= x.
     """
     spec = SeriesSpec(kind="mertens-restricted", y=y, checkpoints=tuple(checkpoints))
-    return run_series(t, spec, workers)
+    return run_series(t, spec)
 
 
-def mu_over_n_restricted(t: SpfTable, y: int, checkpoints, workers=1) -> PartialSumSeries:
+def mu_over_n_restricted(t: SpfTable, y: int, checkpoints) -> PartialSumSeries:
     """sum mu(n)/n over 1 <= n <= x with p(n) > y; target 0.
 
     Includes the n = 1 term (value 1) via the p(1) = infinity sentinel.
     """
     spec = SeriesSpec(kind="mu-over-n-restricted", y=y, checkpoints=tuple(checkpoints))
-    return run_series(t, spec, workers)
+    return run_series(t, spec)
 
 
-def lpf_density(
-    t: SpfTable, weight: PrimeWeight, checkpoints, workers=1, target=None
-) -> PartialSumSeries:
+def lpf_density(t: SpfTable, weight: PrimeWeight, checkpoints, *, target=None) -> PartialSumSeries:
     """(1/x) sum f(P(n)) over 2 <= n <= x, P the largest prime factor.
 
     For residue-indicator weights the target defaults to 1/phi(k) and each
@@ -612,7 +563,7 @@ def lpf_density(
     spec = SeriesSpec(
         kind="lpf-density", weight=weight, checkpoints=tuple(checkpoints), target=target
     )
-    return run_series(t, spec, workers)
+    return run_series(t, spec)
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,13 @@ s = spf(n) and q = n / s:
 The recurrence runs over doubling blocks [lo, hi) with hi <= 2*lo.  Every
 cofactor of a block is below lo, so it is already filled, and the block is
 one vectorised pass; its sub-blocks of at most 2**20 entries are mapped
-over one thread per CPU.
+over threads.
+
+Thread policy: every parallel step (the sieve's segments, the mu/lpf
+sub-blocks and the series driver's chunk units) goes through one helper,
+_thread_map, which maps over one thread per CPU (_THREADS) and runs in
+the calling thread when there is a single item.  Work is split on fixed
+boundaries, so no result depends on the thread count.
 
 Memory per n: 4 bytes for spf (uint32), so a limit of 10**8 costs ~400 MB
 resident.  Limits must stay below 2**32.  The optional mu and lpf tables,
@@ -38,29 +44,42 @@ from __future__ import annotations
 import os
 import struct
 import zlib
-from concurrent.futures import ThreadPoolExecutor
+from concurrent import futures
 from dataclasses import dataclass, field
 from math import isqrt
+from typing import Callable
 
 import numpy as np
 
 #: Largest supported sieve limit (uint32 entries).
 MAX_LIMIT = 2**32 - 1
 
-#: Default segment length for sieve construction.
-DEFAULT_SEGMENT = 1 << 22
+#: Entries per sieve construction segment.
+_SEGMENT = 1 << 22
 
 #: Entries per sub-block of the mu/lpf derivation.
 _SUB_BLOCK = 1 << 20
 
-#: Threads deriving the mu and lpf tables: one per CPU.
-_DERIVE_THREADS = os.cpu_count() or 1
+#: Threads of every parallel step: one per CPU.
+_THREADS = os.cpu_count() or 1
 
 _CACHE_MAGIC = b"SPFT"
 _CACHE_VERSION = 2
 _ENTRY_WIDTH = 4
 #: magic, version, limit, entry width, crc32 of the payload
 _HEADER = struct.Struct("<4sIQBI")
+
+
+def _thread_map(fn: Callable, items: list) -> list:
+    """[fn(*item) for item in items], mapped over up to _THREADS threads.
+
+    A single item, or a single thread, runs in the calling thread.
+    """
+    threads = min(_THREADS, len(items))
+    if threads <= 1:
+        return [fn(*item) for item in items]
+    with futures.ThreadPoolExecutor(max_workers=threads) as pool:
+        return list(pool.map(lambda item: fn(*item), items))
 
 
 @dataclass
@@ -136,21 +155,12 @@ def _derive(spf: np.ndarray, out: np.ndarray, step) -> None:
     sub-blocks of one block are independent and are mapped over threads.
     """
     n = len(spf)
-    blocks = []
     lo = 2
     while lo < n:
         hi = min(2 * lo, n)
-        blocks.append([(a, min(a + _SUB_BLOCK, hi)) for a in range(lo, hi, _SUB_BLOCK)])
+        sub = [(spf, out, a, min(a + _SUB_BLOCK, hi)) for a in range(lo, hi, _SUB_BLOCK)]
+        _thread_map(step, sub)
         lo = hi
-    threads = min(_DERIVE_THREADS, max(map(len, blocks), default=1))
-    if threads == 1:
-        for block in blocks:
-            for a, b in block:
-                step(spf, out, a, b)
-        return
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        for block in blocks:
-            list(pool.map(lambda ab: step(spf, out, *ab), block))
 
 
 @dataclass(frozen=True)
@@ -158,13 +168,6 @@ class Factorization:
     """Prime factorization as (prime, exponent) pairs, primes ascending."""
 
     factors: tuple[tuple[int, int], ...]
-
-    def value(self) -> int:
-        """The factored integer (product of prime**exponent)."""
-        n = 1
-        for p, e in self.factors:
-            n *= p**e
-        return n
 
     def divisors(self) -> list[int]:
         """All positive divisors, ascending."""
@@ -194,23 +197,18 @@ def _mark_segment(spf: np.ndarray, base: list[int], lo: int, hi: int) -> None:
     spf[rel] = rel.astype(np.uint32)
 
 
-def build_spf_table(
-    limit: int,
-    segment_size: int = DEFAULT_SEGMENT,
-    workers: int = 1,
-) -> SpfTable:
+def build_spf_table(limit: int) -> SpfTable:
     """Sieve the smallest prime factor of every n in [2, limit].
 
-    Construction is segmented; segments may be sieved by several threads.
-    The finished table is bit-identical for any segment_size/workers choice.
+    Segments of _SEGMENT entries are marked over _thread_map's threads;
+    the finished table is bit-identical for any segment length or thread
+    count.
 
     Args:
         limit: inclusive upper bound, >= 2 and < 2**32.
-        segment_size: entries per construction segment.
-        workers: threads marking segments concurrently (>= 1).
 
     Raises:
-        ValueError: limit < 2 or bad segment/worker counts.
+        ValueError: limit < 2.
         MemoryError: limit exceeds the uint32 entry budget.
     """
     if limit < 2:
@@ -219,20 +217,12 @@ def build_spf_table(
         raise MemoryError(
             f"sieve limit {limit} exceeds the 4-byte-entry budget (max {MAX_LIMIT})"
         )
-    if segment_size < 1:
-        raise ValueError(f"segment_size must be >= 1, got {segment_size}")
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
 
     spf = np.zeros(limit + 1, dtype=np.uint32)
     base = _base_primes(isqrt(limit))
-    bounds = [(lo, min(lo + segment_size, limit + 1)) for lo in range(0, limit + 1, segment_size)]
-    if workers == 1 or len(bounds) == 1:
-        for lo, hi in bounds:
-            _mark_segment(spf, base, lo, hi)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(lambda b: _mark_segment(spf, base, *b), bounds))
+    segments = [(spf, base, lo, min(lo + _SEGMENT, limit + 1))
+                for lo in range(0, limit + 1, _SEGMENT)]
+    _thread_map(_mark_segment, segments)
     spf.setflags(write=False)
     return SpfTable(limit=limit, spf=spf)
 

@@ -19,15 +19,17 @@ and asserts the matching guarantee:
         mu/n sums with y in {2,3,5} up to 10^7
     10. generalized sums: s=1 power weight reproduces classical values for
         n,m <= 500; the squared-weight spot value c_2(4; s=2) = 3
-    11. bit-identical series under any worker count; byte-identical
+    11. bit-identical series under any thread count; byte-identical
         sieve cache on rebuild
 """
 
+import os
 import time
 from math import gcd
 
 import numpy as np
 
+import csumlab.sieve as sieve
 from csumlab import (
     PrimeWeight,
     WeightFunction,
@@ -145,9 +147,7 @@ def test_criterion_06_progression_convergence(table_big):
     monotone_ok = True
     for k, l in ((3, 1), (3, 2), (4, 1), (4, 3)):
         for m in (1, 2, 6):
-            s = ramanujan_alladi_partial_sum(
-                table_big, m, k, l, [10**5, 10**7], workers="auto"
-            )
+            s = ramanujan_alladi_partial_sum(table_big, m, k, l, [10**5, 10**7])
             err5, err7 = s.rows[0].error, s.rows[1].error
             worst_final = max(worst_final, err7)
             monotone_ok &= err7 <= err5
@@ -212,25 +212,30 @@ def test_criterion_10_generalized_sums(table_small):
     )
 
 
-def test_criterion_11_determinism(table_mid, tmp_path):
+def test_criterion_11_determinism(table_mid, tmp_path, monkeypatch):
+    def rows(fn, *args, threads):
+        monkeypatch.setattr(sieve, "_THREADS", threads)
+        return [r.value for r in fn(table_mid, *args, cps).rows]
+
     cps = [10**3, 10**5 + 7, 10**6]
-    runs = []
-    for workers in (1, "auto", 5):
-        s = ramanujan_alladi_partial_sum(table_mid, 6, 4, 3, cps, workers=workers)
-        runs.append([r.value for r in s.rows])
+    runs = [rows(ramanujan_alladi_partial_sum, 6, 4, 3, threads=w)
+            for w in (1, os.cpu_count() or 1, 5)]
     series_ok = runs[0] == runs[1] == runs[2]
-    m1 = mertens_restricted(table_mid, 3, cps, workers=1)
-    m2 = mertens_restricted(table_mid, 3, cps, workers=4)
-    series_ok &= [r.value for r in m1.rows] == [r.value for r in m2.rows]
-    p1, p2 = tmp_path / "a.bin", tmp_path / "b.bin"
-    save_spf_table(build_spf_table(10**5, segment_size=1 << 13, workers=1), str(p1))
-    save_spf_table(build_spf_table(10**5, segment_size=1 << 14, workers=6), str(p2))
-    cache_ok = p1.read_bytes() == p2.read_bytes()
+    m1 = rows(mertens_restricted, 3, threads=1)
+    m2 = rows(mertens_restricted, 3, threads=4)
+    series_ok &= m1 == m2
+    caches = []
+    for segment, threads in ((1 << 13, 1), (1 << 14, 6)):
+        monkeypatch.setattr(sieve, "_SEGMENT", segment)
+        monkeypatch.setattr(sieve, "_THREADS", threads)
+        caches.append(tmp_path / f"{segment}.bin")
+        save_spf_table(build_spf_table(10**5), str(caches[-1]))
+    cache_ok = caches[0].read_bytes() == caches[1].read_bytes()
     report(
         11,
         series_ok and cache_ok,
-        "rows bit-identical across worker counts; cache bytes identical "
-        "across segmenting and workers",
+        "rows bit-identical across thread counts; cache bytes identical "
+        "across segment lengths and thread counts",
     )
 
 

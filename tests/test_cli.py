@@ -1,6 +1,7 @@
 """Command-line surface: parsers, subcommands, exit codes, cache plumbing."""
 
 import struct
+import time
 from dataclasses import replace
 
 import pytest
@@ -212,8 +213,8 @@ def test_assert_tol_must_be_finite_and_non_negative(capsys):
 def test_nan_error_is_a_tolerance_breach(monkeypatch, capsys):
     real = cli.run_series
 
-    def nan_series(t, spec, workers=1):
-        series = real(t, spec, workers)
+    def nan_series(t, spec):
+        series = real(t, spec)
         last = replace(series.rows[-1], value=float("nan"), error=float("nan"))
         return replace(series, rows=series.rows[:-1] + (last,))
 
@@ -241,12 +242,21 @@ def test_target_for_modulus_past_table(kind, flags, capsys):
     assert rows and all(float(r[2]) == 1 / 20010 for r in rows)
 
 
-def test_verify_tol_on_targetless_series_is_usage_error():
-    code = main(
-        ["verify", "mertens-restricted", "--y", "3", "--limit", "1e4",
-         "--assert-tol", "0.5"]
-    )
-    assert code == EXIT_USAGE
+def test_verify_tol_on_targetless_series_is_usage_error(monkeypatch, capsys, tmp_path):
+    # refused from the flags alone: no table, no report on stdout or in --out
+    def no_table(*args):
+        raise AssertionError("table requested")
+
+    monkeypatch.setattr(cli, "obtain_table", no_table)
+    out = tmp_path / "rep.csv"
+    for flags in (["mertens-restricted", "--y", "3"],
+                  ["weighted-lhs", "--m", "2", "--weight", "table:2=1.0"],
+                  ["lpf-density", "--weight", "table:2=1.0"]):
+        for dest in ([], ["--out", str(out)]):
+            code = main(["verify", *flags, "--limit", "1e4", "--assert-tol", "0.5", *dest])
+            assert code == EXIT_USAGE, flags
+            assert capsys.readouterr().out == "", flags
+            assert not out.exists(), flags
 
 
 def test_verify_writes_report_file(tmp_path):
@@ -270,20 +280,16 @@ def test_verify_geometric_checkpoints_respect_limit():
     assert code == EXIT_USAGE
 
 
-def test_verify_workers_flag_accepts_auto_and_int(capsys):
-    a = main(["verify", "mu-baseline", "--limit", "1e4", "--workers", "auto"])
-    b = main(["verify", "mu-baseline", "--limit", "1e4", "--workers", "3"])
-    assert a == b == EXIT_OK
-    out = capsys.readouterr().out
-    first, second = out.split("x,value,target,abs_error,decay_ratio")[1:]
-    assert first == second
-
-
-def test_verify_rejects_bad_workers():
+def test_huge_counts_are_usage_errors_without_allocating():
+    # refused before any huge int or checkpoint list is built
+    t0 = time.monotonic()
+    for flags in (["--limit", "1e200000"], ["--limit", "10^30000000"],
+                  ["--limit", "1e3000000"],
+                  ["--limit", "1e4", "--checkpoints", "1:2:100000000"]):
+        assert main(["verify", "mu-baseline", *flags]) == EXIT_USAGE, flags
+    assert time.monotonic() - t0 < 5
     assert main(["verify", "mu-baseline", "--limit", "1e4",
-                 "--workers", "0"]) == EXIT_USAGE
-    assert main(["verify", "mu-baseline", "--limit", "1e4",
-                 "--workers", "many"]) == EXIT_USAGE
+                 "--checkpoints", "1:2:14"]) == EXIT_OK  # 2**13 <= 1e4
 
 
 # --- identity ----------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Smallest-prime-factor table and derived arithmetic functions."""
 
+import math
 import struct
 
 import numpy as np
@@ -141,7 +142,7 @@ def test_derived_tables_do_not_depend_on_thread_count(monkeypatch):
     # 3*2**20 + 1 puts two sub-blocks in the last doubling block
     tables = {}
     for threads in (1, 3):
-        monkeypatch.setattr(sieve, "_DERIVE_THREADS", threads)
+        monkeypatch.setattr(sieve, "_THREADS", threads)
         t = build_spf_table(3 * 2**20 + 1)
         tables[threads] = (t.mu_table(), t.lpf_table())
     assert np.array_equal(tables[1][0], tables[3][0])
@@ -195,7 +196,7 @@ def test_factorize_round_trip(table_small):
         n = int(n)
         f = factorize(table_small, n)
         assert isinstance(f, Factorization)
-        assert f.value() == n
+        assert math.prod(p**e for p, e in f.factors) == n
         assert list(f.factors) == factorize_naive(n)
         assert f.divisors() == divisors_naive(n)
     # n = 1 is excluded from the table; callers own the empty product
@@ -261,17 +262,21 @@ def test_lpf_table_matches_independent_sieve_at_scale(table_mid):
     assert np.array_equal(table_mid.lpf_table(), lpf_reference(10**6))
 
 
-def test_segment_size_does_not_change_table():
+def test_segment_size_does_not_change_table(monkeypatch):
     base = build_spf_table(10**5)
     for seg in (1 << 10, 1 << 14, 10**5 + 1):
-        other = build_spf_table(10**5, segment_size=seg)
+        monkeypatch.setattr(sieve, "_SEGMENT", seg)
+        other = build_spf_table(10**5)
         assert np.array_equal(base.spf, other.spf), seg
 
 
-def test_worker_count_does_not_change_table():
-    base = build_spf_table(10**5, segment_size=1 << 12, workers=1)
-    many = build_spf_table(10**5, segment_size=1 << 12, workers=8)
-    assert np.array_equal(base.spf, many.spf)
+def test_worker_count_does_not_change_table(monkeypatch):
+    monkeypatch.setattr(sieve, "_SEGMENT", 1 << 12)
+    tables = []
+    for threads in (1, 8):
+        monkeypatch.setattr(sieve, "_THREADS", threads)
+        tables.append(build_spf_table(10**5))
+    assert np.array_equal(tables[0].spf, tables[1].spf)
 
 
 def test_save_load_round_trip(tmp_path, table_small):

@@ -12,7 +12,6 @@ Layers, bottom up:
 """
 
 from .ramanujan import (
-    WeightFunction,
     generalized_ramanujan_sum,
     ramanujan_sum,
     ramanujan_sum_direct,
@@ -60,7 +59,6 @@ __all__ = [
     "moebius",
     "save_spf_table",
     "smallest_prime_factor",
-    "WeightFunction",
     "generalized_ramanujan_sum",
     "ramanujan_sum",
     "ramanujan_sum_direct",

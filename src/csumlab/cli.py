@@ -9,7 +9,8 @@ Subcommands and their exit codes (stable API):
     identity   evaluate both sides of the finite-x rearrangement identity
 
     0  success
-    1  a cache or output file cannot be read or written
+    1  a cache or output file cannot be read or written, or the run
+       needs more memory than the process can get
     2  usage error (bad flags, invalid (k, l), limit < 2 or > 2**32 - 1, ...)
     3  oracle mismatch in csum --check-oracle
     4  verify --assert-tol breached at the last checkpoint
@@ -35,7 +36,6 @@ from decimal import Decimal, InvalidOperation
 
 from .ramanujan import (
     DIRECT_EVAL_CAP,
-    WeightFunction,
     generalized_ramanujan_sum,
     ramanujan_sum,
     ramanujan_sum_direct,
@@ -56,6 +56,7 @@ CACHE_ENV = "CSUMLAB_CACHE_DIR"
 IDENTITY_TOL = 1e-9
 
 EXIT_OK = 0
+EXIT_IO = 1
 EXIT_USAGE = 2
 EXIT_ORACLE = 3
 EXIT_TOLERANCE = 4
@@ -249,16 +250,17 @@ def cmd_sieve(args) -> int:
 def cmd_csum(args) -> int:
     n_lo, n_hi = parse_range(args.n)
     m_lo, m_hi = parse_range(args.m)
-    weight = WeightFunction.power(args.s) if args.s is not None else None
-    if weight is not None and args.check_oracle:
+    if args.s is not None and args.check_oracle:
         raise UsageError("--check-oracle applies to classical sums only (drop --s)")
+    if args.s is not None and args.s < 1:
+        raise UsageError(f"--s must be >= 1, got {args.s}")
     t = obtain_table(max(n_hi, 2), args.cache)
     dest = open(args.out, "w", encoding="utf-8") if args.out else sys.stdout
     try:
         dest.write("n,m,c\n")
         for n in range(n_lo, n_hi + 1):
             for m in range(m_lo, m_hi + 1):
-                if weight is None:
+                if args.s is None:
                     c = ramanujan_sum(t, n, m)
                     if args.check_oracle and n <= DIRECT_EVAL_CAP:
                         oracle = ramanujan_sum_direct(n, m)
@@ -270,7 +272,7 @@ def cmd_csum(args) -> int:
                             )
                             return EXIT_ORACLE
                 else:
-                    c = generalized_ramanujan_sum(t, n, m, weight)
+                    c = generalized_ramanujan_sum(t, n, m, args.s)
                 dest.write(f"{n},{m},{c}\n")
     finally:
         if dest is not sys.stdout:
@@ -343,10 +345,11 @@ def _int_digits_unlimited():
 def cmd_identity(args) -> int:
     m = args.m
     x = parse_count(args.x)
-    if m < 1 or x < 1:
-        raise UsageError(f"need m >= 1 and x >= 1, got m={m}, x={x}")
+    if not 1 <= m <= MAX_LIMIT or x < 1:
+        raise UsageError(f"need 1 <= m <= {MAX_LIMIT} and x >= 1, got m={m}, x={x}")
     weight = parse_weight(args.weight)
-    t = obtain_table(max(x, m, 2), args.cache)
+    # m is factored by trial division, so the table covers x alone
+    t = obtain_table(max(x, 2), args.cache)
     lhs, rhs = difference_term(t, m, weight, x, exact=args.exact)
     if args.exact:
         diff = lhs - rhs
@@ -451,7 +454,11 @@ def main(argv=None) -> int:
         return EXIT_ORACLE
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return EXIT_IO
+    except MemoryError:
+        print("error: not enough memory for this run; try a smaller limit or x",
+              file=sys.stderr)
+        return EXIT_IO
 
 
 if __name__ == "__main__":

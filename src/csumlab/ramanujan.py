@@ -1,14 +1,13 @@
-"""Ramanujan sums c_n(m) and their weighted generalizations.
+"""Ramanujan sums c_n(m) and their Cohen generalization c_n(m; s).
 
 The workhorse evaluator sums mu(n/d)*d over divisors d of gcd(n, m); the
 defining exponential sum (cosines over residues coprime to n) is kept as a
-slow independent oracle.  The generalized form c_n(m; s, g) sums
-g(d)*mu(n/d) over divisors d of n with d**s dividing m.
+slow independent oracle.  The generalized form c_n(m; s) sums
+d**s * mu(n/d) over divisors d of n with d**s dividing m.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from math import fsum, gcd, pi
 
 import numpy as np
@@ -22,58 +21,6 @@ DIRECT_EVAL_CAP = 1_000_000
 
 #: Rounding-residue tolerance of the direct oracle, scaled by phi(n).
 _RESIDUE_TOL = 1e-6
-
-
-@dataclass(frozen=True)
-class WeightFunction:
-    """Divisor weight g with exponent s for generalized Ramanujan sums.
-
-    Kinds: "identity" (g(d)=d, s=1, the classical sum), "power"
-    (g(d)=d**s), "unit" (g(d)=1, s=1), and "table" (explicit finite values
-    with its own s).  Every kind must satisfy g(1) = 1.
-    """
-
-    kind: str
-    s: int = 1
-    table: tuple[tuple[int, float], ...] = field(default=())
-
-    def __post_init__(self):
-        if self.kind not in ("identity", "power", "unit", "table"):
-            raise ValueError(f"unknown weight kind {self.kind!r}")
-        if self.s < 1:
-            raise ValueError(f"weight exponent s must be >= 1, got {self.s}")
-        if self.kind == "table":
-            vals = dict(self.table)
-            if vals.get(1) != 1:
-                raise ValueError("table weight must map 1 -> 1")
-
-    @classmethod
-    def identity(cls) -> "WeightFunction":
-        return cls(kind="identity", s=1)
-
-    @classmethod
-    def power(cls, s: int) -> "WeightFunction":
-        return cls(kind="power", s=s)
-
-    @classmethod
-    def unit(cls) -> "WeightFunction":
-        return cls(kind="unit", s=1)
-
-    @classmethod
-    def from_table(cls, values: dict[int, float], s: int = 1) -> "WeightFunction":
-        return cls(kind="table", s=s, table=tuple(sorted(values.items())))
-
-    def value_at(self, d: int):
-        if self.kind == "identity":
-            return d
-        if self.kind == "power":
-            return d**self.s
-        if self.kind == "unit":
-            return 1
-        for key, val in self.table:
-            if key == d:
-                return val
-        raise ValueError(f"table weight has no value for divisor {d}")
 
 
 def ramanujan_sum(t: SpfTable, n: int, m: int) -> int:
@@ -126,27 +73,25 @@ def ramanujan_sum_direct(n: int, m: int) -> int:
     return int(nearest)
 
 
-def generalized_ramanujan_sum(t: SpfTable, n: int, m: int, g: WeightFunction):
-    """c_n(m; s, g) = sum of g(d) * mu(n/d) over divisors d of n with d**s | m.
+def generalized_ramanujan_sum(t: SpfTable, n: int, m: int, s: int = 1) -> int:
+    """c_n(m; s) = sum of d**s * mu(n/d) over divisors d of n with d**s | m.
 
-    With the identity weight (s=1, g(d)=d) this coincides with
-    ramanujan_sum(t, n, m); the power weight g(d)=d**s gives the
-    Cohen-Ramanujan sum.  Returns an exact int for integer weights, a float
-    for table weights with non-integer values.
+    With s = 1 this coincides with ramanujan_sum(t, n, m); s >= 2 gives
+    the Cohen-Ramanujan sum.  Exact integer.
     """
     if not 1 <= n <= t.limit:
         raise ValueError(f"n={n} outside table range [1, {t.limit}]")
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
+    if s < 1:
+        raise ValueError(f"exponent s must be >= 1, got {s}")
     if n == 1:
-        return g.value_at(1)
-    s = g.s
+        return 1  # the single d = 1 term
     total = 0
     for d in factorize(t, n).divisors():
         ds = d**s
         if ds > m:
             break  # divisors ascend, so every later d**s > m too
         if m % ds == 0:
-            total += g.value_at(d) * moebius(t, n // d)
+            total += ds * moebius(t, n // d)
     return total
-

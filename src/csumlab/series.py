@@ -13,6 +13,13 @@ parameters, its target and a unit factory.  One checkpoint driver runs the
 units over the chunk grid, and the float kinds reduce every chunk through
 one term reducer, so the paper's sum -sum c_n(m) f(p(n))/n and its special
 cases (Alladi's and Dawsey's m = 1 series) share a single code path.
+
+The finite-x rearrangement identity (difference_term) builds its two sides
+from the same integer columns and runs them through the same driver.  Its
+float and exact modes differ only in the reducer: both reducers read one
+term selection, and the exact one sums a/n as integer (numerator,
+denominator) pairs over the lcm of the denominators, reduced once at the
+end.  m is factored by trial division, never through the table.
 """
 
 from __future__ import annotations
@@ -24,12 +31,7 @@ from typing import Callable
 
 import numpy as np
 
-from .sieve import MAX_LIMIT, SpfTable, _thread_map, factorize, moebius
-
-try:
-    from gmpy2 import mpq as _rational
-except ImportError:  # gmpy2 is optional (the "exact" extra)
-    _rational = Fraction
+from .sieve import MAX_LIMIT, SpfTable, _thread_map
 
 #: Terms per summation chunk.  Fixed so that chunk boundaries (and hence
 #: the exact floating-point result) never depend on thread scheduling.
@@ -253,13 +255,13 @@ def _float_total(head: tuple[float, ...] = ()):
     return lambda x, sums: (fsum([*head, *sums]), None)
 
 
-def _reduce(col: np.ndarray, keep, primes: np.ndarray, weight: PrimeWeight, lo: int,
-            sign: int = 1) -> float:
-    """fsum of sign * col[i] * f(primes[i]) / (lo + i) over the kept terms.
+def _select(col: np.ndarray, keep, primes: np.ndarray, weight: PrimeWeight):
+    """The kept terms of a column: (indices, numerators, f values).
 
     col is an integer column in its stored dtype and keep an optional
-    boolean support mask.  Only entries with col != 0, keep and
-    f(primes) != 0 are converted to float64.
+    boolean support mask.  An index is kept where col != 0, keep and
+    f(primes) != 0; the f values are None for the 0/1 weights, whose kept
+    terms all have f = 1.
     """
     if weight.kind == "table":
         fv = weight.values(primes)
@@ -270,11 +272,62 @@ def _reduce(col: np.ndarray, keep, primes: np.ndarray, weight: PrimeWeight, lo: 
         support = keep if support is None else support & keep
     nz = col != 0
     sel = np.flatnonzero(nz if support is None else support & nz)
-    num = col[sel].astype(np.float64)
+    return sel, col[sel], None if fv is None else fv[sel]
+
+
+def _reduce(col: np.ndarray, keep, primes: np.ndarray, weight: PrimeWeight, lo: int,
+            sign: int = 1) -> float:
+    """fsum of sign * col[i] * f(primes[i]) / (lo + i) over the kept terms.
+
+    Only the kept entries are converted to float64.
+    """
+    sel, num, fv = _select(col, keep, primes, weight)
+    num = num.astype(np.float64)
     if fv is not None:
-        num *= fv[sel]
+        num *= fv
     terms = num / (sel + lo).astype(np.float64)
     return fsum((-terms if sign < 0 else terms).tolist())
+
+
+def _lcm_sum(pairs: list[tuple[int, int]]) -> tuple[int, int]:
+    """(N, D) with N/D the sum of the fractions n/d given as (n, d) pairs.
+
+    Pairs are merged by recursive halving; each merge puts two fractions
+    over the lcm of their denominators (one gcd), and no fraction is
+    reduced on the way, so D is the lcm of every d.
+    """
+    if not pairs:
+        return 0, 1
+    while len(pairs) > 1:
+        merged = []
+        for (n1, d1), (n2, d2) in zip(pairs[::2], pairs[1::2]):
+            g = gcd(d1, d2)
+            merged.append((n1 * (d2 // g) + n2 * (d1 // g), d1 // g * d2))
+        if len(pairs) % 2:
+            merged.append(pairs[-1])
+        pairs = merged
+    return pairs[0]
+
+
+def _reduce_exact(col: np.ndarray, keep, primes: np.ndarray, weight: PrimeWeight, lo: int,
+                  sign: int = 1) -> Fraction:
+    """The exact value of the sum _reduce rounds, from the same selection.
+
+    Terms are grouped by their f value (the 0/1 weights form one group
+    with f = 1); each group sums a/n as an integer pair and is scaled by
+    the exact rational value of its f, and the groups merge into one
+    Fraction.
+    """
+    sel, a, fv = _select(col, keep, primes, weight)
+    dens = sel + lo
+    groups = [(1, a, dens)] if fv is None else [
+        (Fraction(v), a[fv == v], dens[fv == v]) for v in np.unique(fv)
+    ]
+    parts = []
+    for f, num, den in groups:
+        n, d = _lcm_sum(list(zip(num.tolist(), den.tolist())))
+        parts.append((sign * n * f.numerator, d * f.denominator))
+    return Fraction(*_lcm_sum(parts))
 
 
 def _c_column(mu: np.ndarray, divisors, lo: int, hi: int) -> np.ndarray:
@@ -293,8 +346,12 @@ def _c_column(mu: np.ndarray, divisors, lo: int, hi: int) -> np.ndarray:
     return col
 
 
-def _divisors(t: SpfTable, m: int) -> list[int]:
-    return factorize(t, m).divisors() if m > 1 else [1]
+def _divisors(m: int) -> list[int]:
+    """Divisors of m, ascending, from its trial-division factors."""
+    divs = [1]
+    for p, e in _trial_factors(m):
+        divs += [d * p**i for i in range(1, e + 1) for d in divs]
+    return sorted(divs)
 
 
 # --- unit factories: (table, spec) -> (unit, combine) for the driver ---
@@ -303,7 +360,7 @@ def _divisors(t: SpfTable, m: int) -> list[int]:
 def _weighted_units(t: SpfTable, spec: SeriesSpec):
     """-sum c_n(m) f(p(n)) / n; m defaults to 1, f to the spec's weight."""
     spf, mu, weight = t.spf, t.mu_table(), spec.prime_weight
-    divs = _divisors(t, spec.m or 1)
+    divs = _divisors(spec.m or 1)
 
     def unit(lo: int, hi: int) -> float:
         return _reduce(_c_column(mu, divs, lo, hi), None, spf[lo:hi], weight, lo, -1)
@@ -315,17 +372,14 @@ def _mu_mn_units(t: SpfTable, spec: SeriesSpec):
     """-sum mu(m n) / n with f(p(n)) the (k, l) class indicator.
 
     mu(m*n) never factors m*n directly: it is mu(m)*mu(n) when
-    gcd(m, n) = 1 and 0 otherwise (a shared prime makes m*n non-squarefree),
-    so m only needs to fit inside this table, not m*x.
+    gcd(m, n) = 1 and 0 otherwise (a shared prime makes m*n non-squarefree).
+    m is factored by trial division, so it need not lie in the table.
     """
-    m = spec.m
-    if m > t.limit:
-        raise ValueError(f"m={m} outside table range [1, {t.limit}]")
-    mu_m = moebius(t, m)
+    mu_m = _mu_trial(spec.m)
     if mu_m == 0:
         return (lambda lo, hi: 0.0), _float_total()
     spf, mu, weight = t.spf, t.mu_table(), spec.prime_weight
-    m_primes = [p for p, _ in factorize(t, m).factors] if m > 1 else []
+    m_primes = [p for p, _ in _trial_factors(spec.m)]
 
     def unit(lo: int, hi: int) -> float:
         keep = None
@@ -411,10 +465,14 @@ def _inverse_phi(spec: SeriesSpec) -> float:
     return 1.0 / _totient(spec.k)
 
 
+def _mu_trial(m: int) -> int:
+    """mu(m) from its trial-division factors."""
+    factors = _trial_factors(m)
+    return 0 if any(e > 1 for _, e in factors) else (-1) ** len(factors)
+
+
 def _mu_mn_target(spec: SeriesSpec) -> float:
-    factors = _trial_factors(spec.m)
-    mu_m = 0 if any(e > 1 for _, e in factors) else (-1) ** len(factors)
-    return mu_m / _totient(spec.k)
+    return _mu_trial(spec.m) / _totient(spec.k)
 
 
 def _lpf_target(spec: SeriesSpec) -> float | None:
@@ -529,7 +587,8 @@ def weighted_lhs(
 def mu_mn_partial_sum(t: SpfTable, m: int, k: int, l: int, checkpoints) -> PartialSumSeries:
     """-sum mu(m*n)/n over n <= x with p(n) = l (mod k); target mu(m)/phi(k).
 
-    m needs to lie in the table, m*x does not.
+    m is any integer in [1, 2**32 - 1]; neither m nor m*x needs to lie in
+    the table.
     """
     spec = SeriesSpec(kind="mu-mn", m=m, k=k, l=l, checkpoints=tuple(checkpoints))
     return run_series(t, spec)
@@ -581,99 +640,34 @@ def difference_term(
 
     The divisor swap behind rhs is an exact rearrangement, so the two
     sides agree at every finite x: to within ~1e-9 in float mode, and
-    identically as Fractions when exact=True (rational arithmetic; the
-    two sides are still computed through independent routes).
+    identically as Fractions when exact=True.  The sides stay independent
+    groupings of the terms: lhs reduces the c_n(m) column without its
+    d = 1 slice, rhs one mu slice per divisor d > 1 with f read at p(d*n).
+    Both modes share the columns and the driver; only the reducer and the
+    combine step depend on exact.  m is any integer in [1, 2**32 - 1];
+    only x must lie in the table.
     """
-    if m < 1:
-        raise ValueError(f"m must be >= 1, got {m}")
+    if not 1 <= m <= MAX_LIMIT:
+        raise ValueError(f"m must be in [1, {MAX_LIMIT}], got {m}")
     if not 1 <= x <= t.limit:
         raise ValueError(f"x={x} outside table range [1, {t.limit}]")
-    if m > t.limit:
-        raise ValueError(f"m={m} outside table range [1, {t.limit}]")
-    if exact:
-        return _difference_exact(t, m, weight, x)
-    return _difference_float(t, m, weight, x)
-
-
-def _difference_float(t: SpfTable, m: int, weight: PrimeWeight, x: int):
     spf, mu = t.spf, t.mu_table()
     # the d = 1 term of c_n(m) is mu(n), so the lhs column leaves it out
-    divs = _divisors(t, m)[1:]
+    divs = _divisors(m)[1:]
+    reduce = _reduce_exact if exact else _reduce
+    add = (lambda parts: sum(parts, Fraction(0))) if exact else fsum
 
-    def lhs_unit(lo: int, hi: int) -> float:
-        return _reduce(_c_column(mu, divs, lo, hi), None, spf[lo:hi], weight, lo)
+    def lhs_unit(lo: int, hi: int):
+        return reduce(_c_column(mu, divs, lo, hi), None, spf[lo:hi], weight, lo)
 
     def rhs_unit(d: int):
         # n walks [lo, hi) and f reads p(d*n)
-        return lambda lo, hi: _reduce(mu[lo:hi], None, spf[d * lo : d * (hi - 1) + 1 : d],
-                                      weight, lo)
+        return lambda lo, hi: reduce(mu[lo:hi], None, spf[d * lo : d * (hi - 1) + 1 : d],
+                                     weight, lo)
 
-    def total(unit, top: int, start: int) -> float:
-        return _drive(unit, _float_total(), (top,), start=start)[0][0]
+    def total(unit, top: int, start: int):
+        return _drive(unit, lambda _, parts: (add(parts), None), (top,), start=start)[0][0]
 
     lhs = total(lhs_unit, x, 2)
-    rhs = fsum([total(rhs_unit(d), x // d, 1) for d in divs if x // d >= 1])
+    rhs = add([total(rhs_unit(d), x // d, 1) for d in divs if x // d >= 1])
     return lhs, rhs
-
-
-def _balanced_sum(terms: list):
-    """Exact pairwise reduction; order-insensitive for rationals."""
-    if not terms:
-        return _rational(0)
-    while len(terms) > 1:
-        terms = [
-            terms[i] + terms[i + 1] if i + 1 < len(terms) else terms[i]
-            for i in range(0, len(terms), 2)
-        ]
-    return terms[0]
-
-
-def _weight_rational(weight: PrimeWeight):
-    """f as exact rationals (floats convert exactly)."""
-    cache = {p: _rational(Fraction(v)) for p, v in weight.table}
-
-    def at(p: int):
-        if weight.kind == "one":
-            return 1
-        if weight.kind == "residue":
-            return 1 if p % weight.k == weight.l % weight.k else 0
-        return cache.get(p, 0)
-
-    return at
-
-
-def _difference_exact(t: SpfTable, m: int, weight: PrimeWeight, x: int):
-    from .ramanujan import ramanujan_sum
-
-    fq = _weight_rational(weight)
-    spf = t.spf
-
-    lhs_terms = []
-    for n in range(2, x + 1):
-        if gcd(n, m) == 1:
-            continue  # c_n(m) = mu(n) exactly when (n, m) = 1
-        f = fq(int(spf[n]))
-        if f == 0:
-            continue
-        diff = ramanujan_sum(t, n, m) - moebius(t, n)
-        if diff:
-            lhs_terms.append(_rational(diff, n) * f)
-    lhs = _balanced_sum(lhs_terms)
-
-    rhs_terms = []
-    for d in (factorize(t, m).divisors() if m > 1 else []):
-        if d == 1:
-            continue
-        for n in range(1, x // d + 1):
-            mu_n = moebius(t, n)
-            if mu_n == 0:
-                continue
-            f = fq(int(spf[d * n]))
-            if f == 0:
-                continue
-            rhs_terms.append(_rational(mu_n, n) * f)
-    rhs = _balanced_sum(rhs_terms)
-    return (
-        Fraction(int(lhs.numerator), int(lhs.denominator)),
-        Fraction(int(rhs.numerator), int(rhs.denominator)),
-    )

@@ -32,7 +32,6 @@ import numpy as np
 import csumlab.sieve as sieve
 from csumlab import (
     PrimeWeight,
-    WeightFunction,
     build_spf_table,
     difference_term,
     euler_phi,
@@ -198,13 +197,12 @@ def test_criterion_09_restricted_sums(table_big):
 
 
 def test_criterion_10_generalized_sums(table_small):
-    w1 = WeightFunction.power(1)
     bad = sum(
-        generalized_ramanujan_sum(table_small, n, m, w1) != csum_totient(n, m)
+        generalized_ramanujan_sum(table_small, n, m, 1) != csum_totient(n, m)
         for n in range(1, 501)
         for m in range(1, 501)
     )
-    cohen = generalized_ramanujan_sum(table_small, 2, 4, WeightFunction.power(2))
+    cohen = generalized_ramanujan_sum(table_small, 2, 4, 2)
     report(
         10,
         bad == 0 and cohen == 3,

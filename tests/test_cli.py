@@ -1,8 +1,13 @@
 """Command-line surface: parsers, subcommands, exit codes, cache plumbing."""
 
+import os
+import resource
 import struct
+import subprocess
+import sys
 import time
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -107,6 +112,23 @@ def test_table_limit_above_max_is_usage_error(tmp_path):
     assert not out.exists()
 
 
+def test_out_of_memory_is_one_line_exit_1():
+    # RLIMIT_AS caps the child alone, so the 16 GB table cannot be allocated
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (1500 * 2**20, 1500 * 2**20))
+
+    env = {k: v for k, v in os.environ.items() if k != cli.CACHE_ENV}
+    env["PYTHONPATH"] = str(Path(cli.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-m", "csumlab", "verify", "mu-baseline", "--limit", "4e9"],
+        env=env, preexec_fn=cap, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: not enough memory"), lines
+
+
 def test_unknown_subcommand_is_usage_error():
     assert main(["frobnicate"]) == EXIT_USAGE
 
@@ -133,6 +155,8 @@ def test_csum_range_matches_oracle(capsys):
 def test_csum_generalized_power_weight(capsys):
     assert main(["csum", "--n", "2", "--m", "4", "--s", "2"]) == EXIT_OK
     assert capsys.readouterr().out.splitlines()[1] == "2,4,3"
+    assert main(["csum", "--n", "2", "--m", "4", "--s", "0"]) == EXIT_USAGE
+    assert capsys.readouterr().out == ""  # refused before the CSV header
 
 
 def test_csum_oracle_flag_incompatible_with_generalized():
@@ -311,6 +335,24 @@ def test_identity_exact_mode_past_digit_cap(capsys):
     # the exact sides here have more than 4300 decimal digits
     assert main(["identity", "--m", "6", "--x", "3e4", "--exact"]) == EXIT_OK
     assert "diff = 0" in capsys.readouterr().out
+
+
+def test_identity_table_is_sized_by_x(monkeypatch, capsys):
+    # m is factored by trial division, so m = 999999937 asks for no 4 GB table
+    limits = []
+    real = cli.obtain_table
+
+    def record(limit, cache):
+        limits.append(limit)
+        assert limit <= 10**4, f"table sized {limit}"
+        return real(limit, cache)
+
+    monkeypatch.setattr(cli, "obtain_table", record)
+    for mode in ([], ["--exact"]):
+        assert main(["identity", "--m", "999999937", "--x", "1000", *mode]) == EXIT_OK
+    assert limits == [1000, 1000]
+    assert main(["identity", "--m", "4294967296", "--x", "100"]) == EXIT_USAGE
+    assert limits == [1000, 1000]  # refused before any table
 
 
 def test_identity_weight_spec(capsys):

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from csumlab import (
-    WeightFunction,
     euler_phi,
     generalized_ramanujan_sum,
     ramanujan_sum,
@@ -115,73 +114,38 @@ def test_argument_validation(table_small):
 # --- generalized sums -------------------------------------------------------
 
 
-def gen_naive(n: int, m: int, s: int, g) -> int:
+def gen_naive(n: int, m: int, s: int) -> int:
     """Divisor enumeration straight from the definition."""
     total = 0
     for d in range(1, n + 1):
         if n % d == 0 and m % (d**s) == 0:
-            total += g(d) * mu_naive(n // d)
+            total += d**s * mu_naive(n // d)
     return total
 
 
-def test_unit_weight_sweep_against_enumeration(table_small):
-    # precomputed divisor lists keep the 40000-pair reference sweep quick
-    w = WeightFunction.unit()
-    divs = {n: [d for d in range(1, n + 1) if n % d == 0] for n in range(1, 201)}
-    mu = {n: mu_naive(n) for n in range(1, 201)}
-    for n in range(1, 201):
-        for m in range(1, 201):
-            expected = sum(mu[n // d] for d in divs[n] if m % d == 0)
-            assert generalized_ramanujan_sum(table_small, n, m, w) == expected, (n, m)
-
-
 def test_identity_weight_is_classical(table_small):
-    w = WeightFunction.identity()
     for n in range(1, 60):
         for m in range(1, 60):
-            assert generalized_ramanujan_sum(table_small, n, m, w) == csum_totient(
+            assert generalized_ramanujan_sum(table_small, n, m) == csum_totient(
                 n, m
             ), (n, m)
 
 
 def test_power_weight_against_enumeration(table_small):
     for s in (1, 2, 3):
-        w = WeightFunction.power(s)
         for n in range(1, 40):
             for m in range(1, 40):
-                expected = gen_naive(n, m, s, lambda d: d**s)
-                assert generalized_ramanujan_sum(table_small, n, m, w) == expected
+                expected = gen_naive(n, m, s)
+                assert generalized_ramanujan_sum(table_small, n, m, s) == expected
 
 
 def test_power_weight_squared_spot_value(table_small):
     # d^2 | 4 admits d in {1, 2}: 1*mu(2) + 4*mu(1) = 3
-    assert generalized_ramanujan_sum(table_small, 2, 4, WeightFunction.power(2)) == 3
+    assert generalized_ramanujan_sum(table_small, 2, 4, 2) == 3
 
 
-def test_unit_weight_counts_moebius_over_divisor_condition(table_small):
-    w = WeightFunction.unit()
-    for n in range(1, 40):
-        for m in range(1, 40):
-            expected = gen_naive(n, m, 1, lambda d: 1)
-            assert generalized_ramanujan_sum(table_small, n, m, w) == expected
-
-
-def test_table_weight_lookup(table_small):
-    w = WeightFunction.from_table({1: 1, 2: 5, 3: -2, 6: 10})
-    expected = 1 * mu_naive(6) + 5 * mu_naive(3) + (-2) * mu_naive(2) + 10 * mu_naive(1)
-    assert generalized_ramanujan_sum(table_small, 6, 6, w) == expected
-    with pytest.raises(ValueError):
-        # 12 has divisor 4 with 4 | 12, missing from the table
-        generalized_ramanujan_sum(table_small, 12, 12, w)
-
-
-def test_weight_validation():
-    with pytest.raises(ValueError):
-        WeightFunction(kind="nope", s=1)
-    with pytest.raises(ValueError):
-        WeightFunction.power(0)
-    with pytest.raises(ValueError):
-        WeightFunction.from_table({1: 2.0})  # g(1) must be 1
-    assert WeightFunction.identity().value_at(7) == 7
-    assert WeightFunction.power(2).value_at(3) == 9
-    assert WeightFunction.unit().value_at(9) == 1
+def test_weight_validation(table_small):
+    for s in (0, -1):
+        with pytest.raises(ValueError):
+            generalized_ramanujan_sum(table_small, 6, 6, s)
+    assert generalized_ramanujan_sum(table_small, 1, 7, 3) == 1

@@ -13,6 +13,7 @@ from math import gcd
 import numpy as np
 import pytest
 
+import csumlab.series as series
 import csumlab.sieve as sieve
 from csumlab import (
     PrimeWeight,
@@ -182,6 +183,15 @@ def test_mu_mn_squarefull_m_identically_zero(table_small):
     assert s.spec.target == 0.0
 
 
+def test_mu_mn_prime_m_past_table(table_small):
+    # gcd(10007, n) = 1 for every n <= 10^4, so mu(10007 n) = -mu(n) and the
+    # rows are the exact negation of the Alladi rows
+    cps = [10, 999, 10**4]
+    mn = mu_mn_partial_sum(table_small, 10007, 3, 1, cps)
+    alladi = alladi_partial_sum(table_small, 3, 1, cps)
+    assert [float.hex(r.value) for r in mn.rows] == [float.hex(-r.value) for r in alladi.rows]
+
+
 def test_mu_mn_m_one_equals_alladi(table_small):
     cps = [100, 5000]
     assert frac_rows(mu_mn_partial_sum(table_small, 1, 4, 3, cps)) == frac_rows(
@@ -331,18 +341,21 @@ def test_difference_term_lhs_matches_definition(table_small):
     w = PrimeWeight.from_table({2: 0.5, 3: -0.25, 7: 1.0})
     for m in (2, 6):
         lhs, _ = difference_term(table_small, m, w, 200)
+        lhs_e, _ = difference_term(table_small, m, w, 200, exact=True)
         expected = brute_sum(
             200,
             lambda n: (Fraction(csum_totient(n, m) - mu_naive(n), n))
             * weight_naive(w, spf_naive(n)),
         )
         assert abs(lhs - expected) < EPS, m
+        assert lhs_e == expected, m
 
 
 def test_difference_term_rhs_matches_definition(table_small):
     w = PrimeWeight.residue_class(3, 1)
     m = 12
     _, rhs = difference_term(table_small, m, w, 150)
+    _, rhs_e = difference_term(table_small, m, w, 150, exact=True)
     expected = Fraction(0)
     for d in range(2, m + 1):
         if m % d:
@@ -350,6 +363,7 @@ def test_difference_term_rhs_matches_definition(table_small):
         for n in range(1, 150 // d + 1):
             expected += Fraction(mu_naive(n), n) * weight_naive(w, spf_naive(d * n))
     assert abs(rhs - expected) < EPS
+    assert rhs_e == expected
 
 
 @pytest.mark.parametrize("m", [2, 3, 4, 6, 12, 30])
@@ -362,6 +376,38 @@ def test_difference_identity_float_and_exact(table_small, m, weight):
         assert lhs_e == rhs_e, (m, x)
         # the float route lands on the exact value too
         assert abs(lhs - lhs_e) < EPS
+
+
+def test_difference_exact_across_chunks_and_threads(table_small, monkeypatch):
+    # 1000-term chunks split each side into several units; the exact
+    # combine must give the same Fractions for any thread count
+    x = 5000
+    whole = {
+        (m, i): difference_term(table_small, m, w, x, exact=True)
+        for m in (6, 30)
+        for i, w in enumerate(IDENTITY_WEIGHTS)
+    }
+    monkeypatch.setattr(series, "CHUNK", 1000)
+    for threads in (1, 3):
+        monkeypatch.setattr(sieve, "_THREADS", threads)
+        for (m, i), sides in whole.items():
+            assert difference_term(table_small, m, IDENTITY_WEIGHTS[i], x, exact=True) == sides
+
+
+def test_difference_term_m_past_table(table_small):
+    # m is factored by trial division: a prime m far above the table has
+    # the single divisor d = m > x, so both sides are empty sums
+    for exact in (False, True):
+        assert difference_term(table_small, 999_999_937, PrimeWeight.constant_one(), 1000,
+                               exact=exact) == (0, 0)
+    # m = 2 * 10007 shares the d = 2 slices with m = 2 at x = 10^4
+    w = PrimeWeight.residue_class(3, 1)
+    for exact in (False, True):
+        assert (difference_term(table_small, 2 * 10007, w, 10**4, exact=exact)
+                == difference_term(table_small, 2, w, 10**4, exact=exact))
+    for m in (0, 2**32):
+        with pytest.raises(ValueError):
+            difference_term(table_small, m, w, 1000)
 
 
 def test_weighted_sum_tracks_lpf_density(table_big):
@@ -446,7 +492,7 @@ def test_spec_validation():
     with pytest.raises(ValueError):
         SeriesSpec(kind="alladi", k=2**32, l=1, checkpoints=(10,))  # primes are uint32
     with pytest.raises(ValueError):
-        SeriesSpec(kind="mu-mn", m=2**32, k=3, l=1, checkpoints=(10,))  # m fits no table
+        SeriesSpec(kind="mu-mn", m=2**32, k=3, l=1, checkpoints=(10,))  # m past uint32
 
 
 def test_checkpoint_beyond_limit_rejected(table_small):

@@ -2,7 +2,7 @@
 
 Layers, bottom up:
     sieve     smallest-prime-factor tables and the arithmetic functions
-              (mu, phi, largest prime factor, factorization) derived from them
+              (mu, largest prime factor, factorization) derived from them
     ramanujan Ramanujan sums c_n(m), their exponential-sum oracle, and the
               weighted generalization with divisibility condition d^s | m
     series    deterministic chunked evaluation of the partial sums, densities,
@@ -37,7 +37,6 @@ from .sieve import (
     Factorization,
     SpfTable,
     build_spf_table,
-    euler_phi,
     factorize,
     largest_prime_factor,
     load_spf_table,
@@ -52,7 +51,6 @@ __all__ = [
     "Factorization",
     "SpfTable",
     "build_spf_table",
-    "euler_phi",
     "factorize",
     "largest_prime_factor",
     "load_spf_table",

@@ -127,10 +127,7 @@ def parse_weight(text: str) -> PrimeWeight:
             values = {}
             for item in rest.split(","):
                 p_s, _, v_s = item.partition("=")
-                v = float(v_s)
-                if not math.isfinite(v):
-                    raise UsageError(f"weight value {v_s!r} is not finite")
-                values[parse_count(p_s)] = v
+                values[parse_count(p_s)] = float(v_s)
             return PrimeWeight.from_table(values)
     except (ValueError, UsageError) as exc:
         raise UsageError(f"bad weight spec {text!r}: {exc}") from None

@@ -2,11 +2,14 @@
 
 Every series here is conditionally convergent (or a counting ratio), so the
 summation order is part of its definition: terms are always accumulated in
-ascending n.  Evaluation is chunked; each chunk is summed exactly-rounded
-with math.fsum (an error-free-transformation summation), and chunk results
-are combined in ascending index order.  Chunk boundaries depend only on the
-checkpoint schedule, never on the thread count, so rows are bit-identical
-for any parallelism.
+ascending n.  Evaluation is chunked; each chunk's float terms are summed
+exactly and rounded once, which is the value math.fsum gives, and chunk
+results are combined in ascending index order.  The exact sum splits the
+terms into limbs on power-of-two grids by whole-array float operations
+(Rump, Ogita & Oishi, "Accurate floating-point summation, part I", 2008),
+so it builds no Python objects per term and releases the GIL.  Chunk
+boundaries depend only on the checkpoint schedule, never on the thread
+count, so rows are bit-identical for any parallelism.
 
 The kinds live in one registry, SERIES_KINDS: each maps to its required
 parameters, its target and a unit factory.  One checkpoint driver runs the
@@ -26,7 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from math import fsum, gcd
+from math import frexp, fsum, gcd, isfinite, ldexp
 from typing import Callable
 
 import numpy as np
@@ -36,6 +39,11 @@ from .sieve import MAX_LIMIT, SpfTable, _thread_map
 #: Terms per summation chunk.  Fixed so that chunk boundaries (and hence
 #: the exact floating-point result) never depend on thread scheduling.
 CHUNK = 1 << 20
+
+#: Largest |f(p)| of a table weight.  A term is at most sigma(m) < 2**35
+#: times |f(p)|, and a series sums at most 2**32 terms, so no term, chunk
+#: sum or row can overflow.
+MAX_TABLE_WEIGHT = 1e100
 
 
 def _check_class(k: int, l: int) -> None:
@@ -56,7 +64,8 @@ class PrimeWeight:
     Kinds:
         "residue": f(p) = 1 if p = l (mod k) else 0, with gcd(l, k) = 1.
         "one":     f(p) = 1 everywhere.
-        "table":   explicit finite map prime -> value; 0 off the table.
+        "table":   explicit map prime -> value, |value| <= MAX_TABLE_WEIGHT;
+                   0 off the table.
     """
 
     kind: str
@@ -69,6 +78,11 @@ class PrimeWeight:
             raise ValueError(f"unknown prime-weight kind {self.kind!r}")
         if self.kind == "residue":
             _check_class(self.k, self.l)
+        for p, v in self.table:
+            if not abs(v) <= MAX_TABLE_WEIGHT:  # also false for nan
+                raise ValueError(
+                    f"weight value f({p}) = {v!r} must be finite with |f| <= {MAX_TABLE_WEIGHT:g}"
+                )
 
     @classmethod
     def residue_class(cls, k: int, l: int) -> "PrimeWeight":
@@ -275,18 +289,53 @@ def _select(col: np.ndarray, keep, primes: np.ndarray, weight: PrimeWeight):
     return sel, col[sel], None if fv is None else fv[sel]
 
 
+def _exact_sum(p: np.ndarray) -> float:
+    """The exact sum of the float64 array p, rounded once, as math.fsum gives it.
+
+    Each pass adds and subtracts sigma = 2**(e + k), where max|p| < 2**e
+    and 2**k > p.size + 1 (ExtractVector of Rump, Ogita & Oishi, 2008).
+    That rounds p to multiples q of 2**(e + k - 53) with |q| <= 2**e, so
+    every partial sum of q is such a multiple below 2**(e + k) and np.sum(q)
+    is exact in any order.  The remainder p - q is exact and lowers e by at
+    least 52 - k.  fsum of the few limb totals is then the correctly rounded
+    value of the whole sum.  p must be finite with max|p| < 2**(1023 - k).
+    """
+    if not p.size:
+        return 0.0
+    k = (p.size + 1).bit_length()
+    limbs = []
+    q = np.empty_like(p)
+    while True:
+        top = max(p.max(), -p.min())
+        if top == 0:
+            return fsum(limbs)
+        if not isfinite(top):
+            raise ValueError(f"cannot sum a non-finite term ({top})")
+        sigma = ldexp(1.0, frexp(top)[1] + k)
+        np.add(p, sigma, out=q)
+        q -= sigma
+        limbs.append(float(q.sum()))
+        if len(limbs) == 1:
+            p = p - q  # leaves the caller's array alone
+        else:
+            p -= q
+
+
 def _reduce(col: np.ndarray, keep, primes: np.ndarray, weight: PrimeWeight, lo: int,
             sign: int = 1) -> float:
     """fsum of sign * col[i] * f(primes[i]) / (lo + i) over the kept terms.
 
-    Only the kept entries are converted to float64.
+    Only the kept entries are converted to float64; the sign is applied
+    there, which rounds the same as negating each term.
     """
     sel, num, fv = _select(col, keep, primes, weight)
     num = num.astype(np.float64)
+    if sign < 0:
+        np.negative(num, out=num)
     if fv is not None:
         num *= fv
-    terms = num / (sel + lo).astype(np.float64)
-    return fsum((-terms if sign < 0 else terms).tolist())
+    num /= sel + lo
+    return _exact_sum(num)
 
 
 def _lcm_sum(pairs: list[tuple[int, int]]) -> tuple[int, int]:
@@ -428,7 +477,7 @@ def _lpf_units(t: SpfTable, spec: SeriesSpec):
             cnt = hi - lo if wmask is None else int(np.count_nonzero(wmask))
             return float(cnt), cnt
         vals = weight.values(lpf[lo:hi])
-        return fsum(vals[vals != 0.0].tolist()), None
+        return _exact_sum(vals[vals != 0.0]), None
 
     def combine(x: int, parts):
         value = fsum(s for s, _ in parts) / x

@@ -3,7 +3,7 @@
 Everything downstream (Ramanujan sums, series partial sums, densities) reads
 from one immutable SpfTable: an array holding the smallest prime factor of
 every n up to a configured limit.  From that array we derive, on demand,
-mu(n), phi(n), the largest prime factor P(n), and full factorizations.
+mu(n), the largest prime factor P(n), and full factorizations.
 
 The sieve walks the base primes p <= sqrt(limit) in descending order and
 stores p at every multiple from p*p on, so the smallest prime is written
@@ -279,24 +279,6 @@ def moebius(t: SpfTable, n: int) -> int:
         prev = p
         n //= p
     return sign
-
-
-def euler_phi(t: SpfTable, n: int) -> int:
-    """phi(n), the count of 1 <= q <= n coprime to n."""
-    _check_range(t, n, 1)
-    if n == 1:
-        return 1
-    spf = t.spf
-    phi = 1
-    while n > 1:
-        p = int(spf[n])
-        n //= p
-        pe = p - 1
-        while n % p == 0:
-            n //= p
-            pe *= p
-        phi *= pe
-    return phi
 
 
 def factorize(t: SpfTable, n: int) -> Factorization:

@@ -6,6 +6,7 @@ import struct
 import subprocess
 import sys
 import time
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -368,6 +369,21 @@ def test_non_finite_weight_is_usage_error(capsys):
             parse_weight(f"table:2={value}")
         code = main(["identity", "--m", "6", "--x", "1e4", "--weight", f"table:2={value}"])
         assert code == EXIT_USAGE, value
+
+
+def test_huge_table_weight_is_usage_error(capsys):
+    # refused up front; the sums of a 1e308 weight would overflow
+    for argv in (
+        ["verify", "weighted-lhs", "--m", "6", "--weight", "table:2=1e308", "--limit", "1e4"],
+        ["identity", "--m", "6", "--x", "1000", "--weight", "table:2=1e308"],
+        ["verify", "lpf-density", "--weight", "table:2=1e308,3=1e308", "--limit", "1e4"],
+    ):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(argv)
+        out, err = capsys.readouterr()
+        assert code == EXIT_USAGE, argv
+        assert out == "" and len(err.splitlines()) == 1, (argv, err)
 
 
 # --- cache directory ---------------------------------------------------------

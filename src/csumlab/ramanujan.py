@@ -1,9 +1,10 @@
 """Ramanujan sums c_n(m) and their Cohen generalization c_n(m; s).
 
-The workhorse evaluator sums mu(n/d)*d over divisors d of gcd(n, m); the
-defining exponential sum (cosines over residues coprime to n) is kept as a
-slow independent oracle.  The generalized form c_n(m; s) sums
-d**s * mu(n/d) over divisors d of n with d**s dividing m.
+One evaluator, generalized_ramanujan_sum, sums d**s * mu(n/d) over the
+divisors d of gcd(n, m) with d**s dividing m; ramanujan_sum is its s = 1
+case (E. Cohen, "An extension of Ramanujan's sum", Duke Math. J. 1949).
+The defining exponential sum (cosines over residues coprime to n) is kept
+as a slow independent oracle.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from math import fsum, gcd, pi
 
 import numpy as np
 
-from .sieve import SpfTable, factorize, moebius
+from .sieve import SpfTable, _divisors, factorize, moebius
 
 #: Largest modulus accepted by the direct exponential-sum oracle.  The
 #: cosine sum needs O(n) work and stays comfortably exact in double
@@ -24,22 +25,12 @@ _RESIDUE_TOL = 1e-6
 
 
 def ramanujan_sum(t: SpfTable, n: int, m: int) -> int:
-    """c_n(m) via the divisor identity sum_{d | gcd(n,m)} mu(n/d) * d.
+    """c_n(m) = sum_{d | gcd(n,m)} mu(n/d) * d, the s = 1 case of
+    generalized_ramanujan_sum.
 
     Exact integer; equals mu(n) when gcd(n, m) = 1 and phi(n) when n | m.
-    Accumulation is in Python ints, so |c_n(m)| <= n never overflows.
     """
-    if not 1 <= n <= t.limit:
-        raise ValueError(f"n={n} outside table range [1, {t.limit}]")
-    if m < 1:
-        raise ValueError(f"m must be >= 1, got {m}")
-    g = gcd(n, m)
-    if g == 1:
-        return moebius(t, n)  # the single d=1 term
-    total = 0
-    for d in factorize(t, g).divisors():
-        total += moebius(t, n // d) * d
-    return total
+    return generalized_ramanujan_sum(t, n, m)
 
 
 def ramanujan_sum_direct(n: int, m: int) -> int:
@@ -76,8 +67,10 @@ def ramanujan_sum_direct(n: int, m: int) -> int:
 def generalized_ramanujan_sum(t: SpfTable, n: int, m: int, s: int = 1) -> int:
     """c_n(m; s) = sum of d**s * mu(n/d) over divisors d of n with d**s | m.
 
-    With s = 1 this coincides with ramanujan_sum(t, n, m); s >= 2 gives
-    the Cohen-Ramanujan sum.  Exact integer.
+    d**s | m implies d | m, so d runs over the divisors of g = gcd(n, m)
+    and the sum is mu(n) when g = 1.  s = 1 gives the classical c_n(m),
+    s >= 2 the Cohen-Ramanujan sum.  Exact integer: accumulation is in
+    Python ints.
     """
     if not 1 <= n <= t.limit:
         raise ValueError(f"n={n} outside table range [1, {t.limit}]")
@@ -85,10 +78,11 @@ def generalized_ramanujan_sum(t: SpfTable, n: int, m: int, s: int = 1) -> int:
         raise ValueError(f"m must be >= 1, got {m}")
     if s < 1:
         raise ValueError(f"exponent s must be >= 1, got {s}")
-    if n == 1:
-        return 1  # the single d = 1 term
+    g = gcd(n, m)
+    if g == 1:
+        return moebius(t, n)  # the single d = 1 term
     total = 0
-    for d in factorize(t, n).divisors():
+    for d in _divisors(factorize(t, g)):
         ds = d**s
         if ds > m:
             break  # divisors ascend, so every later d**s > m too

@@ -34,7 +34,7 @@ from typing import Callable
 
 import numpy as np
 
-from .sieve import MAX_LIMIT, SpfTable, _thread_map
+from .sieve import MAX_LIMIT, SpfTable, _divisors, _thread_map
 
 #: Terms per summation chunk.  Fixed so that chunk boundaries (and hence
 #: the exact floating-point result) never depend on thread scheduling.
@@ -395,21 +395,13 @@ def _c_column(mu: np.ndarray, divisors, lo: int, hi: int) -> np.ndarray:
     return col
 
 
-def _divisors(m: int) -> list[int]:
-    """Divisors of m, ascending, from its trial-division factors."""
-    divs = [1]
-    for p, e in _trial_factors(m):
-        divs += [d * p**i for i in range(1, e + 1) for d in divs]
-    return sorted(divs)
-
-
 # --- unit factories: (table, spec) -> (unit, combine) for the driver ---
 
 
 def _weighted_units(t: SpfTable, spec: SeriesSpec):
     """-sum c_n(m) f(p(n)) / n; m defaults to 1, f to the spec's weight."""
     spf, mu, weight = t.spf, t.mu_table(), spec.prime_weight
-    divs = _divisors(spec.m or 1)
+    divs = _divisors(_trial_factors(spec.m or 1))
 
     def unit(lo: int, hi: int) -> float:
         return _reduce(_c_column(mu, divs, lo, hi), None, spf[lo:hi], weight, lo, -1)
@@ -433,8 +425,9 @@ def _mu_mn_units(t: SpfTable, spec: SeriesSpec):
     def unit(lo: int, hi: int) -> float:
         keep = None
         if m_primes:
-            n = np.arange(lo, hi, dtype=np.int64)
-            keep = np.logical_and.reduce([n % p != 0 for p in m_primes])
+            keep = np.ones(hi - lo, dtype=bool)
+            for p in m_primes:
+                keep[(-lo) % p :: p] = False  # the multiples of p in [lo, hi)
         return _reduce(mu[lo:hi], keep, spf[lo:hi], weight, lo, -mu_m)
 
     return unit, _float_total()
@@ -702,7 +695,7 @@ def difference_term(
         raise ValueError(f"x={x} outside table range [1, {t.limit}]")
     spf, mu = t.spf, t.mu_table()
     # the d = 1 term of c_n(m) is mu(n), so the lhs column leaves it out
-    divs = _divisors(m)[1:]
+    divs = _divisors(_trial_factors(m))[1:]
     reduce = _reduce_exact if exact else _reduce
     add = (lambda parts: sum(parts, Fraction(0))) if exact else fsum
 

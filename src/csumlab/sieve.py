@@ -3,11 +3,14 @@
 Everything downstream (Ramanujan sums, series partial sums, densities) reads
 from one immutable SpfTable: an array holding the smallest prime factor of
 every n up to a configured limit.  From that array we derive, on demand,
-mu(n), the largest prime factor P(n), and full factorizations.
+mu(n), the largest prime factor P(n), and factorizations as plain
+[(prime, exponent), ...] lists; _divisors lists the divisors of such a
+list, for the table's factorizations and for trial-division ones alike.
 
 The sieve walks the base primes p <= sqrt(limit) in descending order and
 stores p at every multiple from p*p on, so the smallest prime is written
-last and wins; entries left at 0 are primes and get themselves.
+last and wins; entries left at 0 are primes and get themselves.  It marks
+segments of _BLOCK entries.
 
 The bulk mu and largest-prime-factor tables come from spf alone, by the
 cofactor recurrence of the linear sieve (Gries & Misra, CACM 1978).  With
@@ -18,7 +21,7 @@ s = spf(n) and q = n / s:
 
 The recurrence runs over doubling blocks [lo, hi) with hi <= 2*lo.  Every
 cofactor of a block is below lo, so it is already filled, and the block is
-one vectorised pass; its sub-blocks of at most 2**20 entries are mapped
+one vectorised pass; its sub-blocks of at most _BLOCK entries are mapped
 over threads.
 
 Thread policy: every parallel step (the sieve's segments, the mu/lpf
@@ -54,11 +57,8 @@ import numpy as np
 #: Largest supported sieve limit (uint32 entries).
 MAX_LIMIT = 2**32 - 1
 
-#: Entries per sieve construction segment.
-_SEGMENT = 1 << 22
-
-#: Entries per sub-block of the mu/lpf derivation.
-_SUB_BLOCK = 1 << 20
+#: Entries per sieve segment and per sub-block of the mu/lpf derivation.
+_BLOCK = 1 << 20
 
 #: Threads of every parallel step: one per CPU.
 _THREADS = os.cpu_count() or 1
@@ -108,21 +108,13 @@ class SpfTable:
         Opt-in bulk companion to :func:`moebius`; costs one byte per entry.
         """
         if self._mu is None:
-            mu = np.empty(self.limit + 1, dtype=np.int8)
-            mu[:2] = (0, 1)
-            _derive(self.spf, mu, _mu_step)
-            mu.setflags(write=False)
-            self._mu = mu
+            self._mu = _derive(self.spf, np.int8, (0, 1), _mu_step)
         return self._mu
 
     def lpf_table(self) -> np.ndarray:
         """Largest prime factor of every n in [2, limit] (uint32); 0 below 2."""
         if self._lpf is None:
-            lpf = np.empty(self.limit + 1, dtype=np.uint32)
-            lpf[:2] = 0
-            _derive(self.spf, lpf, _lpf_step)
-            lpf.setflags(write=False)
-            self._lpf = lpf
+            self._lpf = _derive(self.spf, np.uint32, (0, 0), _lpf_step)
         return self._lpf
 
 
@@ -147,40 +139,31 @@ def _lpf_step(spf: np.ndarray, lpf: np.ndarray, lo: int, hi: int) -> None:
     np.maximum(lpf[q], s, out=lpf[lo:hi])
 
 
-def _derive(spf: np.ndarray, out: np.ndarray, step) -> None:
-    """Fill out[2:] by step(spf, out, lo, hi), given out[0] and out[1].
+def _derive(spf: np.ndarray, dtype, seed: tuple[int, int], step) -> np.ndarray:
+    """A read-only table t with t[:2] = seed and t[2:] filled by step(spf, t, lo, hi).
 
     Doubling blocks [lo, hi), hi <= 2*lo, run in order: every cofactor
     n / spf(n) of a block is below lo and so already filled.  The
     sub-blocks of one block are independent and are mapped over threads.
     """
     n = len(spf)
+    out = np.empty(n, dtype=dtype)
+    out[:2] = seed
     lo = 2
     while lo < n:
         hi = min(2 * lo, n)
-        sub = [(spf, out, a, min(a + _SUB_BLOCK, hi)) for a in range(lo, hi, _SUB_BLOCK)]
-        _thread_map(step, sub)
+        _thread_map(step, [(spf, out, a, min(a + _BLOCK, hi)) for a in range(lo, hi, _BLOCK)])
         lo = hi
+    out.setflags(write=False)
+    return out
 
 
-@dataclass(frozen=True)
-class Factorization:
-    """Prime factorization as (prime, exponent) pairs, primes ascending."""
-
-    factors: tuple[tuple[int, int], ...]
-
-    def divisors(self) -> list[int]:
-        """All positive divisors, ascending."""
-        divs = [1]
-        for p, e in self.factors:
-            pk = 1
-            step = []
-            for _ in range(e):
-                pk *= p
-                step.extend(d * pk for d in divs)
-            divs.extend(step)
-        divs.sort()
-        return divs
+def _divisors(factors: list[tuple[int, int]]) -> list[int]:
+    """All positive divisors of the number with these (prime, exponent) pairs, ascending."""
+    divs = [1]
+    for p, e in factors:
+        divs += [d * p**i for i in range(1, e + 1) for d in divs]
+    return sorted(divs)
 
 
 def _mark_segment(spf: np.ndarray, base: list[int], lo: int, hi: int) -> None:
@@ -200,7 +183,7 @@ def _mark_segment(spf: np.ndarray, base: list[int], lo: int, hi: int) -> None:
 def build_spf_table(limit: int) -> SpfTable:
     """Sieve the smallest prime factor of every n in [2, limit].
 
-    Segments of _SEGMENT entries are marked over _thread_map's threads;
+    Segments of _BLOCK entries are marked over _thread_map's threads;
     the finished table is bit-identical for any segment length or thread
     count.
 
@@ -220,8 +203,8 @@ def build_spf_table(limit: int) -> SpfTable:
 
     spf = np.zeros(limit + 1, dtype=np.uint32)
     base = _base_primes(isqrt(limit))
-    segments = [(spf, base, lo, min(lo + _SEGMENT, limit + 1))
-                for lo in range(0, limit + 1, _SEGMENT)]
+    segments = [(spf, base, lo, min(lo + _BLOCK, limit + 1))
+                for lo in range(0, limit + 1, _BLOCK)]
     _thread_map(_mark_segment, segments)
     spf.setflags(write=False)
     return SpfTable(limit=limit, spf=spf)
@@ -254,17 +237,15 @@ def smallest_prime_factor(t: SpfTable, n: int) -> int:
 
 def largest_prime_factor(t: SpfTable, n: int) -> int:
     """P(n), the largest prime dividing n, for 2 <= n <= limit."""
-    _check_range(t, n, 2)
-    spf = t.spf
-    p = 0
-    while n > 1:
-        p = int(spf[n])
-        n //= p
-    return p
+    return factorize(t, n)[-1][0]
 
 
 def moebius(t: SpfTable, n: int) -> int:
-    """mu(n): 1 at n=1, (-1)^k for squarefree n with k prime factors, else 0."""
+    """mu(n): 1 at n=1, (-1)^k for squarefree n with k prime factors, else 0.
+
+    Its own walk, not factorize: it stops at the first repeated prime, and
+    point queries of mu are the hot path of the per-n oracles.
+    """
     _check_range(t, n, 1)
     if n == 1:
         return 1
@@ -281,8 +262,9 @@ def moebius(t: SpfTable, n: int) -> int:
     return sign
 
 
-def factorize(t: SpfTable, n: int) -> Factorization:
-    """Factor n by repeated smallest-prime division (O(log n) steps)."""
+def factorize(t: SpfTable, n: int) -> list[tuple[int, int]]:
+    """(prime, exponent) pairs of n, primes ascending, by repeated
+    smallest-prime division (O(log n) steps)."""
     _check_range(t, n, 2)
     spf = t.spf
     out: list[tuple[int, int]] = []
@@ -293,7 +275,7 @@ def factorize(t: SpfTable, n: int) -> Factorization:
             n //= p
             e += 1
         out.append((p, e))
-    return Factorization(factors=tuple(out))
+    return out
 
 
 def save_spf_table(t: SpfTable, path: str) -> None:

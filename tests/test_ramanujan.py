@@ -133,9 +133,10 @@ def test_identity_weight_is_classical(table_small):
 def test_power_weight_against_enumeration(table_small):
     for s in (1, 2, 3):
         for n in range(1, 40):
-            for m in range(1, 40):
+            # m far above n as well: only d | gcd(n, m) can have d**s | m
+            for m in [*range(1, 40), 2**40, 3**25, 720720]:
                 expected = gen_naive(n, m, s)
-                assert generalized_ramanujan_sum(table_small, n, m, s) == expected
+                assert generalized_ramanujan_sum(table_small, n, m, s) == expected, (n, m, s)
 
 
 def test_power_weight_squared_spot_value(table_small):
@@ -148,3 +149,5 @@ def test_weight_validation(table_small):
         with pytest.raises(ValueError):
             generalized_ramanujan_sum(table_small, 6, 6, s)
     assert generalized_ramanujan_sum(table_small, 1, 7, 3) == 1
+    # the walk stops at the first d with d**s > m, so a huge s stays cheap
+    assert generalized_ramanujan_sum(table_small, 30, 30, 10**7) == mu_naive(30)

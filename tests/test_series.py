@@ -165,7 +165,7 @@ def mu_product_naive(m, n):
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4, 6, 10])
-def test_mu_mn_bruteforce(table_small, m):
+def test_mu_mn_bruteforce(table_small, monkeypatch, m):
     k, l = 3, 1
     s = mu_mn_partial_sum(table_small, m, k, l, [200])
 
@@ -176,6 +176,11 @@ def test_mu_mn_bruteforce(table_small, m):
 
     assert abs(s.rows[0].value - brute_sum(200, term)) < EPS
     assert s.spec.target == mu_naive(m) / (k - 1)
+    # 97-term chunks start off the multiples of 2, 3 and 5, so a coprime
+    # mask laid at the wrong offset inside a chunk changes the rows
+    monkeypatch.setattr(series, "CHUNK", 97)
+    for r in mu_mn_partial_sum(table_small, m, k, l, [97, 500, 1001, 2000]).rows:
+        assert abs(r.value - brute_sum(r.x, term)) < EPS, r.x
 
 
 def test_mu_mn_squarefull_m_identically_zero(table_small):

@@ -119,11 +119,11 @@ def parse_weight(text: str) -> PrimeWeight:
             k_s, _, l_s = rest.partition(",")
             return PrimeWeight.residue_class(parse_count(k_s), int(l_s))
         if kind == "table":
-            values = {}
-            for item in rest.split(","):
-                p_s, _, v_s = item.partition("=")
-                values[parse_count(p_s)] = float(v_s)
-            return PrimeWeight.from_table(values)
+            items = [item.partition("=") for item in rest.split(",")]
+            keys = [parse_count(p_s) for p_s, _, _ in items]
+            if len(set(keys)) != len(keys):
+                raise UsageError(f"repeated prime in {keys}")
+            return PrimeWeight.from_table({p: float(v) for p, (_, _, v) in zip(keys, items)})
     except (ValueError, UsageError) as exc:
         raise UsageError(f"bad weight spec {text!r}: {exc}") from None
     raise UsageError(f"unknown weight kind {kind!r} (one, residue:K,L, table:P=V,...)")

@@ -52,8 +52,9 @@ def ramanujan_sum_direct(n: int, m: int) -> int:
     q = np.arange(1, n + 1, dtype=np.int64)
     coprime = np.gcd(q, n) == 1
     phi_n = int(np.count_nonzero(coprime))
-    # reduce q*m mod n first so the cosine argument stays small
-    angles = (q[coprime] * m) % n
+    # q * (m mod n) < n**2 fits int64 for any m, and the angle keeps its
+    # residue mod n, so the cosine argument stays small
+    angles = (q[coprime] * (m % n)) % n
     total = fsum((np.cos(angles * (2.0 * pi / n))).tolist())
     nearest = round(total)
     if abs(total - nearest) > _RESIDUE_TOL * max(1, phi_n):
@@ -68,7 +69,8 @@ def generalized_ramanujan_sum(t: SpfTable, n: int, m: int, s: int = 1) -> int:
     """c_n(m; s) = sum of d**s * mu(n/d) over divisors d of n with d**s | m.
 
     d**s | m implies d | m, so d runs over the divisors of g = gcd(n, m)
-    and the sum is mu(n) when g = 1.  s = 1 gives the classical c_n(m),
+    and the sum is mu(n) when g = 1, or when s >= m.bit_length() (then
+    every d >= 2 has d**s > m).  s = 1 gives the classical c_n(m),
     s >= 2 the Cohen-Ramanujan sum.  Exact integer: accumulation is in
     Python ints.
     """
@@ -79,7 +81,8 @@ def generalized_ramanujan_sum(t: SpfTable, n: int, m: int, s: int = 1) -> int:
     if s < 1:
         raise ValueError(f"exponent s must be >= 1, got {s}")
     g = gcd(n, m)
-    if g == 1:
+    # 2**s > m once s >= m.bit_length(), so then only d = 1 has d**s | m
+    if g == 1 or s >= m.bit_length():
         return moebius(t, n)  # the single d = 1 term
     total = 0
     for d in _divisors(factorize(t, g)):

@@ -7,15 +7,22 @@ exactly and rounded once, which is the value math.fsum gives, and chunk
 results are combined in ascending index order.  The exact sum splits the
 terms into limbs on power-of-two grids by whole-array float operations
 (Rump, Ogita & Oishi, "Accurate floating-point summation, part I", 2008),
-so it builds no Python objects per term and releases the GIL.  Chunk
-boundaries depend only on the checkpoint schedule, never on the thread
-count, so rows are bit-identical for any parallelism.
+so it builds no Python objects per term and releases the GIL.
+
+One cell schedule serves every run: a checkpoint x reads [start, x] cut on
+the fixed CHUNK grid, whole grid cells and then one last cell ending at x.
+The checkpoint driver maps each distinct cell once over the sieve's threads
+and hands back each checkpoint's unit results in cell order.  A row is thus
+a function of its checkpoint alone, never of the other checkpoints or the
+thread count, so rows are bit-identical for any schedule and parallelism.
 
 The kinds live in one registry, SERIES_KINDS: each maps to its required
-parameters, its target and a unit factory.  One checkpoint driver runs the
-units over the chunk grid, and the float kinds reduce every chunk through
-one term reducer, so the paper's sum -sum c_n(m) f(p(n))/n and its special
-cases (Alladi's and Dawsey's m = 1 series) share a single code path.
+parameters, its target and a unit factory.  run_series drives the kind's
+unit and applies its combine step to each checkpoint's results; the target
+comes from the spec alone, never from the caller.  The float kinds reduce
+every chunk through one term reducer, so the paper's sum
+-sum c_n(m) f(p(n))/n and its special cases (Alladi's and Dawsey's m = 1
+series) share a single code path.
 
 The finite-x rearrangement identity (difference_term) builds its two sides
 from the same integer columns and runs them through the same driver.  Its
@@ -65,7 +72,8 @@ class PrimeWeight:
         "residue": f(p) = 1 if p = l (mod k) else 0, with gcd(l, k) = 1.
         "one":     f(p) = 1 everywhere.
         "table":   explicit map prime -> value, |value| <= MAX_TABLE_WEIGHT;
-                   0 off the table.
+                   0 off the table.  Each key is a distinct prime in
+                   [2, MAX_LIMIT], since f is read only at primes.
     """
 
     kind: str
@@ -78,7 +86,12 @@ class PrimeWeight:
             raise ValueError(f"unknown prime-weight kind {self.kind!r}")
         if self.kind == "residue":
             _check_class(self.k, self.l)
+        keys = [p for p, _ in self.table]
+        if len(set(keys)) != len(keys):
+            raise ValueError(f"weight table repeats a prime: {keys}")
         for p, v in self.table:
+            if not (2 <= p <= MAX_LIMIT and _trial_factors(p) == [(p, 1)]):
+                raise ValueError(f"weight key {p} is not a prime in [2, {MAX_LIMIT}]")
             if not abs(v) <= MAX_TABLE_WEIGHT:  # also false for nan
                 raise ValueError(
                     f"weight value f({p}) = {v!r} must be finite with |f| <= {MAX_TABLE_WEIGHT:g}"
@@ -128,7 +141,8 @@ class SeriesSpec:
     """Parameters of one partial-sum experiment.
 
     The kind's SERIES_KINDS entry names which of m, k, l, y and weight it
-    requires; it takes no others.
+    requires; it takes no others.  target is the slot run_series fills from
+    the kind; a spec handed to run_series leaves it None.
     """
 
     kind: str
@@ -211,57 +225,30 @@ class PartialSumSeries:
 # ---------------------------------------------------------------------------
 
 
-def _plan_units(start: int, checkpoints: tuple[int, ...]):
-    """Work units and per-checkpoint assembly plans.
+def _cells(start: int, top: int) -> list[tuple[int, int]]:
+    """[start, top) cut on the fixed CHUNK grid: whole grid cells, then a
+    last cell ending at top (empty when top <= start).
 
-    Full units live on the fixed CHUNK grid, so their sums are reusable
-    across any checkpoint schedule; each checkpoint additionally gets a
-    probe unit covering the partial chunk [grid floor, checkpoint].  The
-    value at a checkpoint is therefore a function of the checkpoint alone,
-    never of which other checkpoints share the run.
-
-    Returns (units, plans): units is a list of half-open (lo, hi) ranges;
-    plans[i] = (n_full, probe_index) says checkpoint i combines the first
-    n_full grid sums plus units[probe_index] (None when the checkpoint
-    lands on a grid boundary or below start).
+    Every cell but the last is a grid cell, so the cells of one checkpoint
+    are a function of that checkpoint alone and shared by any schedule.
     """
-    stop = checkpoints[-1] + 1
-    bounds = [start] + list(range((start // CHUNK + 1) * CHUNK, stop + 1, CHUNK))
-    cells = list(zip(bounds, bounds[1:]))
-    units = list(cells)
-    plans = []
-    for cp in checkpoints:
-        top = cp + 1
-        if top <= start:
-            plans.append((0, None))
-            continue
-        g = max(start, (top // CHUNK) * CHUNK)
-        n_full = sum(1 for _, hi in cells if hi <= g)
-        if g < top:
-            units.append((g, top))
-            plans.append((n_full, len(units) - 1))
-        else:
-            plans.append((n_full, None))
-    return units, plans
+    if top <= start:
+        return []
+    bounds = [start, *range((start // CHUNK + 1) * CHUNK, top, CHUNK), top]
+    return list(zip(bounds, bounds[1:]))
 
 
-def _drive(unit, combine, checkpoints: tuple[int, ...], start: int = 2) -> list:
-    """combine(x, unit results) for each checkpoint x.
+def _drive(unit, checkpoints: tuple[int, ...], start: int = 2) -> list[list]:
+    """The unit results of each checkpoint x, in ascending cell order.
 
-    unit(lo, hi) reduces the half-open range [lo, hi); the ranges come from
-    _plan_units, so the results handed to combine for x are those of the
-    grid cells below x plus the probe cell ending at x.  Units are mapped
-    over the sieve's threads.
+    unit(lo, hi) reduces the half-open range [lo, hi); x reads the cells of
+    [start, x + 1).  Each distinct cell is mapped once over the sieve's
+    threads, however many checkpoints share it.
     """
-    if checkpoints[-1] >= start:
-        units, plans = _plan_units(start, checkpoints)
-    else:
-        units, plans = [], [(0, None)] * len(checkpoints)
-    results = _thread_map(unit, units)
-    return [
-        combine(x, results[:n_full] + ([] if probe is None else [results[probe]]))
-        for x, (n_full, probe) in zip(checkpoints, plans)
-    ]
+    plans = [_cells(start, x + 1) for x in checkpoints]
+    cells = sorted({cell for plan in plans for cell in plan})
+    results = dict(zip(cells, _thread_map(unit, cells)))
+    return [[results[cell] for cell in plan] for plan in plans]
 
 
 def _float_total(head: tuple[float, ...] = ()):
@@ -395,7 +382,7 @@ def _c_column(mu: np.ndarray, divisors, lo: int, hi: int) -> np.ndarray:
     return col
 
 
-# --- unit factories: (table, spec) -> (unit, combine) for the driver ---
+# --- unit factories: (table, spec) -> (unit for the driver, combine step) ---
 
 
 def _weighted_units(t: SpfTable, spec: SeriesSpec):
@@ -518,8 +505,6 @@ def _mu_mn_target(spec: SeriesSpec) -> float:
 
 
 def _lpf_target(spec: SeriesSpec) -> float | None:
-    if spec.target is not None:
-        return spec.target
     if spec.weight.kind == "residue":
         return 1.0 / _totient(spec.weight.k)
     return 1.0 if spec.weight.kind == "one" else None
@@ -533,7 +518,8 @@ class SeriesKind:
         requires; it takes no others.
     target: spec -> the value the series tends to, or None; it reads no
         table, so a missing target is known before any table is built.
-    units: (table, spec) -> (unit, combine) for the checkpoint driver.
+    units: (table, spec) -> (unit, combine): the driver maps unit over the
+        cells, and combine(x, unit results) gives the row (value, count).
     """
 
     params: tuple[str, ...]
@@ -556,8 +542,8 @@ SERIES_KINDS: dict[str, SeriesKind] = {
     "mertens-restricted": SeriesKind(("y",), lambda s: None, _mertens_units),
     # sum mu(n)/n over 1 <= n <= x with p(n) > y -> 0
     "mu-over-n-restricted": SeriesKind(("y",), lambda s: 0.0, _mu_over_n_units),
-    # -sum c_n(m) f(p(n))/n -> the caller's target, if any
-    "weighted-lhs": SeriesKind(("m", "weight"), lambda s: s.target, _weighted_units),
+    # -sum c_n(m) f(p(n))/n (no target)
+    "weighted-lhs": SeriesKind(("m", "weight"), lambda s: None, _weighted_units),
     # (1/x) sum f(P(n)) over 2 <= n <= x -> 1/phi(k) for residue indicators
     "lpf-density": SeriesKind(("weight",), _lpf_target, _lpf_units),
 }
@@ -566,7 +552,8 @@ SERIES_KINDS: dict[str, SeriesKind] = {
 def run_series(t: SpfTable, spec: SeriesSpec) -> PartialSumSeries:
     """Evaluate a SeriesSpec at its checkpoints.
 
-    The returned series carries the spec with the kind's target filled in.
+    The returned series carries the spec with the kind's target filled in;
+    a spec that already sets a target is refused, so no value is overwritten.
     """
     kind = SERIES_KINDS[spec.kind]
     cps = spec.checkpoints
@@ -574,13 +561,16 @@ def run_series(t: SpfTable, spec: SeriesSpec) -> PartialSumSeries:
         raise ValueError("at least one checkpoint is required")
     if cps[-1] > t.limit:
         raise ValueError(f"checkpoint {cps[-1]} exceeds sieve limit {t.limit}")
+    if spec.target is not None:
+        raise ValueError("the target comes from the series kind; the spec must not set one")
     unit, combine = kind.units(t, spec)
     spec = replace(spec, target=kind.target(spec))
-    rows = tuple(
-        SeriesRow(x, value, None if spec.target is None else abs(value - spec.target), count)
-        for x, (value, count) in zip(cps, _drive(unit, combine, cps))
-    )
-    return PartialSumSeries(spec=spec, rows=rows)
+    rows = []
+    for x, parts in zip(cps, _drive(unit, cps)):
+        value, count = combine(x, parts)
+        error = None if spec.target is None else abs(value - spec.target)
+        rows.append(SeriesRow(x, value, error, count))
+    return PartialSumSeries(spec=spec, rows=tuple(rows))
 
 
 # ---------------------------------------------------------------------------
@@ -612,17 +602,13 @@ def ramanujan_alladi_partial_sum(
     return run_series(t, spec)
 
 
-def weighted_lhs(
-    t: SpfTable, m: int, weight: PrimeWeight, checkpoints, *, target=None
-) -> PartialSumSeries:
-    """-sum c_n(m) f(p(n)) / n for a bounded prime weight f.
+def weighted_lhs(t: SpfTable, m: int, weight: PrimeWeight, checkpoints) -> PartialSumSeries:
+    """-sum c_n(m) f(p(n)) / n for a bounded prime weight f; no target.
 
-    No target is recorded unless the caller supplies the density it
-    expects the dual largest-prime-factor count to have.
+    For a general f the limit is the density of the dual largest-prime-
+    factor count, which lpf_density measures.
     """
-    spec = SeriesSpec(
-        kind="weighted-lhs", m=m, weight=weight, checkpoints=tuple(checkpoints), target=target
-    )
+    spec = SeriesSpec(kind="weighted-lhs", m=m, weight=weight, checkpoints=tuple(checkpoints))
     return run_series(t, spec)
 
 
@@ -655,15 +641,14 @@ def mu_over_n_restricted(t: SpfTable, y: int, checkpoints) -> PartialSumSeries:
     return run_series(t, spec)
 
 
-def lpf_density(t: SpfTable, weight: PrimeWeight, checkpoints, *, target=None) -> PartialSumSeries:
+def lpf_density(t: SpfTable, weight: PrimeWeight, checkpoints) -> PartialSumSeries:
     """(1/x) sum f(P(n)) over 2 <= n <= x, P the largest prime factor.
 
-    For residue-indicator weights the target defaults to 1/phi(k) and each
-    row keeps the exact integer count alongside the ratio.
+    The target is 1/phi(k) for a residue indicator, 1 for the constant
+    weight and none for a table weight.  Indicator weights keep the exact
+    integer count in each row alongside the ratio.
     """
-    spec = SeriesSpec(
-        kind="lpf-density", weight=weight, checkpoints=tuple(checkpoints), target=target
-    )
+    spec = SeriesSpec(kind="lpf-density", weight=weight, checkpoints=tuple(checkpoints))
     return run_series(t, spec)
 
 
@@ -707,9 +692,6 @@ def difference_term(
         return lambda lo, hi: reduce(mu[lo:hi], None, spf[d * lo : d * (hi - 1) + 1 : d],
                                      weight, lo)
 
-    def total(unit, top: int, start: int):
-        return _drive(unit, lambda _, parts: (add(parts), None), (top,), start=start)[0][0]
-
-    lhs = total(lhs_unit, x, 2)
-    rhs = add([total(rhs_unit(d), x // d, 1) for d in divs if x // d >= 1])
+    lhs = add(_drive(lhs_unit, (x,))[0])
+    rhs = add([add(_drive(rhs_unit(d), (x // d,), 1)[0]) for d in divs if x // d >= 1])
     return lhs, rhs

@@ -151,6 +151,12 @@ def test_csum_range_matches_oracle(capsys):
     for line in out[1:]:
         n, m, c = (int(v) for v in line.split(","))
         assert c == csum_totient(n, m)
+    # q * m passes 2**63 at these m, past what int64 holds
+    for m in ("10^18", "10^19"):
+        assert main(["csum", "--n", "90..100", "--m", m, "--check-oracle"]) == EXIT_OK, m
+        for line in capsys.readouterr().out.splitlines()[1:]:
+            n, m_, c = (int(v) for v in line.split(","))
+            assert c == csum_totient(n, m_)
 
 
 def test_csum_generalized_power_weight(capsys):
@@ -369,6 +375,19 @@ def test_non_finite_weight_is_usage_error(capsys):
             parse_weight(f"table:2={value}")
         code = main(["identity", "--m", "6", "--x", "1e4", "--weight", f"table:2={value}"])
         assert code == EXIT_USAGE, value
+    capsys.readouterr()
+    # a key that is no prime, or one that repeats, is refused the same way
+    for spec in ("table:-3=1", "table:4=1", "table:99999999999=1", "table:2=0.5,2=0.7"):
+        with pytest.raises(UsageError):
+            parse_weight(spec)
+        for argv in (
+            ["verify", "weighted-lhs", "--m", "6", "--weight", spec, "--limit", "1e4"],
+            ["verify", "lpf-density", "--weight", spec, "--limit", "1e4"],
+        ):
+            code = main(argv)
+            out, err = capsys.readouterr()
+            assert code == EXIT_USAGE, argv
+            assert out == "" and len(err.splitlines()) == 1, (argv, err)
 
 
 def test_huge_table_weight_is_usage_error(capsys):

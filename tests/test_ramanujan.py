@@ -1,10 +1,16 @@
 """Ramanujan sums: divisor form, exponential-sum form, generalization."""
 
+import os
+import resource
+import subprocess
+import sys
 from math import gcd
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import csumlab
 from csumlab import (
     generalized_ramanujan_sum,
     ramanujan_sum,
@@ -35,10 +41,14 @@ def test_against_totient_oracle_random(table_mid):
         assert ramanujan_sum(table_mid, n, m) == csum_totient(n, m), (n, m)
 
 
-def test_exponential_form_matches_totient_oracle():
+def test_exponential_form_matches_totient_oracle(table_small):
     for n in range(1, 50):
         for m in range(1, 50):
             assert ramanujan_sum_direct(n, m) == csum_totient(n, m), (n, m)
+    # q * m passes 2**63 at these m; the oracle must reduce m mod n first
+    for m in (10**17, 2**63 - 1, 2**63, 10**30):
+        for n in range(1, 201):
+            assert ramanujan_sum_direct(n, m) == ramanujan_sum(table_small, n, m), (n, m)
 
 
 def test_reduces_to_moebius_at_m_equal_one(table_small):
@@ -151,3 +161,17 @@ def test_weight_validation(table_small):
     assert generalized_ramanujan_sum(table_small, 1, 7, 3) == 1
     # the walk stops at the first d with d**s > m, so a huge s stays cheap
     assert generalized_ramanujan_sum(table_small, 30, 30, 10**7) == mu_naive(30)
+
+    # s >= m.bit_length() returns mu(n) before any d**s is built: 2**(10**10)
+    # alone would need over 1 GB, so the child runs under a 1.5 GB cap
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (1500 * 2**20, 1500 * 2**20))
+
+    env = {k: v for k, v in os.environ.items() if k != "CSUMLAB_CACHE_DIR"}
+    env["PYTHONPATH"] = str(Path(csumlab.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-m", "csumlab", "csum", "--n", "6", "--m", "6", "--s", "10000000000"],
+        env=env, preexec_fn=cap, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "6,6,1"

@@ -8,6 +8,7 @@ sub-ulp error per chunk, the slack covers term rounding).
 
 import math
 import os
+from dataclasses import replace
 from fractions import Fraction
 from math import gcd
 
@@ -284,11 +285,13 @@ def test_weighted_lhs_table_weight_bruteforce(table_small):
     assert s.rows[0].error is None
 
 
-def test_weighted_lhs_accepts_explicit_target(table_small):
-    s = weighted_lhs(
-        table_small, 1, PrimeWeight.residue_class(3, 2), [100], target=0.5
-    )
-    assert s.rows[0].error == abs(s.rows[0].value - 0.5)
+def test_run_series_refuses_a_caller_target(table_small):
+    # the target comes from the kind; a spec's own value would be overwritten
+    spec = SeriesSpec(kind="weighted-lhs", m=1, weight=PrimeWeight.residue_class(3, 2),
+                      checkpoints=(100,), target=0.5)
+    with pytest.raises(ValueError):
+        run_series(table_small, spec)
+    assert run_series(table_small, replace(spec, target=None)).spec.target is None
 
 
 # --- largest-prime-factor density -------------------------------------------
@@ -441,12 +444,41 @@ def test_worker_count_never_changes_rows(table_mid, monkeypatch):
         assert frac_rows(base) == frac_rows(multi), threads
 
 
-def test_checkpoint_prefix_consistency(table_small):
+def test_checkpoint_prefix_consistency(table_small, monkeypatch):
     # evaluating at [a, b, c] must agree with three standalone runs
     joint = mu_baseline(table_small, [37, 503, 9001])
     for row in joint.rows:
         alone = mu_baseline(table_small, [row.x])
         assert alone.rows[0].value == row.value, row.x
+
+    # the same across chunk edges: checkpoints below start, on, beside and
+    # between the edges of 97-term cells
+    chunk, cps = 97, (1, 96, 97, 98, 194, 195, 500, 9001)
+    monkeypatch.setattr(series, "CHUNK", chunk)
+    mapped, real_map = [], series._thread_map
+
+    def spy(fn, items):
+        mapped.append(list(items))
+        return real_map(fn, items)
+
+    monkeypatch.setattr(series, "_thread_map", spy)
+    # perfbench's series_chunks: the grid cells up to the last checkpoint,
+    # plus one cell for each checkpoint off the grid
+    cells = len(range(chunk, cps[-1] + 2, chunk)) + sum(
+        1 for x in cps if max(2, (x + 1) // chunk * chunk) < x + 1
+    )
+    for kind, params in (
+        ("mu-baseline", {}),
+        ("mertens-restricted", {"y": 3}),
+        ("lpf-density", {"weight": PrimeWeight.residue_class(4, 3)}),
+    ):
+        mapped.clear()
+        joint = run_series(table_small, SeriesSpec(kind=kind, checkpoints=cps, **params))
+        assert len(mapped) == 1 and len(set(mapped[0])) == len(mapped[0]) == cells, kind
+        for row in joint.rows:
+            spec = SeriesSpec(kind=kind, checkpoints=(row.x,), **params)
+            alone = run_series(table_small, spec).rows[0]
+            assert (alone.value.hex(), alone.count) == (row.value.hex(), row.count), (kind, row.x)
 
 
 TABLE_W = PrimeWeight.from_table({2: 0.5, 3: -0.25, 7: 1.0})
@@ -525,6 +557,13 @@ def test_prime_weight_validation():
     assert w.mask(np.array([5, 7], dtype=np.uint32)).tolist() == [True, False]
     wt = PrimeWeight.from_table({2: -3.5})
     assert wt.values(np.array([2, 11], dtype=np.uint32)).tolist() == [-3.5, 0.0]
+    # f is read only at primes, and a key may not repeat
+    for key in (-3, 0, 1, 4, 2**32 - 1, 2**32, 99999999999):
+        with pytest.raises(ValueError):
+            PrimeWeight.from_table({key: 1.0})
+    with pytest.raises(ValueError):
+        PrimeWeight(kind="table", table=((2, 0.5), (2, 0.7)))
+    assert PrimeWeight.from_table({2**32 - 5: 1.0}).table == ((2**32 - 5, 1.0),)
 
 
 # --- the exact chunk sum -----------------------------------------------------

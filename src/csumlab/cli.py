@@ -21,7 +21,8 @@ shorthand (1e7), or caret powers (10^7); all are parsed to exact integers,
 and a count of more than 4300 digits is a usage error.  Every subcommand
 runs its parallel steps on one thread per CPU.
 The environment variable CSUMLAB_CACHE_DIR names a directory where sieve
-tables are cached as spf_<limit>.bin and reused across runs.
+tables are cached as spf_<limit>.bin and reused across runs; --cache PATH
+takes its place.
 """
 
 from __future__ import annotations
@@ -183,41 +184,30 @@ def _env_cache_path(limit: int) -> str | None:
     return os.path.join(cache_dir, f"spf_{limit}.bin") if cache_dir else None
 
 
-def _load_cache(path: str) -> SpfTable | None:
-    """The table cached at path, or None after a warning if it fails validation."""
-    try:
-        return load_spf_table(path)
-    except ValueError as exc:
-        print(f"warning: {exc}; rebuilding", file=sys.stderr)
-        return None
-
-
 def obtain_table(limit: int, cache: str | None) -> SpfTable:
-    """Load a cached table covering `limit` if one exists, else build.
+    """The table at the cache path if it covers `limit`, else a new one saved there.
 
-    Explicit --cache wins; otherwise CSUMLAB_CACHE_DIR is consulted, and a
-    freshly built table is saved there for next time.  A cache file that
-    fails validation (damaged, truncated, another format) is rebuilt and
-    rewritten.
+    The path is --cache, or failing that CSUMLAB_CACHE_DIR/spf_<limit>.bin;
+    no other file is read.  A file there that fails validation (damaged,
+    truncated, another format) or covers less than `limit` draws a warning
+    and is rebuilt and rewritten, so a cache file never blocks a run.
     """
     _check_limit(limit)
-    if cache and os.path.exists(cache):
-        t = _load_cache(cache)
-        if t is not None and t.limit >= limit:
-            return t
-        if t is not None:
-            print(f"cache {cache} only covers {t.limit} < {limit}; rebuilding", file=sys.stderr)
-    default = _env_cache_path(limit)
-    if default and os.path.exists(default):
-        t = _load_cache(default)
-        if t is not None:
-            return t
+    path = cache or _env_cache_path(limit)
+    if path and os.path.exists(path):
+        try:
+            t = load_spf_table(path)
+        except ValueError as exc:
+            print(f"warning: {exc}; rebuilding", file=sys.stderr)
+        else:
+            if t.limit >= limit:
+                return t
+            print(f"warning: {path} only covers {t.limit} < {limit}; rebuilding",
+                  file=sys.stderr)
     t = build_spf_table(limit)
-    if cache:
-        save_spf_table(t, cache)
-    elif default:
-        os.makedirs(os.path.dirname(default), exist_ok=True)
-        save_spf_table(t, default)
+    if path:
+        os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+        save_spf_table(t, path)
     return t
 
 

@@ -20,9 +20,10 @@ The kinds live in one registry, SERIES_KINDS: each maps to its required
 parameters, its target and a unit factory.  run_series drives the kind's
 unit and applies its combine step to each checkpoint's results; the target
 comes from the spec alone, never from the caller.  The float kinds reduce
-every chunk through one term reducer, so the paper's sum
--sum c_n(m) f(p(n))/n and its special cases (Alladi's and Dawsey's m = 1
-series) share a single code path.
+every chunk through one term reducer, which takes an integer column that
+already carries the kind's sign and support and reads f with one call, so
+the paper's sum -sum c_n(m) f(p(n))/n and its special cases (Alladi's and
+Dawsey's m = 1 series) share a single code path.
 
 The finite-x rearrangement identity (difference_term) builds its two sides
 from the same integer columns and runs them through the same driver.  Its
@@ -36,12 +37,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from math import frexp, fsum, gcd, isfinite, ldexp
+from math import frexp, fsum, gcd, isfinite, isqrt, ldexp
 from typing import Callable
 
 import numpy as np
 
-from .sieve import MAX_LIMIT, SpfTable, _divisors, _thread_map
+from .sieve import MAX_LIMIT, SpfTable, _base_primes, _divisors, _thread_map
 
 #: Terms per summation chunk.  Fixed so that chunk boundaries (and hence
 #: the exact floating-point result) never depend on thread scheduling.
@@ -66,7 +67,7 @@ def _check_class(k: int, l: int) -> None:
 
 @dataclass(frozen=True)
 class PrimeWeight:
-    """A bounded weight f on primes.
+    """A bounded weight f on primes; at(primes) gives its support and values.
 
     Kinds:
         "residue": f(p) = 1 if p = l (mod k) else 0, with gcd(l, k) = 1.
@@ -89,8 +90,10 @@ class PrimeWeight:
         keys = [p for p, _ in self.table]
         if len(set(keys)) != len(keys):
             raise ValueError(f"weight table repeats a prime: {keys}")
+        # a key is prime when no prime up to its square root (< 2**16) divides it
+        base = np.array(_base_primes(isqrt(min(max([0, *keys]), MAX_LIMIT))), dtype=np.int64)
         for p, v in self.table:
-            if not (2 <= p <= MAX_LIMIT and _trial_factors(p) == [(p, 1)]):
+            if not (2 <= p <= MAX_LIMIT and np.all(p % base[base <= isqrt(p)])):
                 raise ValueError(f"weight key {p} is not a prime in [2, {MAX_LIMIT}]")
             if not abs(v) <= MAX_TABLE_WEIGHT:  # also false for nan
                 raise ValueError(
@@ -109,23 +112,21 @@ class PrimeWeight:
     def from_table(cls, values: dict[int, float]) -> "PrimeWeight":
         return cls(kind="table", table=tuple(sorted(values.items())))
 
-    # --- vectorized helpers over arrays of primes (spf/lpf slices) ---
+    def at(self, primes: np.ndarray) -> tuple[np.ndarray | None, np.ndarray | None]:
+        """(support, f) over an array of primes (an spf or lpf slice).
 
-    def mask(self, primes: np.ndarray) -> np.ndarray | None:
-        """Boolean support mask for 0/1 kinds; None means "all ones"."""
+        support is the boolean mask f != 0, None when f is 1 everywhere;
+        f is the float64 array of values, None for the 0/1 weights, whose
+        supported entries all have f = 1.
+        """
         if self.kind == "one":
-            return None
+            return None, None
         if self.kind == "residue":
-            return (primes % np.uint32(self.k)) == np.uint32(self.l % self.k)
-        vals = self.values(primes)
-        return vals != 0.0
-
-    def values(self, primes: np.ndarray) -> np.ndarray:
-        """f applied elementwise (float64); only needed for table weights."""
-        out = np.zeros(primes.shape, dtype=np.float64)
+            return (primes % np.uint32(self.k)) == np.uint32(self.l % self.k), None
+        f = np.zeros(primes.shape, dtype=np.float64)
         for p, v in self.table:
-            out[primes == p] = v
-        return out
+            f[primes == p] = v
+        return f != 0.0, f
 
     def describe(self) -> str:
         """Stable one-token description used in report metadata."""
@@ -256,21 +257,15 @@ def _float_total(head: tuple[float, ...] = ()):
     return lambda x, sums: (fsum([*head, *sums]), None)
 
 
-def _select(col: np.ndarray, keep, primes: np.ndarray, weight: PrimeWeight):
+def _select(col: np.ndarray, primes: np.ndarray, weight: PrimeWeight):
     """The kept terms of a column: (indices, numerators, f values).
 
-    col is an integer column in its stored dtype and keep an optional
-    boolean support mask.  An index is kept where col != 0, keep and
-    f(primes) != 0; the f values are None for the 0/1 weights, whose kept
-    terms all have f = 1.
+    col is an integer column in its stored dtype, zero off the kind's
+    support and already carrying the kind's sign.  An index is kept where
+    col != 0 and f(primes) != 0; the f values are None for the 0/1
+    weights, whose kept terms all have f = 1.
     """
-    if weight.kind == "table":
-        fv = weight.values(primes)
-        support = fv != 0.0
-    else:
-        fv, support = None, weight.mask(primes)
-    if keep is not None:
-        support = keep if support is None else support & keep
+    support, fv = weight.at(primes)
     nz = col != 0
     sel = np.flatnonzero(nz if support is None else support & nz)
     return sel, col[sel], None if fv is None else fv[sel]
@@ -308,17 +303,14 @@ def _exact_sum(p: np.ndarray) -> float:
             p -= q
 
 
-def _reduce(col: np.ndarray, keep, primes: np.ndarray, weight: PrimeWeight, lo: int,
-            sign: int = 1) -> float:
-    """fsum of sign * col[i] * f(primes[i]) / (lo + i) over the kept terms.
+def _reduce(col: np.ndarray, primes: np.ndarray, weight: PrimeWeight, lo: int) -> float:
+    """fsum of col[i] * f(primes[i]) / (lo + i) over the kept terms.
 
-    Only the kept entries are converted to float64; the sign is applied
-    there, which rounds the same as negating each term.
+    Only the kept entries are converted to float64.  A sign carried in the
+    integer column rounds the same as negating each float term.
     """
-    sel, num, fv = _select(col, keep, primes, weight)
+    sel, num, fv = _select(col, primes, weight)
     num = num.astype(np.float64)
-    if sign < 0:
-        np.negative(num, out=num)
     if fv is not None:
         num *= fv
     num /= sel + lo
@@ -345,8 +337,8 @@ def _lcm_sum(pairs: list[tuple[int, int]]) -> tuple[int, int]:
     return pairs[0]
 
 
-def _reduce_exact(col: np.ndarray, keep, primes: np.ndarray, weight: PrimeWeight, lo: int,
-                  sign: int = 1) -> Fraction:
+def _reduce_exact(col: np.ndarray, primes: np.ndarray, weight: PrimeWeight,
+                  lo: int) -> Fraction:
     """The exact value of the sum _reduce rounds, from the same selection.
 
     Terms are grouped by their f value (the 0/1 weights form one group
@@ -354,7 +346,7 @@ def _reduce_exact(col: np.ndarray, keep, primes: np.ndarray, weight: PrimeWeight
     the exact rational value of its f, and the groups merge into one
     Fraction.
     """
-    sel, a, fv = _select(col, keep, primes, weight)
+    sel, a, fv = _select(col, primes, weight)
     dens = sel + lo
     groups = [(1, a, dens)] if fv is None else [
         (Fraction(v), a[fv == v], dens[fv == v]) for v in np.unique(fv)
@@ -362,23 +354,23 @@ def _reduce_exact(col: np.ndarray, keep, primes: np.ndarray, weight: PrimeWeight
     parts = []
     for f, num, den in groups:
         n, d = _lcm_sum(list(zip(num.tolist(), den.tolist())))
-        parts.append((sign * n * f.numerator, d * f.denominator))
+        parts.append((n * f.numerator, d * f.denominator))
     return Fraction(*_lcm_sum(parts))
 
 
-def _c_column(mu: np.ndarray, divisors, lo: int, hi: int) -> np.ndarray:
-    """sum of d * mu(n / d) over the given divisors d dividing n, n in [lo, hi).
+def _c_column(mu: np.ndarray, divisors, lo: int, hi: int, sign: int) -> np.ndarray:
+    """sign * sum of d * mu(n / d) over the given divisors d dividing n, n in [lo, hi).
 
     With every divisor of m this is c_n(m); leaving out d = 1 gives
     c_n(m) - mu(n) with no cancellation.  Each divisor adds one contiguous
-    mu slice at stride d (n = d*j walks j0..j1).
+    mu slice at stride d (n = d*j walks j0..j1) with coefficient sign * d.
     """
     col = np.zeros(hi - lo, dtype=np.int64)
     for d in divisors:
         j0 = (lo + d - 1) // d
         j1 = (hi - 1) // d
         if j1 >= j0:
-            col[j0 * d - lo : j1 * d - lo + 1 : d] += d * mu[j0 : j1 + 1].astype(np.int64)
+            col[j0 * d - lo : j1 * d - lo + 1 : d] += sign * d * mu[j0 : j1 + 1].astype(np.int64)
     return col
 
 
@@ -391,7 +383,7 @@ def _weighted_units(t: SpfTable, spec: SeriesSpec):
     divs = _divisors(_trial_factors(spec.m or 1))
 
     def unit(lo: int, hi: int) -> float:
-        return _reduce(_c_column(mu, divs, lo, hi), None, spf[lo:hi], weight, lo, -1)
+        return _reduce(_c_column(mu, divs, lo, hi, -1), spf[lo:hi], weight, lo)
 
     return unit, _float_total()
 
@@ -410,12 +402,10 @@ def _mu_mn_units(t: SpfTable, spec: SeriesSpec):
     m_primes = [p for p, _ in _trial_factors(spec.m)]
 
     def unit(lo: int, hi: int) -> float:
-        keep = None
-        if m_primes:
-            keep = np.ones(hi - lo, dtype=bool)
-            for p in m_primes:
-                keep[(-lo) % p :: p] = False  # the multiples of p in [lo, hi)
-        return _reduce(mu[lo:hi], keep, spf[lo:hi], weight, lo, -mu_m)
+        col = -mu_m * mu[lo:hi]
+        for p in m_primes:
+            col[(-lo) % p :: p] = 0  # the multiples of p in [lo, hi)
+        return _reduce(col, spf[lo:hi], weight, lo)
 
     return unit, _float_total()
 
@@ -441,7 +431,7 @@ def _mu_over_n_units(t: SpfTable, spec: SeriesSpec):
     above, mu, spf, weight = _above(t, spec.y), t.mu_table(), t.spf, spec.prime_weight
 
     def unit(lo: int, hi: int) -> float:
-        return _reduce(mu[lo:hi], above(lo, hi), spf[lo:hi], weight, lo)
+        return _reduce(mu[lo:hi] * above(lo, hi), spf[lo:hi], weight, lo)
 
     return unit, _float_total(head=(1.0,))  # 1.0 is the n = 1 sentinel term
 
@@ -449,15 +439,14 @@ def _mu_over_n_units(t: SpfTable, spec: SeriesSpec):
 def _lpf_units(t: SpfTable, spec: SeriesSpec):
     """(1/x) sum f(P(n)); indicator weights also keep the integer count."""
     lpf, weight = t.lpf_table(), spec.weight
-    indicator = weight.kind in ("residue", "one")
+    indicator = weight.at(lpf[:0])[1] is None  # the 0/1 weights give no f values
 
     def unit(lo: int, hi: int):
-        if indicator:
-            wmask = weight.mask(lpf[lo:hi])
-            cnt = hi - lo if wmask is None else int(np.count_nonzero(wmask))
-            return float(cnt), cnt
-        vals = weight.values(lpf[lo:hi])
-        return _exact_sum(vals[vals != 0.0]), None
+        support, fv = weight.at(lpf[lo:hi])
+        if fv is not None:
+            return _exact_sum(fv[support]), None
+        cnt = hi - lo if support is None else int(np.count_nonzero(support))
+        return float(cnt), cnt
 
     def combine(x: int, parts):
         value = fsum(s for s, _ in parts) / x
@@ -685,12 +674,11 @@ def difference_term(
     add = (lambda parts: sum(parts, Fraction(0))) if exact else fsum
 
     def lhs_unit(lo: int, hi: int):
-        return reduce(_c_column(mu, divs, lo, hi), None, spf[lo:hi], weight, lo)
+        return reduce(_c_column(mu, divs, lo, hi, 1), spf[lo:hi], weight, lo)
 
     def rhs_unit(d: int):
         # n walks [lo, hi) and f reads p(d*n)
-        return lambda lo, hi: reduce(mu[lo:hi], None, spf[d * lo : d * (hi - 1) + 1 : d],
-                                     weight, lo)
+        return lambda lo, hi: reduce(mu[lo:hi], spf[d * lo : d * (hi - 1) + 1 : d], weight, lo)
 
     lhs = add(_drive(lhs_unit, (x,))[0])
     rhs = add([add(_drive(rhs_unit(d), (x // d,), 1)[0]) for d in divs if x // d >= 1])

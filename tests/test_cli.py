@@ -27,6 +27,7 @@ from csumlab.cli import (
     parse_weight,
 )
 from csumlab.series import SERIES_KINDS
+from csumlab.sieve import build_spf_table, load_spf_table, save_spf_table
 
 from conftest import csum_totient
 
@@ -469,3 +470,41 @@ def test_explicit_cache_file_reused(tmp_path):
         ["verify", "mu-baseline", "--limit", "1e4", "--cache", str(cache)]
     )
     assert code == EXIT_OK
+
+
+def test_short_env_cache_is_rebuilt(tmp_path, monkeypatch, capsys):
+    # spf_1000.bin holding a valid limit-500 table must not block a run
+    monkeypatch.setenv("CSUMLAB_CACHE_DIR", str(tmp_path))
+    cache = tmp_path / "spf_1000.bin"
+    for argv in (
+        ["verify", "mu-baseline", "--limit", "1000"],
+        ["identity", "--m", "6", "--x", "1000"],
+    ):
+        save_spf_table(build_spf_table(500), str(cache))
+        capsys.readouterr()
+        assert main(argv) == EXIT_OK, argv
+        assert "warning" in capsys.readouterr().err, argv
+        assert load_spf_table(str(cache)).limit == 1000, argv
+
+
+def test_explicit_cache_shadows_env_dir(tmp_path, monkeypatch, capsys):
+    # with --cache set, the CSUMLAB_CACHE_DIR file is neither read nor written
+    env_dir = tmp_path / "env"
+    env_dir.mkdir()
+    monkeypatch.setenv("CSUMLAB_CACHE_DIR", str(env_dir))
+    env_file = env_dir / "spf_1000.bin"
+    save_spf_table(build_spf_table(1000), str(env_file))
+    env_bytes = env_file.read_bytes()
+    cache = tmp_path / "explicit.bin"
+    read, written = [], []
+    monkeypatch.setattr(cli, "load_spf_table", lambda p: read.append(p) or load_spf_table(p))
+    monkeypatch.setattr(cli, "save_spf_table",
+                        lambda t, p: written.append(p) or save_spf_table(t, p))
+    argv = ["verify", "mu-baseline", "--limit", "1000", "--cache", str(cache)]
+    assert main(argv) == EXIT_OK
+    assert (read, written) == ([], [str(cache)])  # nothing to read yet: built, saved
+    assert main(argv) == EXIT_OK
+    assert (read, written) == ([str(cache)], [str(cache)])  # reused
+    assert load_spf_table(str(cache)).limit == 1000
+    assert env_file.read_bytes() == env_bytes
+    assert "warning" not in capsys.readouterr().err

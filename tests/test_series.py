@@ -8,6 +8,7 @@ sub-ulp error per chunk, the slack covers term rounding).
 
 import math
 import os
+import time
 from dataclasses import replace
 from fractions import Fraction
 from math import gcd
@@ -236,14 +237,21 @@ def test_mu_over_n_restricted_hand_case(table_small):
     assert abs(s.rows[0].value - Fraction(34, 105)) < EPS
 
 
-def test_mu_over_n_restricted_bruteforce(table_small):
+def test_mu_over_n_restricted_bruteforce(table_small, monkeypatch):
+    def expected(x, y):
+        return Fraction(1) + brute_sum(
+            x, lambda n: Fraction(mu_naive(n), n) if spf_naive(n) > y else Fraction(0)
+        )
+
     for y in (2, 5):
         s = mu_over_n_restricted(table_small, y, [400])
-        expected = Fraction(1) + brute_sum(
-            400,
-            lambda n: Fraction(mu_naive(n), n) if spf_naive(n) > y else Fraction(0),
-        )
-        assert abs(s.rows[0].value - expected) < EPS, y
+        assert abs(s.rows[0].value - expected(400, y)) < EPS, y
+    # the p(n) > y support is applied to each chunk's column, so chunk
+    # edges off the 2**20 grid must leave the rows unchanged
+    monkeypatch.setattr(series, "CHUNK", 97)
+    for y in (2, 5):
+        for r in mu_over_n_restricted(table_small, y, [97, 400, 1001]).rows:
+            assert abs(r.value - expected(r.x, y)) < EPS, (y, r.x)
 
 
 def test_mu_over_n_restricted_trivial_endpoint(table_small):
@@ -553,10 +561,15 @@ def test_prime_weight_validation():
         PrimeWeight.residue_class(4, 2)
     with pytest.raises(ValueError):
         PrimeWeight.residue_class(2**32, 1)
-    w = PrimeWeight.residue_class(4, 1)
-    assert w.mask(np.array([5, 7], dtype=np.uint32)).tolist() == [True, False]
-    wt = PrimeWeight.from_table({2: -3.5})
-    assert wt.values(np.array([2, 11], dtype=np.uint32)).tolist() == [-3.5, 0.0]
+    # at(primes) gives (support, f): f is None for the 0/1 weights and
+    # support None where f is 1 everywhere
+    primes = np.array([2, 5, 7, 11], dtype=np.uint32)
+    assert PrimeWeight.constant_one().at(primes) == (None, None)
+    support, f = PrimeWeight.residue_class(4, 1).at(primes)
+    assert support.tolist() == [False, True, False, False] and f is None
+    support, f = PrimeWeight.from_table({2: -3.5, 7: 0.0, 11: 5e-324}).at(primes)
+    assert support.tolist() == [True, False, False, True]  # f(7) = 0 is off the support
+    assert f.tolist() == [-3.5, 0.0, 0.0, 5e-324]
     # f is read only at primes, and a key may not repeat
     for key in (-3, 0, 1, 4, 2**32 - 1, 2**32, 99999999999):
         with pytest.raises(ValueError):
@@ -564,6 +577,39 @@ def test_prime_weight_validation():
     with pytest.raises(ValueError):
         PrimeWeight(kind="table", table=((2, 0.5), (2, 0.7)))
     assert PrimeWeight.from_table({2**32 - 5: 1.0}).table == ((2**32 - 5, 1.0),)
+    # composite keys near 2**32: 65521**2 and 65519 * 65521 have no factor
+    # below 65519, and 2**32 - 3 = 9241 * 464773
+    for key in (65521**2, 65519 * 65521, 2**32 - 3):
+        with pytest.raises(ValueError):
+            PrimeWeight.from_table({key: 1.0})
+    # validation stays cheap for many large keys
+    big = []
+    n = 2**32 - 1
+    while len(big) < 1000:
+        n -= 2
+        if is_prime_mr(n):
+            big.append(n)
+    t0 = time.perf_counter()
+    assert len(PrimeWeight.from_table(dict.fromkeys(big, 1.0)).table) == 1000
+    assert time.perf_counter() - t0 < 1.0
+
+
+def is_prime_mr(n: int) -> bool:
+    """Miller-Rabin with bases 2, 7 and 61, deterministic for n < 4759123141."""
+    d, r = n - 1, 0
+    while d % 2 == 0:
+        d, r = d // 2, r + 1
+    for a in (2, 7, 61):
+        y = pow(a, d, n)
+        if y in (1, n - 1):
+            continue
+        for _ in range(r - 1):
+            y = y * y % n
+            if y == n - 1:
+                break
+        else:
+            return False
+    return True
 
 
 # --- the exact chunk sum -----------------------------------------------------

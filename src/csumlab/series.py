@@ -5,9 +5,10 @@ summation order is part of its definition: terms are always accumulated in
 ascending n.  Evaluation is chunked; each chunk's float terms are summed
 exactly and rounded once, which is the value math.fsum gives, and chunk
 results are combined in ascending index order.  The exact sum splits the
-terms into limbs on power-of-two grids by whole-array float operations
-(Rump, Ogita & Oishi, "Accurate floating-point summation, part I", 2008),
-so it builds no Python objects per term and releases the GIL.
+terms into limbs on power-of-two grids by float operations on blocks of
+_SUM_BLOCK terms, each small enough to stay in cache (Rump, Ogita & Oishi,
+"Accurate floating-point summation, part I", 2008), so it builds no Python
+objects per term and releases the GIL.
 
 One cell schedule serves every run: a checkpoint x reads [start, x] cut on
 the fixed CHUNK grid, whole grid cells and then one last cell ending at x.
@@ -21,9 +22,10 @@ parameters, its target and a unit factory.  run_series drives the kind's
 unit and applies its combine step to each checkpoint's results; the target
 comes from the spec alone, never from the caller.  The float kinds reduce
 every chunk through one term reducer, which takes an integer column that
-already carries the kind's sign and support and reads f with one call, so
-the paper's sum -sum c_n(m) f(p(n))/n and its special cases (Alladi's and
-Dawsey's m = 1 series) share a single code path.
+already carries the kind's sign and support, in the narrowest integer dtype
+that holds it, and reads f with one call, so the paper's sum
+-sum c_n(m) f(p(n))/n and its special cases (Alladi's and Dawsey's m = 1
+series) share a single code path.
 
 The finite-x rearrangement identity (difference_term) builds its two sides
 from the same integer columns and runs them through the same driver.  Its
@@ -52,6 +54,10 @@ CHUNK = 1 << 20
 #: times |f(p)|, and a series sums at most 2**32 terms, so no term, chunk
 #: sum or row can overflow.
 MAX_TABLE_WEIGHT = 1e100
+
+#: Terms per block of the exact sum: 256 KiB of float64, so the block stays
+#: in cache across its passes.
+_SUM_BLOCK = 1 << 15
 
 
 def _check_class(k: int, l: int) -> None:
@@ -117,12 +123,17 @@ class PrimeWeight:
 
         support is the boolean mask f != 0, None when f is 1 everywhere;
         f is the float64 array of values, None for the 0/1 weights, whose
-        supported entries all have f = 1.
+        supported entries all have f = 1.  The residue class test reads
+        p - (p // k) * k, since numpy divides a uint32 array by one uint32
+        scalar about twice as fast as it takes p % k.
         """
         if self.kind == "one":
             return None, None
         if self.kind == "residue":
-            return (primes % np.uint32(self.k)) == np.uint32(self.l % self.k), None
+            k = np.uint32(self.k)
+            r = primes // k
+            r *= k  # at most p, so p - r never wraps
+            return np.subtract(primes, r, out=r) == np.uint32(self.l % self.k), None
         f = np.zeros(primes.shape, dtype=np.float64)
         for p, v in self.table:
             f[primes == p] = v
@@ -274,33 +285,41 @@ def _select(col: np.ndarray, primes: np.ndarray, weight: PrimeWeight):
 def _exact_sum(p: np.ndarray) -> float:
     """The exact sum of the float64 array p, rounded once, as math.fsum gives it.
 
+    p is split into blocks of _SUM_BLOCK terms, small enough to stay in
+    cache across the passes of _block_limbs; fsum of every block's limbs,
+    each an exact float, is then the correctly rounded value of the whole
+    sum.  p is left unchanged; it must be finite with max|p| < 2**1000.
+    """
+    limbs = []
+    for i in range(0, p.size, _SUM_BLOCK):
+        _block_limbs(p[i : i + _SUM_BLOCK], limbs)
+    return fsum(limbs)
+
+
+def _block_limbs(p: np.ndarray, limbs: list[float]) -> None:
+    """Append to limbs floats whose exact sum is the exact sum of p.
+
     Each pass adds and subtracts sigma = 2**(e + k), where max|p| < 2**e
     and 2**k > p.size + 1 (ExtractVector of Rump, Ogita & Oishi, 2008).
     That rounds p to multiples q of 2**(e + k - 53) with |q| <= 2**e, so
     every partial sum of q is such a multiple below 2**(e + k) and np.sum(q)
     is exact in any order.  The remainder p - q is exact and lowers e by at
-    least 52 - k.  fsum of the few limb totals is then the correctly rounded
-    value of the whole sum.  p must be finite with max|p| < 2**(1023 - k).
+    least 52 - k.  p must be finite with max|p| < 2**(1023 - k).
     """
-    if not p.size:
-        return 0.0
     k = (p.size + 1).bit_length()
-    limbs = []
     q = np.empty_like(p)
+    r = np.empty_like(p)  # the remainders, so the caller's block is left alone
     while True:
         top = max(p.max(), -p.min())
         if top == 0:
-            return fsum(limbs)
+            return
         if not isfinite(top):
             raise ValueError(f"cannot sum a non-finite term ({top})")
         sigma = ldexp(1.0, frexp(top)[1] + k)
         np.add(p, sigma, out=q)
         q -= sigma
         limbs.append(float(q.sum()))
-        if len(limbs) == 1:
-            p = p - q  # leaves the caller's array alone
-        else:
-            p -= q
+        p = np.subtract(p, q, out=r)
 
 
 def _reduce(col: np.ndarray, primes: np.ndarray, weight: PrimeWeight, lo: int) -> float:
@@ -364,13 +383,18 @@ def _c_column(mu: np.ndarray, divisors, lo: int, hi: int, sign: int) -> np.ndarr
     With every divisor of m this is c_n(m); leaving out d = 1 gives
     c_n(m) - mu(n) with no cancellation.  Each divisor adds one contiguous
     mu slice at stride d (n = d*j walks j0..j1) with coefficient sign * d.
+    The column has the narrowest signed dtype that holds +-sum(divisors),
+    a bound on every entry, so no entry overflows (int8 for sigma(m) <= 127).
     """
-    col = np.zeros(hi - lo, dtype=np.int64)
+    dtype = np.min_scalar_type(-sum(divisors) - 1)
+    col = np.zeros(hi - lo, dtype=dtype)
     for d in divisors:
         j0 = (lo + d - 1) // d
         j1 = (hi - 1) // d
         if j1 >= j0:
-            col[j0 * d - lo : j1 * d - lo + 1 : d] += sign * d * mu[j0 : j1 + 1].astype(np.int64)
+            col[j0 * d - lo : j1 * d - lo + 1 : d] += np.multiply(
+                mu[j0 : j1 + 1], sign * d, dtype=dtype
+            )
     return col
 
 
@@ -421,7 +445,7 @@ def _mertens_units(t: SpfTable, spec: SeriesSpec):
     above, mu = _above(t, spec.y), t.mu_table()
 
     def unit(lo: int, hi: int) -> int:
-        return int(mu[lo:hi][above(lo, hi)].astype(np.int64).sum())
+        return int((mu[lo:hi] * above(lo, hi)).sum(dtype=np.int64))
 
     # 1 is the n = 1 sentinel term
     return unit, lambda x, sums: (float(1 + sum(sums)), None)

@@ -130,8 +130,10 @@ def _cofactors(spf: np.ndarray, lo: int, hi: int) -> tuple[np.ndarray, np.ndarra
 
 
 def _mu_step(spf: np.ndarray, mu: np.ndarray, lo: int, hi: int) -> None:
+    """mu(n) = -mu(q) * [spf(q) != spf(n)] for n in [lo, hi), q = n / spf(n),
+    written straight into mu as one int8 product."""
     s, q = _cofactors(spf, lo, hi)
-    mu[lo:hi] = np.where(spf[q] == s, 0, -mu[q])
+    np.multiply(-mu[q], spf[q] != s, out=mu[lo:hi])
 
 
 def _lpf_step(spf: np.ndarray, lpf: np.ndarray, lo: int, hi: int) -> None:

@@ -216,13 +216,18 @@ def test_mertens_restricted_hand_case(table_small):
     assert s.rows[0].value == -2.0
 
 
-def test_mertens_restricted_bruteforce(table_small):
+def test_mertens_restricted_bruteforce(table_small, monkeypatch):
+    def expected(x, y):
+        return 1 + sum(mu_naive(n) for n in range(2, x + 1) if spf_naive(n) > y)
+
     for y in (1, 2, 3, 7):
         s = mertens_restricted(table_small, y, [500])
-        expected = 1 + sum(
-            mu_naive(n) for n in range(2, 501) if spf_naive(n) > y
-        )
-        assert s.rows[0].value == float(expected), y
+        assert s.rows[0].value == float(expected(500, y)), y
+    # chunk edges off the 2**20 grid must leave the integer rows unchanged
+    monkeypatch.setattr(series, "CHUNK", 97)
+    for y in (1, 2, 7):
+        for r in mertens_restricted(table_small, y, [97, 400, 1001]).rows:
+            assert r.value == float(expected(r.x, y)), (y, r.x)
 
 
 def test_mertens_sentinel_when_threshold_covers_range(table_small):
@@ -577,6 +582,14 @@ def test_prime_weight_validation():
     with pytest.raises(ValueError):
         PrimeWeight(kind="table", table=((2, 0.5), (2, 0.7)))
     assert PrimeWeight.from_table({2**32 - 5: 1.0}).table == ((2**32 - 5, 1.0),)
+    # the class mask is p = l (mod k) over the whole uint32 range, for any
+    # k and for l negative or at least k
+    a = np.array([0, 1, 2, 2**31, 2**32 - 1], dtype=np.uint32)
+    for k in (1, 2, 3, 4, 6, 65537, 2**31 - 1, 2**32 - 1):
+        for l in (-1, -k - 1, k + 1, 3 * k - 1):
+            support, f = PrimeWeight.residue_class(k, l).at(a)
+            assert support.tolist() == [v % k == l % k for v in a.tolist()], (k, l)
+            assert f is None
     # composite keys near 2**32: 65521**2 and 65519 * 65521 have no factor
     # below 65519, and 2**32 - 3 = 9241 * 464773
     for key in (65521**2, 65519 * 65521, 2**32 - 3):
@@ -612,6 +625,47 @@ def is_prime_mr(n: int) -> bool:
     return True
 
 
+# --- the term column ---------------------------------------------------------
+
+
+def test_c_column_dtype_edges():
+    # divisor sums at the edges of int8, int16 and int32, and the divisors
+    # of the prime 2**32 - 5; each column must equal an int64 column built
+    # divisor by divisor, in the narrowest dtype that holds +-sum(divisors)
+    cases = {
+        (1, 126): np.int8,
+        (1, 127): np.int16,
+        (1, 32766): np.int16,
+        (1, 32767): np.int32,
+        (1, 2**31 - 1): np.int64,
+        (1, 2**32 - 5): np.int64,
+    }
+    chunk = series.CHUNK
+    rng = np.random.default_rng(11)
+    mus = [
+        np.ones(chunk + 70_000, dtype=np.int8),
+        -np.ones(chunk + 70_000, dtype=np.int8),
+        rng.integers(-1, 2, size=chunk + 70_000).astype(np.int8),
+    ]
+    for divisors, dtype in cases.items():
+        for mu in mus:
+            for lo in (chunk, chunk + 37):
+                hi = lo + 60_000
+                n = np.arange(lo, hi)
+                for sign in (1, -1):
+                    ref = np.zeros(hi - lo, dtype=np.int64)
+                    for d in divisors:
+                        hit = n % d == 0
+                        ref[hit] += sign * d * mu[n[hit] // d].astype(np.int64)
+                    col = series._c_column(mu, list(divisors), lo, hi, sign)
+                    assert col.dtype == dtype, (divisors, col.dtype)
+                    assert np.array_equal(col, ref), (divisors, lo, sign)
+    # entries reach -sum(divisors) where every divisor divides n
+    for divisors in ((1, 126), (1, 127), (1, 32766), (1, 32767)):
+        col = series._c_column(mus[0], list(divisors), chunk, chunk + 60_000, -1)
+        assert col.min() == -sum(divisors), divisors
+
+
 # --- the exact chunk sum -----------------------------------------------------
 
 
@@ -637,6 +691,21 @@ def exact_sum_cases():
     yield "tie", np.array([2.0**53, 1.0, 1.0 - 2.0**-53])
     yield "tie, reversed", np.array([1.0 - 2.0**-53, 1.0, 2.0**53])
     yield "tie to even", np.array([1.0, 2.0**-53, 2.0**-106])
+    # past two exact-sum blocks: huge, subnormal and ordinary terms, with
+    # exactly cancelling pairs that straddle each block boundary
+    block = series._SUM_BLOCK
+    mixed = rng.choice([1e100, -1e100, 5e-324, -5e-324, 1.0, -0.1], size=100_000)
+    mixed *= rng.integers(1, 1000, size=mixed.size)
+    for edge in (block, 2 * block, 3 * block):
+        pairs = rng.standard_normal(64) * 1e100
+        mixed[edge - 64 : edge] = pairs
+        mixed[edge : edge + 64] = -pairs[::-1]
+    yield "100000 mixed terms, pairs across blocks", mixed
+    huge = rng.standard_normal(50_000) * 2.0 ** rng.integers(300, 333, size=50_000)
+    tiny = rng.integers(-50, 51, size=50_000) * 5e-324
+    yield "huge terms cancelling across blocks, subnormals left", np.concatenate(
+        [huge, tiny, -rng.permutation(huge)]
+    )
     for seed in range(20):
         r = np.random.default_rng(seed)
         size = int(r.integers(1, 5000))

@@ -5,10 +5,10 @@ summation order is part of its definition: terms are always accumulated in
 ascending n.  Evaluation is chunked; each chunk's float terms are summed
 exactly and rounded once, which is the value math.fsum gives, and chunk
 results are combined in ascending index order.  The exact sum splits the
-terms into limbs on power-of-two grids by float operations on blocks of
-_SUM_BLOCK terms, each small enough to stay in cache (Rump, Ogita & Oishi,
-"Accurate floating-point summation, part I", 2008), so it builds no Python
-objects per term and releases the GIL.
+terms into limbs on power-of-two grids by float operations on pieces of
+_CACHE_BLOCK terms, each small enough to stay in cache (Rump, Ogita &
+Oishi, "Accurate floating-point summation, part I", 2008), so it builds no
+Python objects per term and releases the GIL.
 
 One cell schedule serves every run: a checkpoint x reads [start, x] cut on
 the fixed CHUNK grid, whole grid cells and then one last cell ending at x.
@@ -25,7 +25,10 @@ every chunk through one term reducer, which takes an integer column that
 already carries the kind's sign and support, in the narrowest integer dtype
 that holds it, and reads f with one call, so the paper's sum
 -sum c_n(m) f(p(n))/n and its special cases (Alladi's and Dawsey's m = 1
-series) share a single code path.
+series) share a single code path.  The reducer selects the kept terms of a
+chunk once, then converts, weights and divides them one _CACHE_BLOCK piece
+at a time, straight into the exact sum's buffer, so no chunk-sized array
+of float terms is built.
 
 The finite-x rearrangement identity (difference_term) builds its two sides
 from the same integer columns and runs them through the same driver.  Its
@@ -44,7 +47,7 @@ from typing import Callable
 
 import numpy as np
 
-from .sieve import MAX_LIMIT, SpfTable, _base_primes, _divisors, _thread_map
+from .sieve import MAX_LIMIT, SpfTable, _CACHE_BLOCK, _base_primes, _divisors, _thread_map
 
 #: Terms per summation chunk.  Fixed so that chunk boundaries (and hence
 #: the exact floating-point result) never depend on thread scheduling.
@@ -55,9 +58,10 @@ CHUNK = 1 << 20
 #: sum or row can overflow.
 MAX_TABLE_WEIGHT = 1e100
 
-#: Terms per block of the exact sum: 256 KiB of float64, so the block stays
-#: in cache across its passes.
-_SUM_BLOCK = 1 << 15
+#: Most keys a table weight reads with one comparison per key; past this a
+#: binary search over the sorted keys is faster.  The crossover on a
+#: 2^20-entry spf slice (2 CPUs, numpy 2.4) lies between 24 and 40 keys.
+_LOOP_KEYS = 32
 
 
 def _check_class(k: int, l: int) -> None:
@@ -125,7 +129,9 @@ class PrimeWeight:
         f is the float64 array of values, None for the 0/1 weights, whose
         supported entries all have f = 1.  The residue class test reads
         p - (p // k) * k, since numpy divides a uint32 array by one uint32
-        scalar about twice as fast as it takes p % k.
+        scalar about twice as fast as it takes p % k.  A table of at most
+        _LOOP_KEYS keys is read with one comparison per key, a larger one
+        with one binary search per entry over the sorted keys.
         """
         if self.kind == "one":
             return None, None
@@ -134,9 +140,17 @@ class PrimeWeight:
             r = primes // k
             r *= k  # at most p, so p - r never wraps
             return np.subtract(primes, r, out=r) == np.uint32(self.l % self.k), None
-        f = np.zeros(primes.shape, dtype=np.float64)
-        for p, v in self.table:
-            f[primes == p] = v
+        if len(self.table) <= _LOOP_KEYS:
+            f = np.zeros(primes.shape, dtype=np.float64)
+            for p, v in self.table:
+                f[primes == p] = v
+        else:
+            keys, vals = zip(*sorted(self.table))
+            keys = np.array(keys, dtype=np.uint32)
+            i = np.searchsorted(keys, primes)
+            np.minimum(i, keys.size - 1, out=i)
+            i[keys[i] != primes] = keys.size  # off the table: the appended 0
+            f = np.append(vals, 0.0)[i]
         return f != 0.0, f
 
     def describe(self) -> str:
@@ -277,26 +291,41 @@ def _select(col: np.ndarray, primes: np.ndarray, weight: PrimeWeight):
     weights, whose kept terms all have f = 1.
     """
     support, fv = weight.at(primes)
-    nz = col != 0
-    sel = np.flatnonzero(nz if support is None else support & nz)
+    keep = col != 0
+    if support is not None:
+        keep &= support
+    sel = np.flatnonzero(keep)
     return sel, col[sel], None if fv is None else fv[sel]
 
 
 def _exact_sum(p: np.ndarray) -> float:
     """The exact sum of the float64 array p, rounded once, as math.fsum gives it.
 
-    p is split into blocks of _SUM_BLOCK terms, small enough to stay in
-    cache across the passes of _block_limbs; fsum of every block's limbs,
-    each an exact float, is then the correctly rounded value of the whole
-    sum.  p is left unchanged; it must be finite with max|p| < 2**1000.
+    p is left unchanged; it must be finite with max|p| < 2**1000.
     """
+    return _block_sum(p.size, lambda a, b, out: p[a:b])
+
+
+def _block_sum(n: int, block: Callable[[int, int, np.ndarray], np.ndarray]) -> float:
+    """The exact sum of the float64 terms block(a, b, out) over the pieces
+    [a, b) of [0, n), rounded once, as math.fsum of all the terms gives it.
+
+    block returns the b - a terms of its piece, written into the scratch
+    array out or read from elsewhere.  Pieces hold _CACHE_BLOCK terms and
+    share three buffers allocated once per call, so a piece stays in cache
+    across the passes of _block_limbs and no piece allocates.  fsum of
+    every piece's limbs, each an exact float, is the correctly rounded
+    value of the whole sum.
+    """
+    out, q, r = np.empty((3, min(n, _CACHE_BLOCK)))
     limbs = []
-    for i in range(0, p.size, _SUM_BLOCK):
-        _block_limbs(p[i : i + _SUM_BLOCK], limbs)
+    for a in range(0, n, _CACHE_BLOCK):
+        m = min(n - a, _CACHE_BLOCK)
+        _block_limbs(block(a, a + m, out[:m]), q[:m], r[:m], limbs)
     return fsum(limbs)
 
 
-def _block_limbs(p: np.ndarray, limbs: list[float]) -> None:
+def _block_limbs(p: np.ndarray, q: np.ndarray, r: np.ndarray, limbs: list[float]) -> None:
     """Append to limbs floats whose exact sum is the exact sum of p.
 
     Each pass adds and subtracts sigma = 2**(e + k), where max|p| < 2**e
@@ -304,11 +333,11 @@ def _block_limbs(p: np.ndarray, limbs: list[float]) -> None:
     That rounds p to multiples q of 2**(e + k - 53) with |q| <= 2**e, so
     every partial sum of q is such a multiple below 2**(e + k) and np.sum(q)
     is exact in any order.  The remainder p - q is exact and lowers e by at
-    least 52 - k.  p must be finite with max|p| < 2**(1023 - k).
+    least 52 - k.  p must be finite with max|p| < 2**(1023 - k).  q and r
+    are scratch arrays of p's size; the remainders go to r, so p is left
+    alone.
     """
     k = (p.size + 1).bit_length()
-    q = np.empty_like(p)
-    r = np.empty_like(p)  # the remainders, so the caller's block is left alone
     while True:
         top = max(p.max(), -p.min())
         if top == 0:
@@ -325,15 +354,22 @@ def _block_limbs(p: np.ndarray, limbs: list[float]) -> None:
 def _reduce(col: np.ndarray, primes: np.ndarray, weight: PrimeWeight, lo: int) -> float:
     """fsum of col[i] * f(primes[i]) / (lo + i) over the kept terms.
 
-    Only the kept entries are converted to float64.  A sign carried in the
+    The kept terms are converted to float64, weighted and divided one
+    piece at a time, straight into the exact sum's buffer, so no
+    chunk-sized array of float terms is built.  A sign carried in the
     integer column rounds the same as negating each float term.
     """
     sel, num, fv = _select(col, primes, weight)
-    num = num.astype(np.float64)
-    if fv is not None:
-        num *= fv
-    num /= sel + lo
-    return _exact_sum(num)
+    sel += lo  # the kept n
+
+    def terms(a: int, b: int, out: np.ndarray) -> np.ndarray:
+        np.copyto(out, num[a:b])
+        if fv is not None:
+            out *= fv[a:b]
+        out /= sel[a:b]
+        return out
+
+    return _block_sum(sel.size, terms)
 
 
 def _lcm_sum(pairs: list[tuple[int, int]]) -> tuple[int, int]:

@@ -16,16 +16,26 @@ The bulk mu and largest-prime-factor tables come from spf alone, by the
 cofactor recurrence of the linear sieve (Gries & Misra, CACM 1978).  With
 s = spf(n) and q = n / s:
 
-    mu(n)  = 0 if spf(q) = s else -mu(q),   mu(1) = 1
-    lpf(n) = max(lpf(q), s),                lpf(1) = 0
+    mu(n)  = 0 if s | q else -mu(q),   mu(1) = 1
+    lpf(n) = max(lpf(q), s),           lpf(1) = 0
+
+s | q is the same test as spf(q) = s, since no prime below s divides q,
+and it reads no table: s divides q exactly when the float64 quotient q / s
+is an integer.  That holds for every q < 2**32.  If s divides q, the
+quotient is an integer and is represented exactly.  If not, q / s lies at
+least 1/s from every integer, while rounding moves it by at most
+q / s * 2**-53 < 2**-21 / s.  So mu reads only spf(n) and mu(q), never
+the 4-byte spf(q).
 
 The recurrence runs over doubling blocks [lo, hi) with hi <= 2*lo.  Every
 cofactor of a block is below lo, so it is already filled, and the block is
-one vectorised pass; its sub-blocks of at most _BLOCK entries are mapped
-over threads.
+one vectorised pass.  Its units of at most _BLOCK entries are mapped over
+threads, and each unit runs its step on pieces of _CACHE_BLOCK entries,
+whose float64 temporaries (256 KiB buffers, allocated once per unit) stay
+in cache.
 
 Thread policy: every parallel step (the sieve's segments, the mu/lpf
-sub-blocks and the series driver's chunk units) goes through one helper,
+units and the series driver's chunk units) goes through one helper,
 _thread_map, which maps over one thread per CPU (_THREADS) and runs in
 the calling thread when there is a single item.  Work is split on fixed
 boundaries, so no result depends on the thread count.
@@ -57,8 +67,13 @@ import numpy as np
 #: Largest supported sieve limit (uint32 entries).
 MAX_LIMIT = 2**32 - 1
 
-#: Entries per sieve segment and per sub-block of the mu/lpf derivation.
+#: Entries per sieve segment and per threaded unit of the mu/lpf derivation.
 _BLOCK = 1 << 20
+
+#: Entries per cache-sized piece, 256 KiB of float64.  The mu/lpf steps and
+#: the series reducer both walk their arrays in pieces of this length,
+#: through buffers allocated once per unit, so the temporaries stay in cache.
+_CACHE_BLOCK = 1 << 15
 
 #: Threads of every parallel step: one per CPU.
 _THREADS = os.cpu_count() or 1
@@ -118,35 +133,66 @@ class SpfTable:
         return self._lpf
 
 
-def _cofactors(spf: np.ndarray, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
-    """spf(n) and n / spf(n) for n in [lo, hi), 2 <= lo.
+def _cofactor_pieces(spf: np.ndarray, lo: int, hi: int):
+    """Yield (a, b, s, q, idx) for each piece [a, b) of [lo, hi), 2 <= lo:
+    s = spf(n), q = n / s in float64 and idx = q as indices, n in [a, b).
 
-    The float64 quotient is exact: n < 2**32 < 2**53 and spf(n) divides n.
+    Pieces hold at most _CACHE_BLOCK entries.  q and idx are views of
+    buffers allocated once per call and refilled for every piece, so the
+    caller may overwrite them.  The float64 quotient is exact: n < 2**32 <
+    2**53 and s divides n.
     """
-    s = spf[lo:hi]
-    q = np.arange(lo, hi, dtype=np.float64)
-    q /= s
-    return s, q.astype(np.intp)
+    width = min(_CACHE_BLOCK, hi - lo)
+    n = np.arange(lo, lo + width, dtype=np.float64)
+    q = np.empty(width)
+    idx = np.empty(width, dtype=np.intp)
+    for a in range(lo, hi, width):
+        b = min(a + width, hi)
+        s = spf[a:b]
+        np.divide(n[: b - a], s, out=q[: b - a])
+        idx[: b - a] = q[: b - a]
+        yield a, b, s, q[: b - a], idx[: b - a]
+        n += width
 
 
 def _mu_step(spf: np.ndarray, mu: np.ndarray, lo: int, hi: int) -> None:
-    """mu(n) = -mu(q) * [spf(q) != spf(n)] for n in [lo, hi), q = n / spf(n),
-    written straight into mu as one int8 product."""
-    s, q = _cofactors(spf, lo, hi)
-    np.multiply(-mu[q], spf[q] != s, out=mu[lo:hi])
+    """mu(n) = -mu(q) * [s does not divide q] for n in [lo, hi), s = spf(n),
+    q = n / s, written straight into mu as one int8 product per piece.
+
+    spf(q) is never read: s | q comes from _indivisible.
+    """
+    floor = np.empty(min(_CACHE_BLOCK, hi - lo))
+    for a, b, s, q, idx in _cofactor_pieces(spf, lo, hi):
+        np.multiply(-mu[idx], _indivisible(q, s, floor[: b - a]), out=mu[a:b])
+
+
+def _indivisible(q: np.ndarray, s: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Whether s fails to divide q, for float64 q holding integers in
+    [0, 2**32) and integers s >= 1.
+
+    Tested as q / s != floor(q / s) in float64, which is exact (see the
+    module doc).  q / s overwrites q, and its floor goes to the scratch
+    array out.
+    """
+    q /= s
+    return q != np.floor(q, out=out)
 
 
 def _lpf_step(spf: np.ndarray, lpf: np.ndarray, lo: int, hi: int) -> None:
-    s, q = _cofactors(spf, lo, hi)
-    np.maximum(lpf[q], s, out=lpf[lo:hi])
+    """lpf(n) = max(lpf(q), s) for n in [lo, hi), one piece at a time."""
+    gathered = np.empty(min(_CACHE_BLOCK, hi - lo), dtype=lpf.dtype)
+    for a, b, s, q, idx in _cofactor_pieces(spf, lo, hi):
+        # the indices are in range, and mode="clip" lets take fill the buffer directly
+        np.maximum(np.take(lpf, idx, out=gathered[: b - a], mode="clip"), s, out=lpf[a:b])
 
 
 def _derive(spf: np.ndarray, dtype, seed: tuple[int, int], step) -> np.ndarray:
     """A read-only table t with t[:2] = seed and t[2:] filled by step(spf, t, lo, hi).
 
     Doubling blocks [lo, hi), hi <= 2*lo, run in order: every cofactor
-    n / spf(n) of a block is below lo and so already filled.  The
-    sub-blocks of one block are independent and are mapped over threads.
+    n / spf(n) of a block is below lo and so already filled.  The units of
+    at most _BLOCK entries of one block are independent and are mapped
+    over threads; step walks its unit in cache-sized pieces.
     """
     n = len(spf)
     out = np.empty(n, dtype=dtype)

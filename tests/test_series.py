@@ -9,6 +9,7 @@ sub-ulp error per chunk, the slack covers term rounding).
 import math
 import os
 import time
+import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
 from math import gcd
@@ -607,6 +608,25 @@ def test_prime_weight_validation():
     assert time.perf_counter() - t0 < 1.0
 
 
+def test_table_weight_lookup_paths_agree(monkeypatch):
+    # a table past _LOOP_KEYS takes the binary search; forcing either path
+    # gives the same support and values, with keys given out of order and
+    # slices holding 0, primes off the table and the largest key
+    rng = np.random.default_rng(33)
+    primes = np.array(sieve._base_primes(2**16), dtype=np.uint32)
+    keys = rng.choice(primes, 200, replace=False).tolist() + [2**32 - 5]
+    values = rng.choice([0.5, -1.0, 0.0, 5e-324, -1e100], len(keys)).tolist()
+    table = tuple(zip(keys, values))  # unsorted on purpose
+    weight = PrimeWeight(kind="table", table=table)
+    slice_ = np.concatenate([[0, 2**32 - 5, 2**32 - 1], rng.choice(primes, 5000)]).astype(np.uint32)
+    expected = np.array([dict(table).get(int(p), 0.0) for p in slice_])
+    for loop_keys in (0, series._LOOP_KEYS, len(keys)):
+        monkeypatch.setattr(series, "_LOOP_KEYS", loop_keys)
+        support, f = weight.at(slice_)
+        assert [float.hex(v) for v in f] == [float.hex(v) for v in expected], loop_keys
+        assert np.array_equal(support, expected != 0), loop_keys
+
+
 def is_prime_mr(n: int) -> bool:
     """Miller-Rabin with bases 2, 7 and 61, deterministic for n < 4759123141."""
     d, r = n - 1, 0
@@ -693,7 +713,7 @@ def exact_sum_cases():
     yield "tie to even", np.array([1.0, 2.0**-53, 2.0**-106])
     # past two exact-sum blocks: huge, subnormal and ordinary terms, with
     # exactly cancelling pairs that straddle each block boundary
-    block = series._SUM_BLOCK
+    block = series._CACHE_BLOCK
     mixed = rng.choice([1e100, -1e100, 5e-324, -5e-324, 1.0, -0.1], size=100_000)
     mixed *= rng.integers(1, 1000, size=mixed.size)
     for edge in (block, 2 * block, 3 * block):
@@ -726,9 +746,69 @@ def test_exact_sum_matches_fsum():
             series._exact_sum(np.array([1.0, bad]))
 
 
+def reduce_reference(col, primes, weight, lo):
+    """_reduce as one whole-chunk float64 array summed by math.fsum."""
+    sel, num, fv = series._select(col, primes, weight)
+    num = num.astype(np.float64)
+    if fv is not None:
+        num *= fv
+    num /= sel + lo
+    return fsum_reference(num)
+
+
+REDUCE_WEIGHTS = (
+    PrimeWeight.constant_one(),
+    PrimeWeight.residue_class(4, 3),
+    PrimeWeight.from_table({3: 0.75, 7: -1e100, 11: 5e-324}),
+)
+
+
+@pytest.mark.parametrize("weight", REDUCE_WEIGHTS, ids=lambda w: w.kind)
+def test_reduce_matches_fsum_of_its_terms(weight):
+    # kept counts around the exact sum's pieces, up to a whole chunk; every
+    # unkept entry is zero in the column or off the weight's support
+    block, lo = series._CACHE_BLOCK, 5 * series.CHUNK + 17
+    rng = np.random.default_rng(2024)
+    f_at = {p: float(weight_naive(weight, p)) for p in (3, 5, 7, 11)}  # f(5) = 0 but for "one"
+    for kept in (0, 1, block, block + 1, series.CHUNK):
+        size = max(kept, 3 * block)
+        col = rng.choice(np.array([-3, -1, 1, 2, 126], dtype=np.int8), size)
+        primes = rng.choice(np.array([3, 7, 11], dtype=np.uint32), size)
+        off = rng.permutation(size)[kept:]
+        col[off[: off.size // 2]] = 0
+        if weight.kind == "one":
+            col[off] = 0
+        else:
+            primes[off[off.size // 2 :]] = 5
+        f = np.array([f_at[p] for p in primes.tolist()])
+        n = np.arange(lo, lo + size, dtype=np.float64)
+        keep = (col != 0) & (f != 0)
+        terms = col[keep].astype(np.float64) * f[keep] / n[keep]
+        assert terms.size == kept
+        got = series._reduce(col, primes, weight, lo)
+        assert float.hex(got) == float.hex(math.fsum(terms.tolist())), (weight.kind, kept)
+
+
+def test_reduce_builds_no_chunk_sized_float_array(table_big):
+    # one mu-baseline chunk, 61% of its terms kept: the selection holds
+    # about 5 MB of indices, and whole-chunk float64 terms would add 10 MB
+    lo = 2 * series.CHUNK
+    col = series._c_column(table_big.mu_table(), [1], lo, lo + series.CHUNK, -1)
+    primes = table_big.spf[lo : lo + series.CHUNK]
+    tracemalloc.start()
+    try:
+        value = series._reduce(col, primes, PrimeWeight.constant_one(), lo)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert value == reduce_reference(col, primes, PrimeWeight.constant_one(), lo)
+    assert peak < 8 * 2**20, peak
+
+
 def test_exact_sum_rows_match_fsum_reference(table_big, monkeypatch):
     # chunk-edge checkpoints on a table past one CHUNK, every kind and both
-    # float difference_term sides, with and without the fsum reference
+    # float difference_term sides, with and without the whole-chunk fsum
+    # references for the exact sum and the reducer
     edge = (2**20 - 1, 2**20, 2**20 + 1)
 
     def evaluate():
@@ -747,4 +827,5 @@ def test_exact_sum_rows_match_fsum_reference(table_big, monkeypatch):
 
     fast = evaluate()
     monkeypatch.setattr(series, "_exact_sum", fsum_reference)
+    monkeypatch.setattr(series, "_reduce", reduce_reference)
     assert fast == evaluate()

@@ -112,9 +112,15 @@ def test_lpf_reference_anchored_to_definition():
         assert ref[n] == lpf_naive(n), n
 
 
-#: limits at the ends of the derivation's doubling blocks and around its
-#: _BLOCK = 2**20-entry sub-blocks; the last one splits a block into two
-EDGE_LIMITS = [2, 3, 4, 5] + [2**k + d for k in (19, 20, 21) for d in (-1, 0, 1)] + [3 * 2**20 + 1]
+#: limits at the ends of the derivation's doubling blocks, around its
+#: _BLOCK = 2**20-entry units and its _CACHE_BLOCK = 2**15-entry pieces.
+#: 3 * 2**15 + 1 and 5 * 2**15 + 7 end their last doubling block a few
+#: entries into a piece; 3 * 2**20 + 1 splits a block into two units.
+EDGE_LIMITS = (
+    [2, 3, 4, 5]
+    + [2**k + d for k in (15, 19, 20, 21) for d in (-1, 0, 1)]
+    + [3 * 2**15 + 1, 5 * 2**15 + 7, 3 * 2**20 + 1]
+)
 
 
 @pytest.fixture(scope="module")
@@ -125,7 +131,8 @@ def edge_references():
 
 def test_derived_tables_at_block_edges(edge_references):
     mu_ref, lpf_ref = edge_references
-    points = {n + d for n in [2**j for j in range(1, 23)] + [3 * 2**20] for d in (-1, 0, 1)}
+    corners = [2**j for j in range(1, 23)] + [k * 2**15 for k in (3, 5, 6, 7)] + [3 * 2**20]
+    points = {n + d for n in corners for d in (-1, 0, 1)}
     for limit in EDGE_LIMITS:
         t = build_spf_table(limit)
         mu, lpf = t.mu_table(), t.lpf_table()
@@ -138,20 +145,52 @@ def test_derived_tables_at_block_edges(edge_references):
             assert lpf[n] == lpf_naive(n), (limit, n)
 
 
-def test_derived_tables_do_not_depend_on_thread_count(monkeypatch):
-    # 3*2**20 + 1 puts two sub-blocks in the last doubling block
-    tables = {}
-    for threads in (1, 3):
-        monkeypatch.setattr(sieve, "_THREADS", threads)
-        t = build_spf_table(3 * 2**20 + 1)
-        tables[threads] = (t.mu_table(), t.lpf_table())
-    assert np.array_equal(tables[1][0], tables[3][0])
-    assert np.array_equal(tables[1][1], tables[3][1])
-    # many small sub-blocks per block, mapped over several threads
+def test_derived_tables_do_not_depend_on_thread_count(monkeypatch, edge_references):
+    # 3*2**20 + 1 puts two units in the last doubling block, and 5*2**15 + 7
+    # ends its last block 8 entries into a piece
+    mu_ref, lpf_ref = edge_references
+    for limit in (5 * 2**15 + 7, 3 * 2**20 + 1):
+        for threads in (1, 3):
+            monkeypatch.setattr(sieve, "_THREADS", threads)
+            t = build_spf_table(limit)
+            assert np.array_equal(t.mu_table(), mu_ref[: limit + 1]), (limit, threads)
+            assert np.array_equal(t.lpf_table(), lpf_ref[: limit + 1]), (limit, threads)
+    # many small units per block, mapped over several threads, each cut
+    # into pieces that do not divide it
     monkeypatch.setattr(sieve, "_BLOCK", 1000)
-    t = build_spf_table(10**5)
-    assert np.array_equal(t.mu_table(), mu_reference(10**5))
-    assert np.array_equal(t.lpf_table(), lpf_reference(10**5))
+    for piece in (1000, 96, 7):
+        monkeypatch.setattr(sieve, "_CACHE_BLOCK", piece)
+        t = build_spf_table(10**5)
+        assert np.array_equal(t.mu_table(), mu_ref[: 10**5 + 1]), piece
+        assert np.array_equal(t.lpf_table(), lpf_ref[: 10**5 + 1]), piece
+
+
+def divisibility_cases(rng) -> tuple[np.ndarray, np.ndarray]:
+    """Over 10**6 pairs (q, s) with 0 <= q < 2**32 and 1 <= s < 2**32:
+    uniform pairs, q = k*s and k*s +- 1 for s at every scale up to 2**32 - 1,
+    and the largest q below 2**32 against the smallest and largest s."""
+    top = 2**32
+    qs, ss = [rng.integers(0, top, 300_000)], [rng.integers(1, top, 300_000)]
+    for lo, hi in ((1, 2**8), (2**8, 2**16), (2**16, 2**24), (2**24, top), (top - 2**12, top)):
+        s = rng.integers(lo, hi, 60_000)
+        k = rng.integers(0, (top - 2) // s + 1)
+        for d in (-1, 0, 1):
+            q = k * s + d
+            ok = (q >= 0) & (q < top)
+            qs.append(q[ok])
+            ss.append(s[ok])
+    s = np.concatenate([np.arange(1, 5000), np.arange(top - 5000, top)])
+    for q in (top - 1, top - 2, top - 3):
+        qs.append(np.full(s.size, q))
+        ss.append(s)
+    return np.concatenate(qs), np.concatenate(ss)
+
+
+def test_float_divisibility_test_is_exact():
+    q, s = divisibility_cases(np.random.default_rng(1978))
+    assert q.size >= 10**6 and q.max() < 2**32 and s.max() == 2**32 - 1
+    got = sieve._indivisible(q.astype(np.float64), s, np.empty(q.size))
+    assert np.array_equal(got, q % s != 0)
 
 
 def test_mertens_value_at_one_million(table_mid):

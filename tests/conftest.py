@@ -126,6 +126,54 @@ def series_bruteforce(x: int, term) -> Fraction:
     return total
 
 
+def lcm_sum(pairs: list[tuple[int, int]]) -> tuple[int, int]:
+    """(N, D) with N/D the sum of the fractions n/d given as (n, d) pairs.
+
+    Pairs are merged by recursive halving; each merge puts two fractions
+    over the lcm of their denominators (one gcd), and no fraction is
+    reduced on the way, so D is the lcm of every d.
+    """
+    if not pairs:
+        return 0, 1
+    while len(pairs) > 1:
+        merged = []
+        for (n1, d1), (n2, d2) in zip(pairs[::2], pairs[1::2]):
+            g = gcd(d1, d2)
+            merged.append((n1 * (d2 // g) + n2 * (d1 // g), d1 // g * d2))
+        if len(pairs) % 2:
+            merged.append(pairs[-1])
+        pairs = merged
+    return pairs[0]
+
+
+def difference_sides_reference(spf: np.ndarray, m: int, f, x: int) -> tuple[Fraction, Fraction]:
+    """Both exact sides of the finite-x identity, term by term.
+
+    lhs sums (c_n(m) - mu(n)) f(p(n)) / n over 2 <= n <= x, with the
+    numerators from the divisor form over mu_reference; rhs sums
+    mu(n) f(p(d n)) / n over the divisors d > 1 of m and 1 <= n <= x/d.
+    f maps a prime to a Fraction.  Each term is one integer pair and the
+    pairs of a side are merged by lcm_sum.
+    """
+    mu = mu_reference(x)
+    divs = [d for d in divisors_naive(m) if d > 1]
+    col = np.zeros(x + 1, dtype=np.int64)
+    for d in divs:
+        col[d::d] += d * mu[1 : x // d + 1]
+
+    def side(terms) -> Fraction:
+        pairs = []
+        for a, n, p in terms:
+            w = f(p) * a
+            if w:
+                pairs.append((w.numerator, n * w.denominator))
+        return Fraction(*lcm_sum(pairs))
+
+    lhs = side((int(col[n]), n, int(spf[n])) for n in range(2, x + 1))
+    rhs = side((int(mu[n]), n, int(spf[d * n])) for d in divs for n in range(1, x // d + 1))
+    return lhs, rhs
+
+
 # --- shared tables ----------------------------------------------------------
 
 

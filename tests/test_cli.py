@@ -8,6 +8,7 @@ import sys
 import time
 import warnings
 from dataclasses import replace
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -337,6 +338,14 @@ def test_identity_trivial_and_float_modes(capsys):
 def test_identity_exact_mode(capsys):
     assert main(["identity", "--m", "6", "--x", "1e4", "--exact"]) == EXIT_OK
     assert "diff = 0" in capsys.readouterr().out
+
+
+def test_identity_exact_breach(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "difference_term", lambda *a, **k: (Fraction(1, 3), Fraction(1, 4)))
+    assert main(["identity", "--m", "6", "--x", "1e3", "--exact"]) == EXIT_IDENTITY
+    out, err = capsys.readouterr()
+    assert out.splitlines() == ["lhs  = 1/3", "rhs  = 1/4", "diff = 1/12"]
+    assert err == "identity breach: sides differ in exact arithmetic\n"
 
 
 def test_identity_exact_mode_past_digit_cap(capsys):

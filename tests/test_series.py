@@ -23,6 +23,7 @@ from csumlab import (
     PrimeWeight,
     SeriesSpec,
     alladi_partial_sum,
+    build_spf_table,
     difference_term,
     lpf_density,
     mertens_restricted,
@@ -35,7 +36,13 @@ from csumlab import (
 )
 from csumlab.series import SERIES_KINDS
 
-from conftest import csum_totient, lpf_naive, mu_naive, spf_naive
+from conftest import (
+    csum_totient,
+    difference_sides_reference,
+    lpf_naive,
+    mu_naive,
+    spf_naive,
+)
 
 EPS = 1e-12
 
@@ -431,6 +438,98 @@ def test_difference_term_m_past_table(table_small):
     for m in (0, 2**32):
         with pytest.raises(ValueError):
             difference_term(table_small, m, w, 1000)
+
+
+# --- the exact reducer: prime-power partial fractions ----------------------
+
+
+def fraction_sum(a, n, f=1) -> Fraction:
+    return sum((Fraction(int(i), int(j)) for i, j in zip(a, n)), Fraction(0)) * Fraction(f)
+
+
+def exact_reducer_batches(spf):
+    """(name, a, n) batches of terms a/n with 1 <= n < spf.size."""
+    limit = spf.size - 1
+    rng = np.random.default_rng(1729)
+    tail = np.arange(limit - 2000, limit + 1)
+    top_primes = tail[spf[tail] == tail]
+    piece = series._EXACT_PIECE
+    yield "empty", np.zeros(0, dtype=np.int8), np.zeros(0, dtype=np.int64)
+    yield "n = 1", np.array([3, -1], dtype=np.int8), np.array([1, 1])
+    yield "n = 1 alone, then others", np.array([1, 2, 2], dtype=np.int8), np.array([1, 2, 6])
+    yield "one n repeated", np.full(3000, 5, dtype=np.int8), np.full(3000, 720)
+    yield "repeats that cancel", np.tile(np.int8([1, -1]), 500), np.repeat([30030, 510510], 500)
+    powers = np.array([2**16, 3**10, 2**15, 3**9, 3 * 2**16])
+    yield "2^16 and 3^10", np.int8([1, -7, 3, 1, 5]), powers
+    yield "primes near the limit", rng.integers(-9, 10, top_primes.size, dtype=np.int16), top_primes
+    yield "zero numerators", np.zeros(100, dtype=np.int8), rng.integers(1, limit + 1, 100)
+    yield "negative a", -rng.integers(1, 2**30, 500), rng.integers(1, limit + 1, 500)
+    yield "numerators near 2^34", rng.choice([-(2**34), 2**34 - 1], 64), rng.integers(1, limit, 64)
+    for size in (piece - 1, piece, piece + 1, 3 * piece + 5):
+        a = rng.integers(-127, 128, size).astype(np.int8)
+        yield f"random, {size} terms", a, rng.integers(1, limit + 1, size)
+
+
+def test_exact_reducer_matches_fraction_bruteforce(table_mid):
+    spf = table_mid.spf
+    for name, a, n in exact_reducer_batches(spf):
+        got = series._exact_value({1: series._partial_fractions(spf, a, n)})
+        want = fraction_sum(a, n)
+        # equal as normalized pairs, not only as values
+        assert type(got) is Fraction, name
+        assert (got.numerator, got.denominator) == (want.numerator, want.denominator), name
+        assert gcd(got.numerator, got.denominator) == 1, name
+
+
+def test_exact_reducer_scales_groups_by_any_float(table_mid):
+    # every f is an integer over a power of two; huge and subnormal f make
+    # that integer thousands of bits long
+    spf, rng = table_mid.spf, np.random.default_rng(7)
+    fs = [1.0, -0.75, 0.1, 1e100, -1e100, 5e-324, -2.5e-300, 2.0**31, -(2.0**62) - 2.0**10]
+    for trial in range(12):
+        groups, want = {}, Fraction(0)
+        for f in rng.choice(fs, size=3, replace=False).tolist():
+            size = int(rng.integers(0, 300))
+            a = rng.integers(-200, 201, size)
+            n = rng.integers(1, spf.size, size)
+            groups[f] = series._partial_fractions(spf, a, n)
+            want += fraction_sum(a, n, f)
+        got = series._exact_value(groups)
+        assert (got.numerator, got.denominator) == (want.numerator, want.denominator), trial
+    assert series._exact_value({}) == 0
+
+
+def test_inverse_matches_pow_up_to_2_32():
+    rng = np.random.default_rng(31)
+    us, qs = [], []
+    for q in (4294967291, 2**31, 3**20, 65521**2, 2, 3, 2**32 - 5):
+        near = [1, 2, q - 1, q - 2, q - 3, q - 4, q // 2, q // 2 + 1]
+        near += rng.integers(1, q, 200).tolist()
+        near = [u for u in near if 0 < u < q and gcd(u, q) == 1]
+        us += near
+        qs += [q] * len(near)
+    got = series._inverse(np.array(us, dtype=np.int64), np.array(qs, dtype=np.int64))
+    assert got.tolist() == [pow(u, -1, q) for u, q in zip(us, qs)]
+
+
+@pytest.mark.parametrize("x", [2**15 + 1, 2**17 + 3])
+@pytest.mark.parametrize("weight", IDENTITY_WEIGHTS[::2], ids=lambda w: w.kind)
+def test_difference_exact_matches_lcm_reference(table_mid, x, weight):
+    want = difference_sides_reference(table_mid.spf, 6, lambda p: weight_naive(weight, p), x)
+    assert difference_term(table_mid, 6, weight, x, exact=True) == want
+
+
+@pytest.fixture(scope="module")
+def table_2_20():
+    return build_spf_table(2**20 + 7)
+
+
+def test_difference_exact_far_past_1e5(table_2_20):
+    # about 20 s with one gcd per merge of the unreduced pairs
+    start = time.perf_counter()
+    lhs, rhs = difference_term(table_2_20, 6, PrimeWeight.constant_one(), 2**20 + 7, exact=True)
+    assert lhs == rhs
+    assert time.perf_counter() - start < 10
 
 
 def test_weighted_sum_tracks_lpf_density(table_big):

@@ -112,9 +112,11 @@ def parse_range(text: str) -> tuple[int, int]:
 
 def parse_weight(text: str) -> PrimeWeight:
     """'one' | 'residue:K,L' | 'table:P=V,P=V,...'."""
-    kind, _, rest = text.partition(":")
+    kind, sep, rest = text.partition(":")
     try:
         if kind == "one":
+            if sep:
+                raise UsageError("one takes no parameters")
             return PrimeWeight.constant_one()
         if kind == "residue":
             k_s, _, l_s = rest.partition(",")
@@ -285,7 +287,7 @@ def cmd_verify(args) -> int:
     limit = parse_count(args.limit)
     _check_limit(limit)
     spec = _series_spec_from_args(args, parse_checkpoints(args.checkpoints, limit))
-    if args.assert_tol is not None and SERIES_KINDS[spec.kind].target(spec) is None:
+    if args.assert_tol is not None and spec.target is None:
         raise UsageError(f"--assert-tol needs a targeted series; {spec.kind} has no target")
     t = obtain_table(limit, args.cache)
     series = run_series(t, spec)

@@ -19,8 +19,10 @@ thread count, so rows are bit-identical for any schedule and parallelism.
 
 The kinds live in one registry, SERIES_KINDS: each maps to its required
 parameters, its target and a unit factory.  run_series drives the kind's
-unit and applies its combine step to each checkpoint's results; the target
-comes from the spec alone, never from the caller.  The float kinds reduce
+unit and applies its combine step to each checkpoint's results.  A spec's
+target is a read-only property that asks its kind; every class target
+reads the density of the spec's prime weight, so a weight states its
+density once.  The float kinds reduce
 every chunk through one term reducer, which takes an integer column that
 already carries the kind's sign and support, in the narrowest integer dtype
 that holds it, and reads f with one call, so the paper's sum
@@ -38,16 +40,17 @@ its terms a/n, every n <= x, as prime-power partial fractions
 z + sum_p r_p / p^e_p, with p^e_p the largest power of p among the
 denominators: it factors n through the table, takes each residue with a
 vectorized modular inverse and keeps every product inside int64 or
-uint64.  Units merge residue by residue, and each side becomes one
-Fraction at the end, from a product tree over the pairwise coprime prime
-powers, in lowest terms without a big-int gcd.  m is factored by trial
-division, never through the table.
+uint64.  Each unit returns one such sum, times the power of two that
+makes every f value an integer.  Units merge residue by residue, and each
+side becomes one Fraction at the end, from a product tree over the
+pairwise coprime prime powers, in lowest terms without a big-int gcd.  m
+is factored by trial division, never through the table.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from functools import partial
+from dataclasses import dataclass, field
+from functools import cached_property, partial
 from fractions import Fraction
 from math import frexp, fsum, gcd, isfinite, isqrt, ldexp
 from typing import Callable
@@ -71,39 +74,38 @@ MAX_TABLE_WEIGHT = 1e100
 _LOOP_KEYS = 32
 
 
-def _check_class(k: int, l: int) -> None:
-    """Reject a modulus outside [1, 2**32) or a residue not coprime to it.
-
-    Primes are uint32, so the class mask works modulo a uint32 k.
-    """
-    if not 1 <= k <= MAX_LIMIT:
-        raise ValueError(f"modulus k must be in [1, {MAX_LIMIT}], got {k}")
-    if gcd(l, k) != 1:
-        raise ValueError(f"residue l={l} is not coprime to k={k}")
-
-
 @dataclass(frozen=True)
 class PrimeWeight:
     """A bounded weight f on primes; at(primes) gives its support and values.
 
     Kinds:
-        "residue": f(p) = 1 if p = l (mod k) else 0, with gcd(l, k) = 1.
+        "residue": f(p) = 1 if p = l (mod k) else 0, with gcd(l, k) = 1
+                   and k in [1, MAX_LIMIT]; primes are uint32, so the
+                   class mask works modulo a uint32 k.
         "one":     f(p) = 1 everywhere.
         "table":   explicit map prime -> value, |value| <= MAX_TABLE_WEIGHT;
                    0 off the table.  Each key is a distinct prime in
                    [2, MAX_LIMIT], since f is read only at primes.
+    A kind takes only its own fields.
     """
 
     kind: str
-    k: int = 0
-    l: int = 0
+    k: int | None = None
+    l: int | None = None
     table: tuple[tuple[int, float], ...] = field(default=())
 
     def __post_init__(self):
-        if self.kind not in ("residue", "one", "table"):
+        takes = {"one": (), "residue": ("k", "l"), "table": ("table",)}.get(self.kind)
+        if takes is None:
             raise ValueError(f"unknown prime-weight kind {self.kind!r}")
+        for name, value in (("k", self.k), ("l", self.l), ("table", self.table or None)):
+            if value is not None and name not in takes:
+                raise ValueError(f"a {self.kind} weight does not take {name}")
         if self.kind == "residue":
-            _check_class(self.k, self.l)
+            if self.k is None or not 1 <= self.k <= MAX_LIMIT:
+                raise ValueError(f"modulus k must be in [1, {MAX_LIMIT}], got {self.k}")
+            if self.l is None or gcd(self.l, self.k) != 1:
+                raise ValueError(f"residue l={self.l} is not coprime to k={self.k}")
         keys = [p for p, _ in self.table]
         if len(set(keys)) != len(keys):
             raise ValueError(f"weight table repeats a prime: {keys}")
@@ -128,6 +130,15 @@ class PrimeWeight:
     @classmethod
     def from_table(cls, values: dict[int, float]) -> "PrimeWeight":
         return cls(kind="table", table=tuple(sorted(values.items())))
+
+    @property
+    def density(self) -> float | None:
+        """The density of f over the primes: 1, 1/phi(k), or None for a table."""
+        if self.kind == "one":
+            return 1.0
+        if self.kind == "residue":
+            return 1.0 / _totient(self.k)
+        return None
 
     def at(self, primes: np.ndarray) -> tuple[np.ndarray | None, np.ndarray | None]:
         """(support, f) over an array of primes (an spf or lpf slice).
@@ -174,8 +185,8 @@ class SeriesSpec:
     """Parameters of one partial-sum experiment.
 
     The kind's SERIES_KINDS entry names which of m, k, l, y and weight it
-    requires; it takes no others.  target is the slot run_series fills from
-    the kind; a spec handed to run_series leaves it None.
+    requires; it takes no others.  The target is read-only: the kind
+    computes it from the spec.
     """
 
     kind: str
@@ -185,7 +196,6 @@ class SeriesSpec:
     y: int | None = None
     weight: PrimeWeight | None = None
     checkpoints: tuple[int, ...] = ()
-    target: float | None = None
 
     def __post_init__(self):
         kind = SERIES_KINDS.get(self.kind)
@@ -197,8 +207,7 @@ class SeriesSpec:
                 raise ValueError(f"{self.kind} does not take {name}")
             if not given and name in kind.params:
                 raise ValueError(f"{self.kind} requires {name}")
-        if self.k is not None:
-            _check_class(self.k, self.l)
+        self.prime_weight  # builds the (k, l) class, which validates it
         if self.m is not None and not 1 <= self.m <= MAX_LIMIT:
             raise ValueError(f"m must be in [1, {MAX_LIMIT}], got {self.m}")
         if self.y is not None and self.y < 1:
@@ -218,6 +227,11 @@ class SeriesSpec:
         if self.k is not None:
             return PrimeWeight.residue_class(self.k, self.l)
         return PrimeWeight.constant_one()
+
+    @cached_property
+    def target(self) -> float | None:
+        """The kind's limit for this spec, or None; cached, as it factors k and m."""
+        return SERIES_KINDS[self.kind].target(self)
 
     def describe(self) -> str:
         parts = [f"kind={self.kind}"]
@@ -384,9 +398,10 @@ def _reduce(col: np.ndarray, primes: np.ndarray, weight: PrimeWeight, lo: int) -
 # A partial-fraction sum (z, p, q, r) stands for z + sum r[i] / q[i]: z is a
 # Python int, q[i] is a power of the prime p[i] below 2**32 and
 # 0 <= r[i] < q[i], all int64.  Once _add has merged it, p is ascending
-# with no repeats.  The reducer sums a unit's terms in this form and the
-# combine step merges units by their primes, so the one Fraction of a side
-# is built once, by _exact_value, with no big-int gcd.
+# with no repeats.  The reducer sums a unit's terms in this form, scaled
+# to integer weights, and the combine step merges units by their primes, so
+# the one Fraction of a side is built once, by _exact_value, with no big-int
+# gcd.
 
 _EMPTY = np.zeros(0, dtype=np.int64)
 
@@ -507,28 +522,26 @@ def _partial_fractions(spf: np.ndarray, a: np.ndarray, n: np.ndarray) -> tuple:
     return acc
 
 
-def _reduce_exact(spf: np.ndarray, col: np.ndarray, primes: np.ndarray,
-                  weight: PrimeWeight, lo: int) -> dict:
-    """The exact value of the sum _reduce rounds, from the same selection.
+def _reduce_exact(spf: np.ndarray, scale: int, col: np.ndarray, primes: np.ndarray,
+                  weight: PrimeWeight, lo: int) -> tuple:
+    """scale times the exact value of the sum _reduce rounds, from the same
+    selection, as one partial-fraction sum with n factored through spf.
 
-    Terms are grouped by their f value (the 0/1 weights form one group
-    with f = 1); the result maps each f to the partial-fraction sum of
-    its terms a/n, with n factored through spf.
+    scale is a power of two that makes every f value an integer.  Terms
+    are grouped by their f value (the 0/1 weights form one group with
+    f = 1, and take scale 1); each group's partial-fraction sum is
+    multiplied by the integer scale * f and the groups are merged.
     """
     sel, a, fv = _select(col, primes, weight)
     n = sel + lo
     if fv is None:
-        return {1: _partial_fractions(spf, a, n)}
-    return {v: _partial_fractions(spf, a[fv == v], n[fv == v]) for v in np.unique(fv)}
-
-
-def _merge_exact(parts: list[dict]) -> dict:
-    """Merge _reduce_exact results group by group, in the residue domain."""
-    groups: dict = {}
-    for part in parts:
-        for f, sums in part.items():
-            groups.setdefault(f, []).append(sums)
-    return {f: _add(sums) for f, sums in groups.items()}
+        return _partial_fractions(spf, a, n)
+    groups = []
+    for v in np.unique(fv):
+        f = Fraction(v)
+        groups.append(_times(f.numerator * (scale // f.denominator),
+                             _partial_fractions(spf, a[fv == v], n[fv == v])))
+    return _add(groups)
 
 
 def _coprime_sum(pairs: list[tuple[int, int]]) -> tuple[int, int]:
@@ -557,20 +570,16 @@ def _lowest_terms(num: int, den: int) -> Fraction:
     return Fraction(num, den, _normalize=False)
 
 
-def _exact_value(groups: dict) -> Fraction:
-    """The sum of f * (z + sum r/q) over the groups of _merge_exact, as
-    one Fraction in lowest terms.
+def _exact_value(sums: tuple, scale: int) -> Fraction:
+    """(z + sum r/q) / scale for a merged partial-fraction sum and a power
+    of two scale, as one Fraction in lowest terms.
 
-    Every f is a float, so an integer c over a common power of two 2**s;
-    the groups are scaled by their c and merged in the residue domain.
     Stripping the factors of p from each r leaves every r/q in lowest
     terms with pairwise coprime q, so with N/D = sum r/q from a product
-    tree, (N + z D) / D is in lowest terms too, and dividing it by 2**s
+    tree, (N + z D) / D is in lowest terms too, and dividing it by scale
     cancels only powers of two.  No big-int gcd or division is taken.
     """
-    fs = [(Fraction(f), sums) for f, sums in groups.items()]
-    scale = max((f.denominator for f, _ in fs), default=1)
-    z, p, q, r = _add([_times(f.numerator * (scale // f.denominator), sums) for f, sums in fs])
+    z, p, q, r = sums
     keep = r != 0
     p, q, r = p[keep], q[keep], r[keep]
     hit = np.flatnonzero(r % p == 0)
@@ -711,24 +720,14 @@ def _totient(k: int) -> int:
     return phi
 
 
-def _inverse_phi(spec: SeriesSpec) -> float:
-    return 1.0 / _totient(spec.k)
-
-
 def _mu_trial(m: int) -> int:
     """mu(m) from its trial-division factors."""
     factors = _trial_factors(m)
     return 0 if any(e > 1 for _, e in factors) else (-1) ** len(factors)
 
 
-def _mu_mn_target(spec: SeriesSpec) -> float:
-    return _mu_trial(spec.m) / _totient(spec.k)
-
-
-def _lpf_target(spec: SeriesSpec) -> float | None:
-    if spec.weight.kind == "residue":
-        return 1.0 / _totient(spec.weight.k)
-    return 1.0 if spec.weight.kind == "one" else None
+def _density(spec: SeriesSpec) -> float | None:
+    return spec.prime_weight.density
 
 
 @dataclass(frozen=True)
@@ -752,44 +751,39 @@ class SeriesKind:
 #: factor; the restricted kinds include n = 1 through p(1) = infinity.
 SERIES_KINDS: dict[str, SeriesKind] = {
     # -sum mu(n)/n over 2 <= n <= x -> 1
-    "mu-baseline": SeriesKind((), lambda s: 1.0, _weighted_units),
+    "mu-baseline": SeriesKind((), _density, _weighted_units),
     # the same restricted to p(n) = l (mod k) -> 1/phi(k)
-    "alladi": SeriesKind(("k", "l"), _inverse_phi, _weighted_units),
+    "alladi": SeriesKind(("k", "l"), _density, _weighted_units),
     # -sum c_n(m)/n over p(n) = l (mod k) -> 1/phi(k)
-    "ramanujan-alladi": SeriesKind(("m", "k", "l"), _inverse_phi, _weighted_units),
-    # -sum mu(m*n)/n over p(n) = l (mod k) -> mu(m)/phi(k)
-    "mu-mn": SeriesKind(("m", "k", "l"), _mu_mn_target, _mu_mn_units),
+    "ramanujan-alladi": SeriesKind(("m", "k", "l"), _density, _weighted_units),
+    # -sum mu(m*n)/n over p(n) = l (mod k) -> mu(m)/phi(k); mu(m) is -1, 0
+    # or 1, so the product is bit-identical to the quotient
+    "mu-mn": SeriesKind(("m", "k", "l"), lambda s: _mu_trial(s.m) * _density(s), _mu_mn_units),
     # sum mu(n) over 1 <= n <= x with p(n) > y (integer values)
     "mertens-restricted": SeriesKind(("y",), lambda s: None, _mertens_units),
     # sum mu(n)/n over 1 <= n <= x with p(n) > y -> 0
     "mu-over-n-restricted": SeriesKind(("y",), lambda s: 0.0, _mu_over_n_units),
     # -sum c_n(m) f(p(n))/n (no target)
     "weighted-lhs": SeriesKind(("m", "weight"), lambda s: None, _weighted_units),
-    # (1/x) sum f(P(n)) over 2 <= n <= x -> 1/phi(k) for residue indicators
-    "lpf-density": SeriesKind(("weight",), _lpf_target, _lpf_units),
+    # (1/x) sum f(P(n)) over 2 <= n <= x -> the density of f (none for a table)
+    "lpf-density": SeriesKind(("weight",), _density, _lpf_units),
 }
 
 
 def run_series(t: SpfTable, spec: SeriesSpec) -> PartialSumSeries:
-    """Evaluate a SeriesSpec at its checkpoints.
-
-    The returned series carries the spec with the kind's target filled in;
-    a spec that already sets a target is refused, so no value is overwritten.
-    """
-    kind = SERIES_KINDS[spec.kind]
+    """Evaluate a SeriesSpec at its checkpoints; each row's error is its
+    distance from spec.target."""
     cps = spec.checkpoints
     if not cps:
         raise ValueError("at least one checkpoint is required")
     if cps[-1] > t.limit:
         raise ValueError(f"checkpoint {cps[-1]} exceeds sieve limit {t.limit}")
-    if spec.target is not None:
-        raise ValueError("the target comes from the series kind; the spec must not set one")
-    unit, combine = kind.units(t, spec)
-    spec = replace(spec, target=kind.target(spec))
+    unit, combine = SERIES_KINDS[spec.kind].units(t, spec)
+    target = spec.target
     rows = []
     for x, parts in zip(cps, _drive(unit, cps)):
         value, count = combine(x, parts)
-        error = None if spec.target is None else abs(value - spec.target)
+        error = None if target is None else abs(value - target)
         rows.append(SeriesRow(x, value, error, count))
     return PartialSumSeries(spec=spec, rows=tuple(rows))
 
@@ -865,9 +859,9 @@ def mu_over_n_restricted(t: SpfTable, y: int, checkpoints) -> PartialSumSeries:
 def lpf_density(t: SpfTable, weight: PrimeWeight, checkpoints) -> PartialSumSeries:
     """(1/x) sum f(P(n)) over 2 <= n <= x, P the largest prime factor.
 
-    The target is 1/phi(k) for a residue indicator, 1 for the constant
-    weight and none for a table weight.  Indicator weights keep the exact
-    integer count in each row alongside the ratio.
+    The target is the weight's density (1/phi(k) for a residue class, none
+    for a table).  Indicator weights keep the exact integer count in each
+    row alongside the ratio.
     """
     spec = SeriesSpec(kind="lpf-density", weight=weight, checkpoints=tuple(checkpoints))
     return run_series(t, spec)
@@ -903,7 +897,10 @@ def difference_term(
     # the d = 1 term of c_n(m) is mu(n), so the lhs column leaves it out
     divs = _divisors(_trial_factors(m))[1:]
     if exact:
-        reduce, add, value = partial(_reduce_exact, spf), _merge_exact, _exact_value
+        # the power of two that makes every f value an integer
+        scale = max((Fraction(v).denominator for _, v in weight.table), default=1)
+        reduce = partial(_reduce_exact, spf, scale)
+        add, value = _add, partial(_exact_value, scale=scale)
     else:
         reduce, add, value = _reduce, fsum, float
 

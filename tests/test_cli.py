@@ -72,6 +72,9 @@ def test_parse_weight():
         parse_weight("residue:4,2")  # not coprime
     with pytest.raises(UsageError):
         parse_weight("gauss:1")
+    for bad in ("one:whatever", "one:", "one:4,3"):  # one takes no parameters
+        with pytest.raises(UsageError):
+            parse_weight(bad)
 
 
 def test_parse_checkpoints_list_geometric_default():
@@ -377,6 +380,12 @@ def test_identity_weight_spec(capsys):
         ["identity", "--m", "30", "--x", "5000", "--weight", "residue:4,1"]
     )
     assert code == EXIT_OK
+    capsys.readouterr()
+    # one takes no parameters
+    code = main(["identity", "--m", "6", "--x", "100", "--weight", "one:whatever"])
+    out, err = capsys.readouterr()
+    assert code == EXIT_USAGE
+    assert out == "" and len(err.splitlines()) == 1, err
 
 
 def test_non_finite_weight_is_usage_error(capsys):

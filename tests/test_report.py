@@ -18,11 +18,10 @@ from csumlab import (
 from csumlab.report import CSV_HEADER, NOISE_FLOOR
 
 
-def synthetic(errors, xs, target=1.0):
-    rows = tuple(
-        SeriesRow(x=x, value=target + e, error=abs(e)) for x, e in zip(xs, errors)
-    )
-    spec = SeriesSpec(kind="mu-baseline", checkpoints=tuple(xs), target=target)
+def synthetic(errors, xs):
+    # errors around the mu-baseline target 1
+    rows = tuple(SeriesRow(x=x, value=1.0 + e, error=abs(e)) for x, e in zip(xs, errors))
+    spec = SeriesSpec(kind="mu-baseline", checkpoints=tuple(xs))
     return PartialSumSeries(spec=spec, rows=rows)
 
 

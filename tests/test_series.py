@@ -41,6 +41,7 @@ from conftest import (
     difference_sides_reference,
     lpf_naive,
     mu_naive,
+    phi_naive,
     spf_naive,
 )
 
@@ -306,13 +307,52 @@ def test_weighted_lhs_table_weight_bruteforce(table_small):
     assert s.rows[0].error is None
 
 
-def test_run_series_refuses_a_caller_target(table_small):
-    # the target comes from the kind; a spec's own value would be overwritten
-    spec = SeriesSpec(kind="weighted-lhs", m=1, weight=PrimeWeight.residue_class(3, 2),
-                      checkpoints=(100,), target=0.5)
-    with pytest.raises(ValueError):
-        run_series(table_small, spec)
-    assert run_series(table_small, replace(spec, target=None)).spec.target is None
+def test_spec_target_is_read_only():
+    # the target comes from the kind; a spec cannot carry its own value
+    with pytest.raises(TypeError):
+        SeriesSpec(kind="weighted-lhs", m=1, weight=PrimeWeight.residue_class(3, 2),
+                   checkpoints=(100,), target=0.5)
+    spec = SeriesSpec(kind="alladi", k=4, l=3, checkpoints=(100,))
+    with pytest.raises(AttributeError):
+        spec.target = 0.5
+
+
+def target_cases():
+    """(spec, expected target) covering every kind, k = 2**32 - 5 and m with
+    mu(m) in {-1, 0, 1}."""
+    big = 2**32 - 5
+    weights = (PrimeWeight.constant_one(), PrimeWeight.residue_class(big, 7),
+               PrimeWeight.from_table({2: 0.5, 3: -1.0}))
+    densities = (1.0, 1.0 / phi_naive(big), None)
+    yield SeriesSpec(kind="mu-baseline"), 1.0
+    for k, l in ((1, 1), (4, 3), (big, 1), (big, big - 1)):
+        yield SeriesSpec(kind="alladi", k=k, l=l), 1.0 / phi_naive(k)
+        for m in (1, 12, 30, big):  # mu(m) = 1, 0, -1, -1
+            yield SeriesSpec(kind="ramanujan-alladi", m=m, k=k, l=l), 1.0 / phi_naive(k)
+            yield SeriesSpec(kind="mu-mn", m=m, k=k, l=l), mu_naive(m) / phi_naive(k)
+    yield SeriesSpec(kind="mertens-restricted", y=3), None
+    yield SeriesSpec(kind="mu-over-n-restricted", y=3), 0.0
+    for w, density in zip(weights, densities):
+        yield SeriesSpec(kind="weighted-lhs", m=6, weight=w), None
+        yield SeriesSpec(kind="lpf-density", weight=w), density
+
+
+def test_spec_target_is_the_rows_target(table_small):
+    def hexed(v):
+        return None if v is None else float.hex(v)
+
+    kinds = set()
+    for spec, want in target_cases():
+        spec = replace(spec, checkpoints=(1, 2, 997, 10**4))
+        before = spec.target
+        assert hexed(before) == hexed(want), spec.describe()
+        s = run_series(table_small, spec)
+        assert hexed(s.spec.target) == hexed(before), spec.describe()
+        for r in s.rows:
+            want_error = None if before is None else abs(r.value - before)
+            assert hexed(r.error) == hexed(want_error), (spec.describe(), r.x)
+        kinds.add(spec.kind)
+    assert kinds == set(SERIES_KINDS)
 
 
 # --- largest-prime-factor density -------------------------------------------
@@ -443,8 +483,8 @@ def test_difference_term_m_past_table(table_small):
 # --- the exact reducer: prime-power partial fractions ----------------------
 
 
-def fraction_sum(a, n, f=1) -> Fraction:
-    return sum((Fraction(int(i), int(j)) for i, j in zip(a, n)), Fraction(0)) * Fraction(f)
+def fraction_sum(a, n) -> Fraction:
+    return sum((Fraction(int(i), int(j)) for i, j in zip(a, n)), Fraction(0))
 
 
 def exact_reducer_batches(spf):
@@ -473,7 +513,7 @@ def exact_reducer_batches(spf):
 def test_exact_reducer_matches_fraction_bruteforce(table_mid):
     spf = table_mid.spf
     for name, a, n in exact_reducer_batches(spf):
-        got = series._exact_value({1: series._partial_fractions(spf, a, n)})
+        got = series._exact_value(series._partial_fractions(spf, a, n), 1)
         want = fraction_sum(a, n)
         # equal as normalized pairs, not only as values
         assert type(got) is Fraction, name
@@ -486,17 +526,24 @@ def test_exact_reducer_scales_groups_by_any_float(table_mid):
     # that integer thousands of bits long
     spf, rng = table_mid.spf, np.random.default_rng(7)
     fs = [1.0, -0.75, 0.1, 1e100, -1e100, 5e-324, -2.5e-300, 2.0**31, -(2.0**62) - 2.0**10]
+    keys = [2, 3, 5, 7]  # 7 stays off the table: f = 0
     for trial in range(12):
-        groups, want = {}, Fraction(0)
-        for f in rng.choice(fs, size=3, replace=False).tolist():
-            size = int(rng.integers(0, 300))
-            a = rng.integers(-200, 201, size)
-            n = rng.integers(1, spf.size, size)
-            groups[f] = series._partial_fractions(spf, a, n)
-            want += fraction_sum(a, n, f)
-        got = series._exact_value(groups)
-        assert (got.numerator, got.denominator) == (want.numerator, want.denominator), trial
-    assert series._exact_value({}) == 0
+        values = rng.choice(fs, size=3, replace=False).tolist()
+        weight = PrimeWeight.from_table(dict(zip(keys, values)))
+        size = int(rng.integers(0, 900))
+        lo = int(rng.integers(1, spf.size - size))
+        col = rng.integers(-200, 201, size)
+        primes = rng.choice(keys, size).astype(np.uint32)
+        n = np.arange(lo, lo + size)
+        f = [Fraction(dict(weight.table).get(int(p), 0.0)) for p in primes]
+        want = sum((Fraction(int(a), int(d)) * v for a, d, v in zip(col, n, f)), Fraction(0))
+        # the least scale that makes every f an integer, and a larger one
+        least = max(Fraction(v).denominator for v in values)
+        for scale in (least, least << 40):
+            sums = series._reduce_exact(spf, scale, col, primes, weight, lo)
+            got = series._exact_value(sums, scale)
+            assert (got.numerator, got.denominator) == (want.numerator, want.denominator), trial
+    assert series._exact_value(series._add([]), 2**1074) == 0
 
 
 def test_inverse_matches_pow_up_to_2_32():
@@ -666,6 +713,17 @@ def test_prime_weight_validation():
         PrimeWeight.residue_class(4, 2)
     with pytest.raises(ValueError):
         PrimeWeight.residue_class(2**32, 1)
+    # a kind takes only its own fields, and a residue class needs both
+    table = ((2, 1.0),)
+    for kind, fields, name in (("one", {"k": 5, "l": 1}, "k"), ("one", {"l": 0}, "l"),
+                               ("one", {"table": table}, "table"),
+                               ("residue", {"k": 4, "l": 3, "table": table}, "table"),
+                               ("table", {"k": 4, "table": table}, "k"), ("table", {"l": 1}, "l")):
+        with pytest.raises(ValueError, match=f"does not take {name}"):
+            PrimeWeight(kind=kind, **fields)
+    for fields in ({}, {"k": 4}, {"l": 3}):
+        with pytest.raises(ValueError):
+            PrimeWeight(kind="residue", **fields)
     # at(primes) gives (support, f): f is None for the 0/1 weights and
     # support None where f is 1 everywhere
     primes = np.array([2, 5, 7, 11], dtype=np.uint32)

@@ -21,16 +21,17 @@ The kinds live in one registry, SERIES_KINDS: each maps to its required
 parameters, its target and a unit factory.  run_series drives the kind's
 unit and applies its combine step to each checkpoint's results.  A spec's
 target is a read-only property that asks its kind; every class target
-reads the density of the spec's prime weight, so a weight states its
-density once.  The float kinds reduce
-every chunk through one term reducer, which takes an integer column that
-already carries the kind's sign and support, in the narrowest integer dtype
-that holds it, and reads f with one call, so the paper's sum
--sum c_n(m) f(p(n))/n and its special cases (Alladi's and Dawsey's m = 1
-series) share a single code path.  The reducer selects the kept terms of a
-chunk once, then converts, weights and divides them one _CACHE_BLOCK piece
-at a time, straight into the exact sum's buffer, so no chunk-sized array
-of float terms is built.
+reads the density of the spec's prime weight.  Each weight kind is one
+frozen subclass of PrimeWeight that states its support, values, density
+and exact scale once.  The float kinds reduce every chunk through one
+term reducer, which takes an integer column that already carries the
+kind's sign and support, in the narrowest integer dtype that holds it,
+and reads f with one call, so the paper's sum -sum c_n(m) f(p(n))/n and
+its special cases (Alladi's and Dawsey's m = 1 series) share a single
+code path.  The reducer selects the kept terms of a chunk once, then
+converts, weights and divides them one _CACHE_BLOCK piece at a time,
+straight into the exact sum's buffer, so no chunk-sized array of float
+terms is built.
 
 The finite-x rearrangement identity (difference_term) builds its two sides
 from the same integer columns and runs them through the same driver.  Its
@@ -44,12 +45,13 @@ uint64.  Each unit returns one such sum, times the power of two that
 makes every f value an integer.  Units merge residue by residue, and each
 side becomes one Fraction at the end, from a product tree over the
 pairwise coprime prime powers, in lowest terms without a big-int gcd.  m
-is factored by trial division, never through the table.
+is factored by trial division by the primes below 2**16, never through
+the table.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, partial
 from fractions import Fraction
 from math import frexp, fsum, gcd, isfinite, isqrt, ldexp
@@ -68,115 +70,116 @@ CHUNK = 1 << 20
 #: sum or row can overflow.
 MAX_TABLE_WEIGHT = 1e100
 
-#: Most keys a table weight reads with one comparison per key; past this a
-#: binary search over the sorted keys is faster.  The crossover on a
-#: 2^20-entry spf slice (2 CPUs, numpy 2.4) lies between 24 and 40 keys.
-_LOOP_KEYS = 32
+#: The primes below 2**16: every composite below 2**32 has one as a factor.
+_SMALL_PRIMES = np.array(_base_primes(2**16 - 1), dtype=np.int64)
+
+
+class PrimeWeight:
+    """A bounded weight f on primes, read at p(n) or P(n).
+
+    Each kind is one frozen subclass that holds and validates only its own
+    fields.  at(primes) gives (support, f) over an array of primes (an spf
+    or lpf slice): support is the mask f != 0, None when f is 1
+    everywhere, and f the float64 values, None for the 0/1 weights.
+    density is f's density over the primes or None, scale the power of
+    two that makes every f value an integer, and describe() the one-token
+    description in report metadata that cli.parse_weight reads back.
+    """
+
+    @staticmethod
+    def constant_one() -> "OneWeight":
+        return OneWeight()
+
+    @staticmethod
+    def residue_class(k: int, l: int) -> "ResidueWeight":
+        return ResidueWeight(k, l)
+
+    @staticmethod
+    def from_table(values: dict[int, float]) -> "TableWeight":
+        return TableWeight(tuple(sorted(values.items())))
 
 
 @dataclass(frozen=True)
-class PrimeWeight:
-    """A bounded weight f on primes; at(primes) gives its support and values.
+class OneWeight(PrimeWeight):
+    """f(p) = 1 everywhere."""
 
-    Kinds:
-        "residue": f(p) = 1 if p = l (mod k) else 0, with gcd(l, k) = 1
-                   and k in [1, MAX_LIMIT]; primes are uint32, so the
-                   class mask works modulo a uint32 k.
-        "one":     f(p) = 1 everywhere.
-        "table":   explicit map prime -> value, |value| <= MAX_TABLE_WEIGHT;
-                   0 off the table.  Each key is a distinct prime in
-                   [2, MAX_LIMIT], since f is read only at primes.
-    A kind takes only its own fields.
-    """
+    density = 1.0
+    scale = 1
 
-    kind: str
-    k: int | None = None
-    l: int | None = None
-    table: tuple[tuple[int, float], ...] = field(default=())
+    def at(self, primes: np.ndarray) -> tuple[None, None]:
+        return None, None
+
+    def describe(self) -> str:
+        return "one"
+
+
+@dataclass(frozen=True)
+class ResidueWeight(PrimeWeight):
+    """f(p) = 1 if p = l (mod k) else 0, with gcd(l, k) = 1 and k in
+    [1, MAX_LIMIT]: the primes are uint32, so the mask works modulo k."""
+
+    k: int
+    l: int
+    scale = 1
 
     def __post_init__(self):
-        takes = {"one": (), "residue": ("k", "l"), "table": ("table",)}.get(self.kind)
-        if takes is None:
-            raise ValueError(f"unknown prime-weight kind {self.kind!r}")
-        for name, value in (("k", self.k), ("l", self.l), ("table", self.table or None)):
-            if value is not None and name not in takes:
-                raise ValueError(f"a {self.kind} weight does not take {name}")
-        if self.kind == "residue":
-            if self.k is None or not 1 <= self.k <= MAX_LIMIT:
-                raise ValueError(f"modulus k must be in [1, {MAX_LIMIT}], got {self.k}")
-            if self.l is None or gcd(self.l, self.k) != 1:
-                raise ValueError(f"residue l={self.l} is not coprime to k={self.k}")
+        if not 1 <= self.k <= MAX_LIMIT:
+            raise ValueError(f"modulus k must be in [1, {MAX_LIMIT}], got {self.k}")
+        if gcd(self.l, self.k) != 1:
+            raise ValueError(f"residue l={self.l} is not coprime to k={self.k}")
+
+    @property
+    def density(self) -> float:
+        return 1.0 / _totient(self.k)
+
+    def at(self, primes: np.ndarray) -> tuple[np.ndarray, None]:
+        """The class test reads p - (p // k) * k: numpy divides a uint32
+        array by one uint32 scalar about twice as fast as it takes p % k."""
+        k = np.uint32(self.k)
+        r = primes // k
+        r *= k  # at most p, so p - r never wraps
+        return np.subtract(primes, r, out=r) == np.uint32(self.l % self.k), None
+
+    def describe(self) -> str:
+        return f"residue:{self.k},{self.l}"
+
+
+@dataclass(frozen=True)
+class TableWeight(PrimeWeight):
+    """f(p) = v for each (p, v) in table, 0 off it: each key is a distinct
+    prime in [2, MAX_LIMIT] and each |v| <= MAX_TABLE_WEIGHT."""
+
+    table: tuple[tuple[int, float], ...]
+    density = None
+
+    def __post_init__(self):
         keys = [p for p, _ in self.table]
         if len(set(keys)) != len(keys):
             raise ValueError(f"weight table repeats a prime: {keys}")
-        # a key is prime when no prime up to its square root (< 2**16) divides it
-        base = np.array(_base_primes(isqrt(min(max([0, *keys]), MAX_LIMIT))), dtype=np.int64)
         for p, v in self.table:
-            if not (2 <= p <= MAX_LIMIT and np.all(p % base[base <= isqrt(p)])):
+            if not (2 <= p <= MAX_LIMIT and _trial_factors(p) == [(p, 1)]):
                 raise ValueError(f"weight key {p} is not a prime in [2, {MAX_LIMIT}]")
             if not abs(v) <= MAX_TABLE_WEIGHT:  # also false for nan
                 raise ValueError(
                     f"weight value f({p}) = {v!r} must be finite with |f| <= {MAX_TABLE_WEIGHT:g}"
                 )
 
-    @classmethod
-    def residue_class(cls, k: int, l: int) -> "PrimeWeight":
-        return cls(kind="residue", k=k, l=l)
-
-    @classmethod
-    def constant_one(cls) -> "PrimeWeight":
-        return cls(kind="one")
-
-    @classmethod
-    def from_table(cls, values: dict[int, float]) -> "PrimeWeight":
-        return cls(kind="table", table=tuple(sorted(values.items())))
-
     @property
-    def density(self) -> float | None:
-        """The density of f over the primes: 1, 1/phi(k), or None for a table."""
-        if self.kind == "one":
-            return 1.0
-        if self.kind == "residue":
-            return 1.0 / _totient(self.k)
-        return None
+    def scale(self) -> int:
+        return max((Fraction(v).denominator for _, v in self.table), default=1)
 
-    def at(self, primes: np.ndarray) -> tuple[np.ndarray | None, np.ndarray | None]:
-        """(support, f) over an array of primes (an spf or lpf slice).
-
-        support is the boolean mask f != 0, None when f is 1 everywhere;
-        f is the float64 array of values, None for the 0/1 weights, whose
-        supported entries all have f = 1.  The residue class test reads
-        p - (p // k) * k, since numpy divides a uint32 array by one uint32
-        scalar about twice as fast as it takes p % k.  A table of at most
-        _LOOP_KEYS keys is read with one comparison per key, a larger one
-        with one binary search per entry over the sorted keys.
-        """
-        if self.kind == "one":
-            return None, None
-        if self.kind == "residue":
-            k = np.uint32(self.k)
-            r = primes // k
-            r *= k  # at most p, so p - r never wraps
-            return np.subtract(primes, r, out=r) == np.uint32(self.l % self.k), None
-        if len(self.table) <= _LOOP_KEYS:
-            f = np.zeros(primes.shape, dtype=np.float64)
-            for p, v in self.table:
-                f[primes == p] = v
-        else:
-            keys, vals = zip(*sorted(self.table))
-            keys = np.array(keys, dtype=np.uint32)
-            i = np.searchsorted(keys, primes)
-            np.minimum(i, keys.size - 1, out=i)
-            i[keys[i] != primes] = keys.size  # off the table: the appended 0
-            f = np.append(vals, 0.0)[i]
+    def at(self, primes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """One binary search per entry over the sorted keys and a key 0 of
+        value 0.0, which every entry off the table also reads."""
+        keys, vals = zip((0, 0.0), *sorted(self.table))
+        keys = np.array(keys, dtype=np.uint32)
+        i = np.searchsorted(keys, primes)
+        np.minimum(i, keys.size - 1, out=i)
+        i[keys[i] != primes] = 0
+        f = np.array(vals)[i]
         return f != 0.0, f
 
     def describe(self) -> str:
-        """Stable one-token description used in report metadata."""
-        if self.kind == "one":
-            return "one"
-        if self.kind == "residue":
-            return f"residue:{self.k},{self.l}"
         return "table:" + ",".join(f"{p}={v!r}" for p, v in self.table)
 
 
@@ -218,15 +221,13 @@ class SeriesSpec:
         if cps and cps[0] < 1:
             raise ValueError(f"checkpoints must be >= 1: {cps}")
 
-    @property
+    @cached_property
     def prime_weight(self) -> PrimeWeight:
-        """f read at the prime factor: the explicit weight, else the
-        (k, l) class indicator, else 1."""
-        if self.weight is not None:
-            return self.weight
+        """f read at the prime factor: the (k, l) class indicator, else
+        the explicit weight, else 1; cached, as a weight validates."""
         if self.k is not None:
-            return PrimeWeight.residue_class(self.k, self.l)
-        return PrimeWeight.constant_one()
+            return ResidueWeight(self.k, self.l)
+        return self.weight or OneWeight()
 
     @cached_property
     def target(self) -> float | None:
@@ -697,17 +698,17 @@ def _lpf_units(t: SpfTable, spec: SeriesSpec):
 
 
 def _trial_factors(k: int) -> list[tuple[int, int]]:
-    """(prime, exponent) pairs of k by trial division, so that no target
-    needs the table (k and m are at most MAX_LIMIT)."""
-    out, d = [], 2
-    while d * d <= k:
-        if k % d == 0:
-            e = 0
-            while k % d == 0:
-                k //= d
-                e += 1
-            out.append((d, e))
-        d += 1
+    """(prime, exponent) pairs of k in [1, MAX_LIMIT], ascending, so that
+    no target needs the table.  What is left once the primes up to
+    sqrt(k) < 2**16 that divide k are divided out is 1 or a prime."""
+    out = []
+    base = _SMALL_PRIMES[: np.searchsorted(_SMALL_PRIMES, isqrt(k), side="right")]
+    for p in base[k % base == 0].tolist():
+        e = 0
+        while k % p == 0:
+            k //= p
+            e += 1
+        out.append((p, e))
     if k > 1:
         out.append((k, 1))
     return out
@@ -897,10 +898,8 @@ def difference_term(
     # the d = 1 term of c_n(m) is mu(n), so the lhs column leaves it out
     divs = _divisors(_trial_factors(m))[1:]
     if exact:
-        # the power of two that makes every f value an integer
-        scale = max((Fraction(v).denominator for _, v in weight.table), default=1)
-        reduce = partial(_reduce_exact, spf, scale)
-        add, value = _add, partial(_exact_value, scale=scale)
+        reduce = partial(_reduce_exact, spf, weight.scale)
+        add, value = _add, partial(_exact_value, scale=weight.scale)
     else:
         reduce, add, value = _reduce, fsum, float
 

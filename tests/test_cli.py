@@ -27,7 +27,7 @@ from csumlab.cli import (
     parse_range,
     parse_weight,
 )
-from csumlab.series import SERIES_KINDS
+from csumlab.series import SERIES_KINDS, OneWeight, PrimeWeight, ResidueWeight, TableWeight
 from csumlab.sieve import build_spf_table, load_spf_table, save_spf_table
 
 from conftest import csum_totient
@@ -63,11 +63,10 @@ def test_parse_range():
 
 
 def test_parse_weight():
-    assert parse_weight("one").kind == "one"
-    w = parse_weight("residue:4,3")
-    assert (w.kind, w.k, w.l) == ("residue", 4, 3)
+    assert parse_weight("one") == OneWeight()
+    assert parse_weight("residue:4,3") == ResidueWeight(4, 3)
     wt = parse_weight("table:2=0.5,3=-0.25")
-    assert wt.table == ((2, 0.5), (3, -0.25))
+    assert wt == TableWeight(((2, 0.5), (3, -0.25)))
     with pytest.raises(UsageError):
         parse_weight("residue:4,2")  # not coprime
     with pytest.raises(UsageError):
@@ -75,6 +74,24 @@ def test_parse_weight():
     for bad in ("one:whatever", "one:", "one:4,3"):  # one takes no parameters
         with pytest.raises(UsageError):
             parse_weight(bad)
+
+
+def test_weight_describe_round_trips():
+    # describe() is the report's "# series ... weight=" token, and
+    # parse_weight reads every weight back from it
+    assert [w.describe() for w in (OneWeight(), ResidueWeight(4, 3), ResidueWeight(7, -2),
+                                   TableWeight(((2, 0.5), (3, -0.25))), TableWeight(()))] == [
+        "one", "residue:4,3", "residue:7,-2", "table:2=0.5,3=-0.25", "table:"]
+    near = [4294967291, 4294967279, 4294967231]  # the three largest primes below 2**32
+    weights = [PrimeWeight.constant_one()]
+    weights += [PrimeWeight.residue_class(k, l) for k in (1, 4, 2**32 - 1) for l in (1, -1, -7)]
+    weights += [PrimeWeight.from_table({2: 5e-324}),
+                PrimeWeight.from_table(dict(zip(near, (5e-324, -1e100, 0.1)))),
+                PrimeWeight.from_table({3: 0.1, 2: -1e100, near[0]: 1.0})]
+    assert weights[-2].describe() == (
+        "table:4294967231=0.1,4294967279=-1e+100,4294967291=5e-324")
+    for w in weights:
+        assert parse_weight(w.describe()) == w, w
 
 
 def test_parse_checkpoints_list_geometric_default():
@@ -381,11 +398,13 @@ def test_identity_weight_spec(capsys):
     )
     assert code == EXIT_OK
     capsys.readouterr()
-    # one takes no parameters
-    code = main(["identity", "--m", "6", "--x", "100", "--weight", "one:whatever"])
-    out, err = capsys.readouterr()
-    assert code == EXIT_USAGE
-    assert out == "" and len(err.splitlines()) == 1, err
+    # one takes no parameters, a residue class needs k and l, and the kind
+    # must be known
+    for spec in ("one:whatever", "residue:4", "gauss:1"):
+        code = main(["identity", "--m", "6", "--x", "100", "--weight", spec])
+        out, err = capsys.readouterr()
+        assert code == EXIT_USAGE, spec
+        assert out == "" and len(err.splitlines()) == 1, err
 
 
 def test_non_finite_weight_is_usage_error(capsys):

@@ -12,6 +12,7 @@ from csumlab import (
     SeriesSpec,
     build_report,
     emit_csv,
+    lpf_density,
     ramanujan_alladi_partial_sum,
     weighted_lhs,
 )
@@ -121,7 +122,14 @@ def test_weighted_series_without_target_renders(table_small):
     rep = build_report(series)
     buf = io.StringIO()
     emit_csv(rep, buf)
-    assert "table:2=0.5" in buf.getvalue()
+    assert "# series kind=weighted-lhs m=2 weight=table:2=0.5 checkpoints=100,1000\n" in (
+        buf.getvalue())
+    # the weight= token of the other kinds
+    for weight, line in ((PrimeWeight.residue_class(4, 3), "weight=residue:4,3 target=0.5"),
+                         (PrimeWeight.constant_one(), "weight=one target=1.0")):
+        buf = io.StringIO()
+        emit_csv(build_report(lpf_density(table_small, weight, [100])), buf)
+        assert f"# series kind=lpf-density {line} checkpoints=100\n" in buf.getvalue()
 
 
 def test_noise_floor_is_strictly_between_ulp_and_convergence_scale():

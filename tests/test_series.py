@@ -10,7 +10,7 @@ import math
 import os
 import time
 import tracemalloc
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, fields, is_dataclass, replace
 from fractions import Fraction
 from math import gcd
 
@@ -34,11 +34,12 @@ from csumlab import (
     run_series,
     weighted_lhs,
 )
-from csumlab.series import SERIES_KINDS
+from csumlab.series import SERIES_KINDS, OneWeight, ResidueWeight, TableWeight
 
 from conftest import (
     csum_totient,
     difference_sides_reference,
+    factorize_naive,
     lpf_naive,
     mu_naive,
     phi_naive,
@@ -62,10 +63,15 @@ def brute_sum(x, term):
     return total
 
 
+def weight_id(w: PrimeWeight) -> str:
+    """'one', 'residue' or 'table': the kind token of w.describe()."""
+    return w.describe().partition(":")[0]
+
+
 def weight_naive(w: PrimeWeight, p: int) -> Fraction:
-    if w.kind == "one":
+    if isinstance(w, OneWeight):
         return Fraction(1)
-    if w.kind == "residue":
+    if isinstance(w, ResidueWeight):
         return Fraction(1) if p % w.k == w.l % w.k else Fraction(0)
     for q, v in w.table:
         if q == p:
@@ -317,6 +323,15 @@ def test_spec_target_is_read_only():
         spec.target = 0.5
 
 
+def test_spec_prime_weight_is_built_once():
+    spec = SeriesSpec(kind="alladi", k=4, l=3, checkpoints=(100,))
+    assert spec.prime_weight is spec.prime_weight
+    assert spec.prime_weight == ResidueWeight(4, 3)
+    w = PrimeWeight.from_table({2: 0.5})
+    assert SeriesSpec(kind="lpf-density", weight=w, checkpoints=(10,)).prime_weight is w
+    assert SeriesSpec(kind="mu-baseline", checkpoints=(10,)).prime_weight == OneWeight()
+
+
 def target_cases():
     """(spec, expected target) covering every kind, k = 2**32 - 5 and m with
     mu(m) in {-1, 0, 1}."""
@@ -560,7 +575,7 @@ def test_inverse_matches_pow_up_to_2_32():
 
 
 @pytest.mark.parametrize("x", [2**15 + 1, 2**17 + 3])
-@pytest.mark.parametrize("weight", IDENTITY_WEIGHTS[::2], ids=lambda w: w.kind)
+@pytest.mark.parametrize("weight", IDENTITY_WEIGHTS[::2], ids=weight_id)
 def test_difference_exact_matches_lcm_reference(table_mid, x, weight):
     want = difference_sides_reference(table_mid.spf, 6, lambda p: weight_naive(weight, p), x)
     assert difference_term(table_mid, 6, weight, x, exact=True) == want
@@ -708,22 +723,29 @@ def test_table_weight_values_are_bounded():
 
 def test_prime_weight_validation():
     with pytest.raises(ValueError):
-        PrimeWeight(kind="???")
-    with pytest.raises(ValueError):
         PrimeWeight.residue_class(4, 2)
     with pytest.raises(ValueError):
         PrimeWeight.residue_class(2**32, 1)
-    # a kind takes only its own fields, and a residue class needs both
+    # one frozen class per kind, each holding only its own fields; the
+    # constructors build them, and PrimeWeight itself has no fields
+    assert type(PrimeWeight.constant_one()) is OneWeight
+    assert PrimeWeight.residue_class(4, 3) == ResidueWeight(4, 3)
+    assert PrimeWeight.from_table({3: 1.0, 2: 0.5}) == TableWeight(((2, 0.5), (3, 1.0)))
+    assert [[f.name for f in fields(c)] for c in (OneWeight, ResidueWeight, TableWeight)] == [
+        [], ["k", "l"], ["table"]]
+    assert not is_dataclass(PrimeWeight)
+    with pytest.raises(FrozenInstanceError):
+        PrimeWeight.residue_class(4, 3).k = 5
+    # a field a kind does not hold is a TypeError, and a residue class
+    # needs both k and l
     table = ((2, 1.0),)
-    for kind, fields, name in (("one", {"k": 5, "l": 1}, "k"), ("one", {"l": 0}, "l"),
-                               ("one", {"table": table}, "table"),
-                               ("residue", {"k": 4, "l": 3, "table": table}, "table"),
-                               ("table", {"k": 4, "table": table}, "k"), ("table", {"l": 1}, "l")):
-        with pytest.raises(ValueError, match=f"does not take {name}"):
-            PrimeWeight(kind=kind, **fields)
-    for fields in ({}, {"k": 4}, {"l": 3}):
-        with pytest.raises(ValueError):
-            PrimeWeight(kind="residue", **fields)
+    for make in (lambda: ResidueWeight(4), lambda: ResidueWeight(l=3), lambda: ResidueWeight(),
+                 lambda: ResidueWeight(4, 3, table=table), lambda: TableWeight(table=table, k=4),
+                 lambda: TableWeight(table, l=1), lambda: TableWeight(),
+                 lambda: OneWeight(k=5, l=1), lambda: OneWeight(table=table),
+                 lambda: PrimeWeight(kind="one")):
+        with pytest.raises(TypeError):
+            make()
     # at(primes) gives (support, f): f is None for the 0/1 weights and
     # support None where f is 1 everywhere
     primes = np.array([2, 5, 7, 11], dtype=np.uint32)
@@ -738,7 +760,7 @@ def test_prime_weight_validation():
         with pytest.raises(ValueError):
             PrimeWeight.from_table({key: 1.0})
     with pytest.raises(ValueError):
-        PrimeWeight(kind="table", table=((2, 0.5), (2, 0.7)))
+        TableWeight(((2, 0.5), (2, 0.7)))
     assert PrimeWeight.from_table({2**32 - 5: 1.0}).table == ((2**32 - 5, 1.0),)
     # the class mask is p = l (mod k) over the whole uint32 range, for any
     # k and for l negative or at least k
@@ -765,23 +787,34 @@ def test_prime_weight_validation():
     assert time.perf_counter() - t0 < 1.0
 
 
-def test_table_weight_lookup_paths_agree(monkeypatch):
-    # a table past _LOOP_KEYS takes the binary search; forcing either path
-    # gives the same support and values, with keys given out of order and
-    # slices holding 0, primes off the table and the largest key
+def test_table_weight_lookup_paths_agree():
+    # one binary search serves every table size: with 0 to 201 keys, given
+    # out of order or sorted, over a slice holding 0, primes off the table,
+    # the largest key 2**32 - 5 and 2**32 - 1, at() gives the dict's values
     rng = np.random.default_rng(33)
     primes = np.array(sieve._base_primes(2**16), dtype=np.uint32)
     keys = rng.choice(primes, 200, replace=False).tolist() + [2**32 - 5]
     values = rng.choice([0.5, -1.0, 0.0, 5e-324, -1e100], len(keys)).tolist()
-    table = tuple(zip(keys, values))  # unsorted on purpose
-    weight = PrimeWeight(kind="table", table=table)
     slice_ = np.concatenate([[0, 2**32 - 5, 2**32 - 1], rng.choice(primes, 5000)]).astype(np.uint32)
-    expected = np.array([dict(table).get(int(p), 0.0) for p in slice_])
-    for loop_keys in (0, series._LOOP_KEYS, len(keys)):
-        monkeypatch.setattr(series, "_LOOP_KEYS", loop_keys)
-        support, f = weight.at(slice_)
-        assert [float.hex(v) for v in f] == [float.hex(v) for v in expected], loop_keys
-        assert np.array_equal(support, expected != 0), loop_keys
+    for size in (0, 1, 4, 32, 33, 201):
+        table = tuple(zip(keys, values))[len(keys) - size :]  # unsorted on purpose
+        expected = np.array([dict(table).get(int(p), 0.0) for p in slice_])
+        for weight in (TableWeight(table), PrimeWeight.from_table(dict(table))):
+            support, f = weight.at(slice_)
+            assert [float.hex(v) for v in f] == [float.hex(v) for v in expected], size
+            assert support.dtype == bool and np.array_equal(support, expected != 0), size
+
+
+def test_trial_factors_match_naive():
+    # the small-prime factorizer against plain trial division, including
+    # a prime square past 2**31 and the largest k
+    rng = np.random.default_rng(16)
+    ns = [*range(1, 3001), *rng.integers(1, 2**32, 300).tolist(), 65521**2, 2**32 - 1,
+          2**32 - 5]
+    for n in ns:
+        got = series._trial_factors(n)
+        assert got == factorize_naive(n), n
+        assert all(type(p) is int and type(e) is int for p, e in got), n
 
 
 def is_prime_mr(n: int) -> bool:
@@ -920,7 +953,7 @@ REDUCE_WEIGHTS = (
 )
 
 
-@pytest.mark.parametrize("weight", REDUCE_WEIGHTS, ids=lambda w: w.kind)
+@pytest.mark.parametrize("weight", REDUCE_WEIGHTS, ids=weight_id)
 def test_reduce_matches_fsum_of_its_terms(weight):
     # kept counts around the exact sum's pieces, up to a whole chunk; every
     # unkept entry is zero in the column or off the weight's support
@@ -933,7 +966,7 @@ def test_reduce_matches_fsum_of_its_terms(weight):
         primes = rng.choice(np.array([3, 7, 11], dtype=np.uint32), size)
         off = rng.permutation(size)[kept:]
         col[off[: off.size // 2]] = 0
-        if weight.kind == "one":
+        if isinstance(weight, OneWeight):
             col[off] = 0
         else:
             primes[off[off.size // 2 :]] = 5
@@ -943,7 +976,7 @@ def test_reduce_matches_fsum_of_its_terms(weight):
         terms = col[keep].astype(np.float64) * f[keep] / n[keep]
         assert terms.size == kept
         got = series._reduce(col, primes, weight, lo)
-        assert float.hex(got) == float.hex(math.fsum(terms.tolist())), (weight.kind, kept)
+        assert float.hex(got) == float.hex(math.fsum(terms.tolist())), (weight_id(weight), kept)
 
 
 def test_reduce_builds_no_chunk_sized_float_array(table_big):

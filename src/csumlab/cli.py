@@ -111,7 +111,7 @@ def parse_range(text: str) -> tuple[int, int]:
 
 
 def parse_weight(text: str) -> PrimeWeight:
-    """'one' | 'residue:K,L' | 'table:P=V,P=V,...'."""
+    """'one' | 'residue:K,L' | 'table:P=V,P=V,...' ('table:' is the empty table)."""
     kind, sep, rest = text.partition(":")
     try:
         if kind == "one":
@@ -122,7 +122,7 @@ def parse_weight(text: str) -> PrimeWeight:
             k_s, _, l_s = rest.partition(",")
             return PrimeWeight.residue_class(parse_count(k_s), int(l_s))
         if kind == "table":
-            items = [item.partition("=") for item in rest.split(",")]
+            items = [item.partition("=") for item in rest.split(",")] if rest else []
             keys = [parse_count(p_s) for p_s, _, _ in items]
             if len(set(keys)) != len(keys):
                 raise UsageError(f"repeated prime in {keys}")

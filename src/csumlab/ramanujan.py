@@ -5,10 +5,19 @@ divisors d of gcd(n, m) with d**s dividing m; ramanujan_sum is its s = 1
 case (E. Cohen, "An extension of Ramanujan's sum", Duke Math. J. 1949).
 The defining exponential sum (cosines over residues coprime to n) is kept
 as a slow independent oracle.
+
+The oracle's data for a modulus n does not depend on m: the units q of
+Z/nZ in ascending order and the cosines cos(j * 2*pi/n) for j in [0, n).
+Every caller (csum --check-oracle, the acceptance sweep, the benchmark)
+walks m for one n before the next n, so the last modulus's two arrays
+are kept (_unit_circle, a one-entry cache) and a call only gathers
+cosines[q * m mod n].  The entry is read-only and holds at most 16 bytes
+per residue, about 16 MB at DIRECT_EVAL_CAP.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from math import fsum, gcd, pi
 
 import numpy as np
@@ -49,20 +58,30 @@ def ramanujan_sum_direct(n: int, m: int) -> int:
         raise ValueError(f"m must be >= 1, got {m}")
     if n == 1:
         return 1  # single q=1 term, e^0
-    q = np.arange(1, n + 1, dtype=np.int64)
-    coprime = np.gcd(q, n) == 1
-    phi_n = int(np.count_nonzero(coprime))
-    # q * (m mod n) < n**2 fits int64 for any m, and the angle keeps its
-    # residue mod n, so the cosine argument stays small
-    angles = (q[coprime] * (m % n)) % n
-    total = fsum((np.cos(angles * (2.0 * pi / n))).tolist())
+    units, cosines = _unit_circle(n)
+    # q * (m mod n) < n**2 fits int64 for any m, and its residue j mod n
+    # picks cos(2*pi*q*m/n) = cosines[j], whose argument stays below 2*pi
+    total = fsum(cosines[units * (m % n) % n].tolist())
     nearest = round(total)
-    if abs(total - nearest) > _RESIDUE_TOL * max(1, phi_n):
+    if abs(total - nearest) > _RESIDUE_TOL * max(1, units.size):
         raise ArithmeticError(
             f"direct Ramanujan sum unreliable at n={n}, m={m}: "
             f"rounding residue {abs(total - nearest):.3e}"
         )
     return int(nearest)
+
+
+@lru_cache(maxsize=1)
+def _unit_circle(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(units, cosines) of a modulus n >= 2, both read-only: the j in
+    [0, n) coprime to n, ascending (the q in [1, n] coprime to n, since
+    neither 0 nor n is), and cos(j * (2*pi/n)) for every j in [0, n)."""
+    j = np.arange(n, dtype=np.int64)
+    units = j[np.gcd(j, n) == 1]
+    cosines = np.cos(j * (2.0 * pi / n))
+    units.flags.writeable = False
+    cosines.flags.writeable = False
+    return units, cosines
 
 
 def generalized_ramanujan_sum(t: SpfTable, n: int, m: int, s: int = 1) -> int:

@@ -11,7 +11,7 @@ definitional ones before they are used as oracles.
 """
 
 from fractions import Fraction
-from math import gcd
+from math import fsum, gcd, pi
 
 import numpy as np
 import pytest
@@ -84,6 +84,23 @@ def csum_totient(n: int, m: int) -> int:
 def csum_divisor_naive(n: int, m: int) -> int:
     """c_n(m) straight from the divisor form, all parts trial division."""
     return sum(d * mu_naive(n // d) for d in divisors_naive(gcd(n, m)))
+
+
+def ramanujan_sum_direct_reference(n: int, m: int) -> int:
+    """c_n(m) from the exponential sum, rebuilding every array per call.
+
+    The oracle's body before it kept one modulus's units and cosines
+    between calls: the same cosine arguments, term order and fsum, so
+    the cached oracle must return the same integer for every (n, m).
+    """
+    if n == 1:
+        return 1
+    q = np.arange(1, n + 1, dtype=np.int64)
+    coprime = np.gcd(q, n) == 1
+    angles = (q[coprime] * (m % n)) % n
+    total = fsum((np.cos(angles * (2.0 * pi / n))).tolist())
+    assert abs(total - round(total)) <= 1e-6 * np.count_nonzero(coprime), (n, m)
+    return round(total)
 
 
 def primes_reference(limit: int) -> list[int]:

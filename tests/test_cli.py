@@ -17,6 +17,7 @@ import csumlab.cli as cli
 from csumlab.cli import (
     EXIT_IDENTITY,
     EXIT_OK,
+    EXIT_ORACLE,
     EXIT_TOLERANCE,
     EXIT_USAGE,
     VERIFY_KINDS,
@@ -27,6 +28,7 @@ from csumlab.cli import (
     parse_range,
     parse_weight,
 )
+from csumlab.ramanujan import ramanujan_sum_direct
 from csumlab.series import SERIES_KINDS, OneWeight, PrimeWeight, ResidueWeight, TableWeight
 from csumlab.sieve import build_spf_table, load_spf_table, save_spf_table
 
@@ -85,13 +87,23 @@ def test_weight_describe_round_trips():
     near = [4294967291, 4294967279, 4294967231]  # the three largest primes below 2**32
     weights = [PrimeWeight.constant_one()]
     weights += [PrimeWeight.residue_class(k, l) for k in (1, 4, 2**32 - 1) for l in (1, -1, -7)]
-    weights += [PrimeWeight.from_table({2: 5e-324}),
+    weights += [TableWeight(()), PrimeWeight.from_table({2: 5e-324}),
                 PrimeWeight.from_table(dict(zip(near, (5e-324, -1e100, 0.1)))),
                 PrimeWeight.from_table({3: 0.1, 2: -1e100, near[0]: 1.0})]
     assert weights[-2].describe() == (
         "table:4294967231=0.1,4294967279=-1e+100,4294967291=5e-324")
     for w in weights:
         assert parse_weight(w.describe()) == w, w
+
+
+def test_empty_table_weight_runs_as_zero(capsys):
+    # the weight a report prints as weight=table: is accepted back as a flag
+    code = main(["verify", "weighted-lhs", "--m", "6", "--weight", "table:", "--limit", "1e4"])
+    assert code == EXIT_OK
+    rows = [ln.split(",") for ln in capsys.readouterr().out.splitlines()[1:]
+            if not ln.startswith("#")]
+    assert [r[0] for r in rows] == ["10", "100", "1000", "10000"]
+    assert all(r[1] == "0" for r in rows), rows
 
 
 def test_parse_checkpoints_list_geometric_default():
@@ -179,6 +191,33 @@ def test_csum_range_matches_oracle(capsys):
         for line in capsys.readouterr().out.splitlines()[1:]:
             n, m_, c = (int(v) for v in line.split(","))
             assert c == csum_totient(n, m_)
+
+
+def test_csum_oracle_mismatch_exits_3(monkeypatch, tmp_path, capsys):
+    # an oracle wrong at one pair stops the run there: exit 3, one stderr
+    # line naming the pair, and no row for it or for any pair after it
+    def wrong_at_7_3(n, m):
+        return ramanujan_sum_direct(n, m) + ((n, m) == (7, 3))
+
+    monkeypatch.setattr(cli, "ramanujan_sum_direct", wrong_at_7_3)
+    out = tmp_path / "c.csv"
+    code = main(["csum", "--n", "1..10", "--m", "1..5", "--check-oracle", "--out", str(out)])
+    assert code == EXIT_ORACLE
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and "n=7, m=3" in err[0], err
+    rows = out.read_text().splitlines()
+    assert rows[0] == "n,m,c"
+    pairs = [(n, m) for n in range(1, 11) for m in range(1, 6)]
+    written = [tuple(int(v) for v in r.split(",")[:2]) for r in rows[1:]]
+    assert written == pairs[: pairs.index((7, 3))]
+
+
+def test_csum_check_oracle_leaves_output_unchanged(tmp_path):
+    plain, checked = tmp_path / "plain.csv", tmp_path / "checked.csv"
+    assert main(["csum", "--n", "1..60", "--m", "1..60", "--out", str(plain)]) == EXIT_OK
+    assert main(["csum", "--n", "1..60", "--m", "1..60", "--check-oracle",
+                 "--out", str(checked)]) == EXIT_OK
+    assert checked.read_bytes() == plain.read_bytes()
 
 
 def test_csum_generalized_power_weight(capsys):

@@ -16,8 +16,15 @@ from csumlab import (
     ramanujan_sum,
     ramanujan_sum_direct,
 )
+from csumlab.ramanujan import DIRECT_EVAL_CAP, _unit_circle
 
-from conftest import csum_divisor_naive, csum_totient, mu_naive, phi_naive
+from conftest import (
+    csum_divisor_naive,
+    csum_totient,
+    mu_naive,
+    phi_naive,
+    ramanujan_sum_direct_reference,
+)
 
 
 def test_totient_oracle_matches_divisor_definition():
@@ -49,6 +56,55 @@ def test_exponential_form_matches_totient_oracle(table_small):
     for m in (10**17, 2**63 - 1, 2**63, 10**30):
         for n in range(1, 201):
             assert ramanujan_sum_direct(n, m) == ramanujan_sum(table_small, n, m), (n, m)
+
+
+def test_exponential_form_matches_uncached_reference():
+    # the one-modulus table must not change an answer, whichever order the
+    # calls come in: n-major reuses the entry, m-major replaces it each call
+    grid = [(n, m) for n in range(1, 301) for m in range(1, 2 * n + 1)]
+    expected = {nm: ramanujan_sum_direct_reference(*nm) for nm in grid}
+    for n, m in grid:
+        assert ramanujan_sum_direct(n, m) == expected[n, m], (n, m)
+    for n, m in sorted(grid, key=lambda nm: (nm[1], nm[0])):
+        assert ramanujan_sum_direct(n, m) == expected[n, m], (n, m)
+    for m in (10**17, 2**63 - 1, 2**63, 10**30):
+        for n in range(1, 301):
+            assert ramanujan_sum_direct(n, m) == ramanujan_sum_direct_reference(n, m), (n, m)
+    assert _unit_circle.cache_info().currsize <= 1
+
+
+def test_exponential_form_refuses_before_touching_the_table():
+    ramanujan_sum_direct(12, 5)
+    before = _unit_circle.cache_info()
+    for n, m in ((0, 1), (DIRECT_EVAL_CAP + 1, 1), (7, 0)):
+        with pytest.raises(ValueError):
+            ramanujan_sum_direct(n, m)
+    assert _unit_circle.cache_info() == before
+
+
+def test_unit_circle_table_is_read_only():
+    ramanujan_sum_direct(12, 5)
+    units, cosines = _unit_circle(12)
+    assert units.tolist() == [1, 5, 7, 11] and cosines.size == 12
+    for arr in (units, cosines):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0] = 0
+
+
+def test_exponential_form_needs_no_divisor_form(monkeypatch):
+    # the oracle checks the divisor form, so it must answer without it
+    def refuse(*args, **kwargs):
+        raise AssertionError("the exponential-sum oracle used the divisor form")
+
+    for target in ("csumlab.ramanujan.generalized_ramanujan_sum", "csumlab.ramanujan.moebius",
+                   "csumlab.ramanujan.factorize", "csumlab.sieve.moebius",
+                   "csumlab.sieve.factorize"):
+        monkeypatch.setattr(target, refuse)
+    _unit_circle.cache_clear()
+    for n in range(1, 201):
+        for m in range(1, 201):
+            assert ramanujan_sum_direct(n, m) == csum_totient(n, m), (n, m)
 
 
 def test_reduces_to_moebius_at_m_equal_one(table_small):

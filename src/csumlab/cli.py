@@ -98,6 +98,11 @@ def parse_count(text: str) -> int:
         raise UsageError(f"cannot parse count: {text!r}") from None
 
 
+def parse_optional_count(text: str | None) -> int | None:
+    """parse_count, with None for a flag that was not given."""
+    return None if text is None else parse_count(text)
+
+
 def parse_range(text: str) -> tuple[int, int]:
     """'4' -> (4, 4); '1..200' -> (1, 200)."""
     if ".." in text:
@@ -120,7 +125,7 @@ def parse_weight(text: str) -> PrimeWeight:
             return PrimeWeight.constant_one()
         if kind == "residue":
             k_s, _, l_s = rest.partition(",")
-            return PrimeWeight.residue_class(parse_count(k_s), int(l_s))
+            return PrimeWeight.residue_class(parse_count(k_s), parse_count(l_s))
         if kind == "table":
             items = [item.partition("=") for item in rest.split(",")] if rest else []
             keys = [parse_count(p_s) for p_s, _, _ in items]
@@ -238,18 +243,21 @@ def cmd_sieve(args) -> int:
 def cmd_csum(args) -> int:
     n_lo, n_hi = parse_range(args.n)
     m_lo, m_hi = parse_range(args.m)
-    if args.s is not None and args.check_oracle:
+    s = parse_optional_count(args.s)
+    if s is not None and args.check_oracle:
         raise UsageError("--check-oracle applies to classical sums only (drop --s)")
-    if args.s is not None and args.s < 1:
-        raise UsageError(f"--s must be >= 1, got {args.s}")
+    if s is not None and s < 1:
+        raise UsageError(f"--s must be >= 1, got {s}")
+    if args.check_oracle and n_hi > DIRECT_EVAL_CAP:
+        raise UsageError(f"--check-oracle takes n <= {DIRECT_EVAL_CAP}, got n up to {n_hi}")
     t = obtain_table(max(n_hi, 2), args.cache)
     dest = open(args.out, "w", encoding="utf-8") if args.out else sys.stdout
     try:
         dest.write("n,m,c\n")
         for n in range(n_lo, n_hi + 1):
             for m in range(m_lo, m_hi + 1):
-                c = generalized_ramanujan_sum(t, n, m, args.s or 1)
-                if args.check_oracle and n <= DIRECT_EVAL_CAP:
+                c = generalized_ramanujan_sum(t, n, m, s or 1)
+                if args.check_oracle:
                     oracle = ramanujan_sum_direct(n, m)
                     if oracle != c:
                         print(
@@ -269,16 +277,9 @@ def _series_spec_from_args(args, checkpoints) -> SeriesSpec:
     """The spec the verify flags describe; SeriesSpec rejects a missing
     flag the kind requires and a flag it does not take."""
     weight = parse_weight(args.weight) if args.weight is not None else None
+    counts = {name: parse_optional_count(getattr(args, name)) for name in ("m", "k", "l", "y")}
     try:
-        return SeriesSpec(
-            kind=args.kind,
-            m=args.m,
-            k=args.k,
-            l=args.l,
-            y=args.y,
-            weight=weight,
-            checkpoints=checkpoints,
-        )
+        return SeriesSpec(kind=args.kind, weight=weight, checkpoints=checkpoints, **counts)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
 
@@ -328,7 +329,7 @@ def _int_digits_unlimited():
 
 
 def cmd_identity(args) -> int:
-    m = args.m
+    m = parse_count(args.m)
     x = parse_count(args.x)
     if not 1 <= m <= MAX_LIMIT or x < 1:
         raise UsageError(f"need 1 <= m <= {MAX_LIMIT} and x >= 1, got m={m}, x={x}")
@@ -383,10 +384,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("csum", help="print Ramanujan sums c_n(m) as CSV")
     p.add_argument("--n", required=True, help="n or range n1..n2")
     p.add_argument("--m", required=True, help="m or range m1..m2")
-    p.add_argument("--s", type=int, default=None,
+    p.add_argument("--s", default=None,
                    help="power-weight degree for the generalized sum")
     p.add_argument("--check-oracle", action="store_true",
-                   help="cross-check against the exponential-sum evaluation")
+                   help="cross-check against the exponential-sum evaluation "
+                        f"(needs n <= {DIRECT_EVAL_CAP})")
     p.add_argument("--out", default=None, help="write CSV here instead of stdout")
     common(p)
     p.set_defaults(fn=cmd_csum)
@@ -394,10 +396,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run a series and report convergence")
     p.add_argument("kind", choices=VERIFY_KINDS)
     p.add_argument("--limit", required=True, help="largest checkpoint / sieve limit")
-    p.add_argument("--m", type=int, default=None)
-    p.add_argument("--k", type=int, default=None, help="modulus")
-    p.add_argument("--l", type=int, default=None, help="residue, coprime to k")
-    p.add_argument("--y", type=int, default=None, help="smallest-prime threshold")
+    p.add_argument("--m", default=None)
+    p.add_argument("--k", default=None, help="modulus")
+    p.add_argument("--l", default=None, help="residue, coprime to k")
+    p.add_argument("--y", default=None, help="smallest-prime threshold")
     p.add_argument("--weight", default=None,
                    help="one | residue:K,L | table:P=V,... (weighted kinds)")
     p.add_argument("--checkpoints", default=None,
@@ -409,7 +411,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("identity", help="check the finite-x rearrangement identity")
-    p.add_argument("--m", type=int, required=True)
+    p.add_argument("--m", required=True)
     p.add_argument("--x", required=True, help="upper limit (1e5, 10^5, ...)")
     p.add_argument("--weight", default="one",
                    help="one | residue:K,L | table:P=V,... (default: one)")

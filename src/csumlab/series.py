@@ -23,24 +23,27 @@ unit and applies its combine step to each checkpoint's results.  A spec's
 target is a read-only property that asks its kind; every class target
 reads the density of the spec's prime weight.  Each weight kind is one
 frozen subclass of PrimeWeight that states its support, values, density
-and exact scale once.  The float kinds reduce every chunk through one
-term reducer, which takes an integer column that already carries the
-kind's sign and support, in the narrowest integer dtype that holds it,
-and reads f with one call, so the paper's sum -sum c_n(m) f(p(n))/n and
+and exact scale once.  Every kind but lpf-density sums one integer
+column: c * mu(n/d) summed over (stride d, coefficient c) pairs with
+d | n, in the narrowest integer dtype that holds it; the Ramanujan kinds
+pass (d, -d) over d | m, mu-mn (1, -mu(m)), the restricted kinds (1, 1).
+One unit builder zeroes the column off the kind's support, reads f with
+one call and reduces it, so the paper's sum -sum c_n(m) f(p(n))/n and
 its special cases (Alladi's and Dawsey's m = 1 series) share a single
-code path.  The reducer selects the kept terms of a chunk once, then
-converts, weights and divides them one _CACHE_BLOCK piece at a time,
-straight into the exact sum's buffer, so no chunk-sized array of float
-terms is built.
+code path.  The float reducer selects the kept terms of a chunk once,
+then converts, weights and divides them one _CACHE_BLOCK piece at a
+time, straight into the exact sum's buffer, so no chunk-sized array of
+float terms is built.
 
 The finite-x rearrangement identity (difference_term) builds its two sides
-from the same integer columns and runs them through the same driver.  Its
-float and exact modes differ only in the reducer and the combine step:
-both reducers read one term selection.  The exact one writes the sum of
-its terms a/n, every n <= x, as prime-power partial fractions
-z + sum_p r_p / p^e_p, with p^e_p the largest power of p among the
-denominators: it factors n through the table, takes each residue with a
-vectorized modular inverse and keeps every product inside int64 or
+with the same unit builder, from the pairs (d, d) over d | m, d > 1, and
+one (1, 1) column per such d read at p(d*n), and runs them through the
+same driver.  Its float and exact modes differ only in the reducer and
+the combine step: both reducers read one term selection.  The exact one
+writes the sum of its terms a/n, every n <= x, as prime-power partial
+fractions z + sum_p r_p / p^e_p, with p^e_p the largest power of p among
+the denominators: it factors n through the table, takes each residue with
+a vectorized modular inverse and keeps every product inside int64 or
 uint64.  Each unit returns one such sum, times the power of two that
 makes every f value an integer.  Units merge residue by residue, and each
 side becomes one Fraction at the end, from a product tree over the
@@ -299,18 +302,13 @@ def _drive(unit, checkpoints: tuple[int, ...], start: int = 2) -> list[list]:
     return [[results[cell] for cell in plan] for plan in plans]
 
 
-def _float_total(head: tuple[float, ...] = ()):
-    """Combine step of the float kinds: fsum of the head terms and unit sums."""
-    return lambda x, sums: (fsum([*head, *sums]), None)
-
-
 def _select(col: np.ndarray, primes: np.ndarray, weight: PrimeWeight):
     """The kept terms of a column: (indices, numerators, f values).
 
     col is an integer column in its stored dtype, zero off the kind's
-    support and already carrying the kind's sign.  An index is kept where
-    col != 0 and f(primes) != 0; the f values are None for the 0/1
-    weights, whose kept terms all have f = 1.
+    support and already carrying the kind's coefficients.  An index is
+    kept where col != 0 and f(primes) != 0; the f values are None for the
+    0/1 weights, whose kept terms all have f = 1.
     """
     support, fv = weight.at(primes)
     keep = col != 0
@@ -595,25 +593,46 @@ def _exact_value(sums: tuple, scale: int) -> Fraction:
     return _lowest_terms(num >> cut, den << (s - cut))
 
 
-def _c_column(mu: np.ndarray, divisors, lo: int, hi: int, sign: int) -> np.ndarray:
-    """sign * sum of d * mu(n / d) over the given divisors d dividing n, n in [lo, hi).
+def _column(mu: np.ndarray, terms, lo: int, hi: int) -> np.ndarray:
+    """The sum of c * mu(n / d) over the (d, c) in terms with d | n, for n in [lo, hi).
 
-    With every divisor of m this is c_n(m); leaving out d = 1 gives
-    c_n(m) - mu(n) with no cancellation.  Each divisor adds one contiguous
-    mu slice at stride d (n = d*j walks j0..j1) with coefficient sign * d.
-    The column has the narrowest signed dtype that holds +-sum(divisors),
-    a bound on every entry, so no entry overflows (int8 for sigma(m) <= 127).
+    Each pair adds one contiguous mu slice at stride d (n = d*j walks
+    j0..j1) times c: (d, -d) over the divisors d of m gives -c_n(m), and
+    (1, 1) gives mu(n).  The column has the narrowest signed dtype that
+    holds +-sum |c|, a bound on every entry, so no entry overflows (int8
+    for sum |c| <= 127).
     """
-    dtype = np.min_scalar_type(-sum(divisors) - 1)
-    col = np.zeros(hi - lo, dtype=dtype)
-    for d in divisors:
+    dtype = np.min_scalar_type(-sum(abs(c) for _, c in terms) - 1)
+    if terms and terms[0][0] == 1:  # one array per chunk, not a zeroed one + a temporary
+        col, terms = np.multiply(mu[lo:hi], terms[0][1], dtype=dtype), terms[1:]
+    else:
+        col = np.zeros(hi - lo, dtype=dtype)
+    for d, c in terms:
         j0 = (lo + d - 1) // d
         j1 = (hi - 1) // d
         if j1 >= j0:
-            col[j0 * d - lo : j1 * d - lo + 1 : d] += np.multiply(
-                mu[j0 : j1 + 1], sign * d, dtype=dtype
-            )
+            col[j0 * d - lo : j1 * d - lo + 1 : d] += np.multiply(mu[j0 : j1 + 1], c, dtype=dtype)
     return col
+
+
+def _mu_units(t: SpfTable, weight: PrimeWeight, terms, support=None, head=(),
+              reduce=None, stride: int = 1):
+    """(unit, combine) of a sum over the column _column(mu, terms, lo, hi).
+
+    unit(lo, hi) builds the column, lets support(col, lo, hi) zero its
+    entries off the kind's support in place, and reduces it, _reduce when
+    reduce is None, with f read at p(stride * n).  combine(x, results)
+    is the fsum of the head terms and the unit results.
+    """
+    spf, mu, reduce = t.spf, t.mu_table(), reduce or _reduce
+
+    def unit(lo: int, hi: int):
+        col = _column(mu, terms, lo, hi)
+        if support is not None:
+            support(col, lo, hi)
+        return reduce(col, spf[stride * lo : stride * (hi - 1) + 1 : stride], weight, lo)
+
+    return unit, lambda x, sums: (fsum([*head, *sums]), None)
 
 
 # --- unit factories: (table, spec) -> (unit for the driver, combine step) ---
@@ -621,13 +640,8 @@ def _c_column(mu: np.ndarray, divisors, lo: int, hi: int, sign: int) -> np.ndarr
 
 def _weighted_units(t: SpfTable, spec: SeriesSpec):
     """-sum c_n(m) f(p(n)) / n; m defaults to 1, f to the spec's weight."""
-    spf, mu, weight = t.spf, t.mu_table(), spec.prime_weight
     divs = _divisors(_trial_factors(spec.m or 1))
-
-    def unit(lo: int, hi: int) -> float:
-        return _reduce(_c_column(mu, divs, lo, hi, -1), spf[lo:hi], weight, lo)
-
-    return unit, _float_total()
+    return _mu_units(t, spec.prime_weight, [(d, -d) for d in divs])
 
 
 def _mu_mn_units(t: SpfTable, spec: SeriesSpec):
@@ -637,45 +651,31 @@ def _mu_mn_units(t: SpfTable, spec: SeriesSpec):
     gcd(m, n) = 1 and 0 otherwise (a shared prime makes m*n non-squarefree).
     m is factored by trial division, so it need not lie in the table.
     """
-    mu_m = _mu_trial(spec.m)
-    if mu_m == 0:
-        return (lambda lo, hi: 0.0), _float_total()
-    spf, mu, weight = t.spf, t.mu_table(), spec.prime_weight
     m_primes = [p for p, _ in _trial_factors(spec.m)]
 
-    def unit(lo: int, hi: int) -> float:
-        col = -mu_m * mu[lo:hi]
+    def coprime_to_m(col: np.ndarray, lo: int, hi: int) -> None:
         for p in m_primes:
             col[(-lo) % p :: p] = 0  # the multiples of p in [lo, hi)
-        return _reduce(col, spf[lo:hi], weight, lo)
 
-    return unit, _float_total()
+    return _mu_units(t, spec.prime_weight, [(1, -_mu_trial(spec.m))], coprime_to_m)
 
 
 def _above(t: SpfTable, y: int):
-    """Support mask p(n) > y.  spf <= limit, so comparing against
-    min(y, limit) is the same test and keeps any y inside uint32."""
+    """Support p(n) > y, zeroing the column in place elsewhere; spf <= limit,
+    so the bar min(y, limit) is the same test and keeps any y in uint32."""
     bar = np.uint32(min(y, t.limit))
-    return lambda lo, hi: t.spf[lo:hi] > bar
+    return lambda col, lo, hi: np.multiply(col, t.spf[lo:hi] > bar, out=col)
 
 
 def _mertens_units(t: SpfTable, spec: SeriesSpec):
-    above, mu = _above(t, spec.y), t.mu_table()
-
-    def unit(lo: int, hi: int) -> int:
-        return int((mu[lo:hi] * above(lo, hi)).sum(dtype=np.int64))
-
-    # 1 is the n = 1 sentinel term
-    return unit, lambda x, sums: (float(1 + sum(sums)), None)
+    # 1 is the n = 1 sentinel term; |M(x, y)| < 2**53, so fsum adds the ints exactly
+    return _mu_units(t, spec.prime_weight, [(1, 1)], _above(t, spec.y), head=(1,),
+                     reduce=lambda col, primes, weight, lo: int(col.sum(dtype=np.int64)))
 
 
 def _mu_over_n_units(t: SpfTable, spec: SeriesSpec):
-    above, mu, spf, weight = _above(t, spec.y), t.mu_table(), t.spf, spec.prime_weight
-
-    def unit(lo: int, hi: int) -> float:
-        return _reduce(mu[lo:hi] * above(lo, hi), spf[lo:hi], weight, lo)
-
-    return unit, _float_total(head=(1.0,))  # 1.0 is the n = 1 sentinel term
+    # 1.0 is the n = 1 sentinel term
+    return _mu_units(t, spec.prime_weight, [(1, 1)], _above(t, spec.y), head=(1.0,))
 
 
 def _lpf_units(t: SpfTable, spec: SeriesSpec):
@@ -894,22 +894,19 @@ def difference_term(
         raise ValueError(f"m must be in [1, {MAX_LIMIT}], got {m}")
     if not 1 <= x <= t.limit:
         raise ValueError(f"x={x} outside table range [1, {t.limit}]")
-    spf, mu = t.spf, t.mu_table()
     # the d = 1 term of c_n(m) is mu(n), so the lhs column leaves it out
     divs = _divisors(_trial_factors(m))[1:]
     if exact:
-        reduce = partial(_reduce_exact, spf, weight.scale)
+        reduce = partial(_reduce_exact, t.spf, weight.scale)
         add, value = _add, partial(_exact_value, scale=weight.scale)
     else:
         reduce, add, value = _reduce, fsum, float
 
-    def lhs_unit(lo: int, hi: int):
-        return reduce(_c_column(mu, divs, lo, hi, 1), spf[lo:hi], weight, lo)
+    def side(terms, stride: int, top: int, start: int):
+        unit, _ = _mu_units(t, weight, terms, reduce=reduce, stride=stride)
+        return add(_drive(unit, (top,), start)[0])
 
-    def rhs_unit(d: int):
-        # n walks [lo, hi) and f reads p(d*n)
-        return lambda lo, hi: reduce(mu[lo:hi], spf[d * lo : d * (hi - 1) + 1 : d], weight, lo)
-
-    lhs = add(_drive(lhs_unit, (x,))[0])
-    rhs = add([add(_drive(rhs_unit(d), (x // d,), 1)[0]) for d in divs if x // d >= 1])
+    lhs = side([(d, d) for d in divs], 1, x, 2)
+    # one mu slice per divisor d > 1: n walks [1, x // d] and f reads p(d*n)
+    rhs = add([side([(1, 1)], d, x // d, 1) for d in divs if x // d >= 1])
     return value(lhs), value(rhs)

@@ -220,6 +220,31 @@ def test_csum_check_oracle_leaves_output_unchanged(tmp_path):
     assert checked.read_bytes() == plain.read_bytes()
 
 
+def test_csum_check_oracle_refused_past_cap(monkeypatch, tmp_path, capsys):
+    # every row the oracle cannot check is refused from the flags alone:
+    # exit 2 with no table, no CSV on stdout and no --out file
+    cap = cli.DIRECT_EVAL_CAP
+    real = cli.obtain_table
+
+    def no_table(*args):
+        raise AssertionError("table requested")
+
+    monkeypatch.setattr(cli, "obtain_table", no_table)
+    out = tmp_path / "c.csv"
+    for dest in ([], ["--out", str(out)]):
+        code = main(["csum", "--n", f"{cap}..{cap + 2}", "--m", "1", "--check-oracle", *dest])
+        assert code == EXIT_USAGE, dest
+        captured = capsys.readouterr()
+        assert captured.out == "" and str(cap) in captured.err, dest
+        assert not out.exists(), dest
+    monkeypatch.setattr(cli, "obtain_table", real)
+    assert main(["csum", "--n", f"{cap - 1}..{cap}", "--m", "1", "--check-oracle"]) == EXIT_OK
+    rows = capsys.readouterr().out.splitlines()[1:]
+    assert rows == [f"{n},1,{csum_totient(n, 1)}" for n in (cap - 1, cap)]
+    assert main(["csum", "--help"]) == EXIT_OK
+    assert str(cap) in capsys.readouterr().out
+
+
 def test_csum_generalized_power_weight(capsys):
     assert main(["csum", "--n", "2", "--m", "4", "--s", "2"]) == EXIT_OK
     assert capsys.readouterr().out.splitlines()[1] == "2,4,3"
@@ -285,6 +310,49 @@ def test_verify_threshold_beyond_uint32(capsys, kind):
     lines = capsys.readouterr().out.splitlines()[1:]
     values = [float(ln.split(",")[1]) for ln in lines if not ln.startswith("#")]
     assert values == [1.0] * 4
+
+
+def verify_rows(capsys, argv):
+    assert main(argv) == EXIT_OK, argv
+    return [ln for ln in capsys.readouterr().out.splitlines() if not ln.startswith("#")]
+
+
+def test_integer_flags_parse_as_counts(capsys):
+    # --m, --k, --l and --y of verify and identity read 1e3 and 10^3 as
+    # --x and --limit do; a negative --l is a residue like any other
+    base = ["--limit", "1e4", "--checkpoints", "10,1000,10000"]
+    for kind, plain, counts in (
+        ("ramanujan-alladi", ["--m", "1000", "--k", "1000", "--l", "3"],
+         ["--m", "1e3", "--k", "10^3", "--l", "3"]),
+        ("mertens-restricted", ["--y", "1000"], ["--y", "1e3"]),
+        ("mu-over-n-restricted", ["--y", "1000"], ["--y", "10^3"]),
+        ("alladi", ["--k", "4", "--l", "3"], ["--k", "4", "--l", "-1"]),
+    ):
+        want = verify_rows(capsys, ["verify", kind, *plain, *base])
+        assert verify_rows(capsys, ["verify", kind, *counts, *base]) == want, kind
+    sides = []
+    for m in ("1000", "1e3", "10^3"):
+        assert main(["identity", "--m", m, "--x", "1e4"]) == EXIT_OK, m
+        sides.append(capsys.readouterr().out)
+    assert sides[1] == sides[0] and sides[2] == sides[0]
+    assert main(["csum", "--n", "2", "--m", "4", "--s", "2e0"]) == EXIT_OK
+    assert capsys.readouterr().out.splitlines()[1] == "2,4,3"
+
+
+def test_integer_flags_refuse_garbage(capsys):
+    # a value that is no count is a usage error: exit 2, one stderr line
+    for argv in (
+        ["identity", "--m", "six", "--x", "1000"],
+        ["identity", "--m", "2.5", "--x", "1000"],
+        ["verify", "alladi", "--k", "4", "--l", "x3", "--limit", "1e3"],
+        ["verify", "alladi", "--k", "4e0.5", "--l", "1", "--limit", "1e3"],
+        ["verify", "ramanujan-alladi", "--m", "", "--k", "4", "--l", "1", "--limit", "1e3"],
+        ["verify", "mertens-restricted", "--y", "1e-3", "--limit", "1e3"],
+        ["csum", "--n", "2", "--m", "4", "--s", "two"],
+    ):
+        assert main(argv) == EXIT_USAGE, argv
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ") and len(err.splitlines()) == 1, argv
 
 
 def test_verify_tolerance_breach_exits_4(capsys):

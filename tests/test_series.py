@@ -42,6 +42,7 @@ from conftest import (
     factorize_naive,
     lpf_naive,
     mu_naive,
+    mu_reference,
     phi_naive,
     spf_naive,
 )
@@ -200,10 +201,17 @@ def test_mu_mn_bruteforce(table_small, monkeypatch, m):
         assert abs(r.value - brute_sum(r.x, term)) < EPS, r.x
 
 
-def test_mu_mn_squarefull_m_identically_zero(table_small):
-    s = mu_mn_partial_sum(table_small, 4, 3, 1, [10, 100, 1000, 10**4])
-    assert all(r.value == 0.0 for r in s.rows)
-    assert s.spec.target == 0.0
+def test_mu_mn_squarefull_m_identically_zero(table_small, monkeypatch):
+    # mu(m) = 0 gives an all-zero column in every unit; the rows must be
+    # +0.0, never -0.0, on the real grid and on 97-term chunks
+    cps = [1, 2, 10, 97, 100, 1000, 10**4]
+    for chunk in (series.CHUNK, 97):
+        monkeypatch.setattr(series, "CHUNK", chunk)
+        for m in (4, 12, 72):
+            for k, l in ((3, 1), (4, 3), (1, 0)):
+                s = mu_mn_partial_sum(table_small, m, k, l, cps)
+                assert [float.hex(r.value) for r in s.rows] == ["0x0.0p+0"] * len(cps), (m, k, l)
+                assert s.spec.target == 0.0
 
 
 def test_mu_mn_prime_m_past_table(table_small):
@@ -249,6 +257,35 @@ def test_mertens_sentinel_when_threshold_covers_range(table_small):
     for x in (1, 10, 1000):
         s = mertens_restricted(table_small, max(x, 5000), [x])
         assert s.rows[0].value == 1.0, x
+
+
+def test_mertens_rows_are_the_float_of_the_integer_sum(table_big, monkeypatch):
+    # each row is float(1 + sum of mu(n) over 2 <= n <= x with p(n) > y),
+    # bit for bit, across the chunk edges of the real grid and of 97-term
+    # chunks, and 1.0 where y >= x leaves only the n = 1 term
+    top = 2**21 + 5
+    mu, n = mu_reference(top).astype(np.int64), np.arange(top + 1)
+
+    def expected(y, cps):
+        kept = np.where(n >= 2, mu, 0)
+        for p in (q for q in range(2, y + 1) if spf_naive(q) == q):
+            kept[n % p == 0] = 0
+        totals = np.cumsum(kept)
+        return [float.hex(float(1 + int(totals[x]))) for x in cps]
+
+    def rows(y, cps):
+        return [float.hex(r.value) for r in mertens_restricted(table_big, y, cps).rows]
+
+    cps = [1, 2, 1000, 2**20 - 1, 2**20, 2**20 + 1, top]
+    for y in (1, 2, 7, 100):
+        assert rows(y, cps) == expected(y, cps), y
+    for x in cps:
+        for y in (x, x + 1, 10**8):
+            assert rows(y, [x]) == ["0x1.0000000000000p+0"], (x, y)
+    monkeypatch.setattr(series, "CHUNK", 97)
+    cps = [1, 96, 97, 98, 1000]
+    for y in (2, 7):
+        assert rows(y, cps) == expected(y, cps), y
 
 
 def test_mu_over_n_restricted_hand_case(table_small):
@@ -840,8 +877,9 @@ def is_prime_mr(n: int) -> bool:
 
 def test_c_column_dtype_edges():
     # divisor sums at the edges of int8, int16 and int32, and the divisors
-    # of the prime 2**32 - 5; each column must equal an int64 column built
-    # divisor by divisor, in the narrowest dtype that holds +-sum(divisors)
+    # of the prime 2**32 - 5, as the terms (d, +-d); each column must equal
+    # an int64 column built divisor by divisor, in the narrowest dtype that
+    # holds +-sum(divisors)
     cases = {
         (1, 126): np.int8,
         (1, 127): np.int16,
@@ -867,13 +905,78 @@ def test_c_column_dtype_edges():
                     for d in divisors:
                         hit = n % d == 0
                         ref[hit] += sign * d * mu[n[hit] // d].astype(np.int64)
-                    col = series._c_column(mu, list(divisors), lo, hi, sign)
+                    col = series._column(mu, [(d, sign * d) for d in divisors], lo, hi)
                     assert col.dtype == dtype, (divisors, col.dtype)
                     assert np.array_equal(col, ref), (divisors, lo, sign)
     # entries reach -sum(divisors) where every divisor divides n
     for divisors in ((1, 126), (1, 127), (1, 32766), (1, 32767)):
-        col = series._c_column(mus[0], list(divisors), chunk, chunk + 60_000, -1)
+        col = series._column(mus[0], [(d, -d) for d in divisors], chunk, chunk + 60_000)
         assert col.min() == -sum(divisors), divisors
+
+
+def column_naive(mu, terms, lo, hi):
+    return [sum(c * int(mu[n // d]) for d, c in terms if n % d == 0) for n in range(lo, hi)]
+
+
+def test_column_matches_naive_terms():
+    # random strides, repeated ones included, with coefficients of both
+    # signs, over a range across the chunk edge; each list also runs with a
+    # stride-1 pair first, which starts the column instead of a zeroed one
+    chunk = series.CHUNK
+    rng = np.random.default_rng(17)
+    mu = rng.integers(-1, 2, size=chunk + 2000).astype(np.int8)
+    lo, hi = chunk - 700, chunk + 700
+    for _ in range(20):
+        size = int(rng.integers(1, 8))
+        strides = rng.integers(2, 60, size=size).tolist()
+        coeffs = rng.integers(-300, 301, size=size).tolist()
+        for terms in (list(zip(strides, coeffs)), [(1, coeffs[0]), *zip(strides, coeffs)]):
+            col = series._column(mu, terms, lo, hi)
+            assert col.dtype == np.min_scalar_type(-sum(abs(c) for _, c in terms) - 1), terms
+            assert col.tolist() == column_naive(mu, terms, lo, hi), terms
+    assert series._column(mu, [], lo, hi).tolist() == [0] * (hi - lo)
+
+
+@pytest.mark.parametrize("terms,dtype", [
+    ([(1, 127)], np.int8),
+    ([(1, -100), (3, 27)], np.int8),
+    ([(1, 128)], np.int16),
+    ([(1, 100), (2, -28)], np.int16),
+    ([(1, -32767)], np.int16),
+    ([(1, 32000), (5, -767)], np.int16),
+    ([(1, 32768)], np.int32),
+    ([(1, -32000), (7, 768)], np.int32),
+])
+def test_column_dtype_holds_the_coefficient_sum(terms, dtype):
+    # the dtype is the narrowest that holds +-sum |c|; with the coefficients
+    # made one-signed, the entries where every stride divides n reach
+    # +sum |c| (mu = 1) and -sum |c| (mu = -1) without overflow
+    lo, hi = 2**20 - 50, 2**20 + 50
+    for mu in (np.ones(hi, dtype=np.int8), -np.ones(hi, dtype=np.int8)):
+        for ts in (terms, [(d, abs(c)) for d, c in terms]):
+            col = series._column(mu, ts, lo, hi)
+            assert col.dtype == dtype, ts
+            assert col.tolist() == column_naive(mu, ts, lo, hi), ts
+        reach = col.max() if mu[0] > 0 else -col.min()
+        assert reach == sum(c for _, c in ts), terms
+
+
+def test_every_mu_based_sum_builds_its_column_in_one_kernel(table_small, monkeypatch):
+    def refuse(*args):
+        raise RuntimeError("column built")
+
+    monkeypatch.setattr(series, "_column", refuse)
+    for kind in SERIES_KINDS:
+        params = dict(DISPATCH[kind][0])
+        spec = SeriesSpec(kind=kind, checkpoints=(100, 1000), **params)
+        if kind == "lpf-density":
+            assert len(run_series(table_small, spec).rows) == 2
+        else:
+            with pytest.raises(RuntimeError, match="column built"):
+                run_series(table_small, spec)
+    for exact in (False, True):
+        with pytest.raises(RuntimeError, match="column built"):
+            difference_term(table_small, 6, OneWeight(), 1000, exact=exact)
 
 
 # --- the exact chunk sum -----------------------------------------------------
@@ -983,7 +1086,7 @@ def test_reduce_builds_no_chunk_sized_float_array(table_big):
     # one mu-baseline chunk, 61% of its terms kept: the selection holds
     # about 5 MB of indices, and whole-chunk float64 terms would add 10 MB
     lo = 2 * series.CHUNK
-    col = series._c_column(table_big.mu_table(), [1], lo, lo + series.CHUNK, -1)
+    col = series._column(table_big.mu_table(), [(1, -1)], lo, lo + series.CHUNK)
     primes = table_big.spf[lo : lo + series.CHUNK]
     tracemalloc.start()
     try:

@@ -4,11 +4,12 @@ Every series here is conditionally convergent (or a counting ratio), so the
 summation order is part of its definition: terms are always accumulated in
 ascending n.  Evaluation is chunked; each chunk's float terms are summed
 exactly and rounded once, which is the value math.fsum gives, and chunk
-results are combined in ascending index order.  The exact sum splits the
-terms into limbs on power-of-two grids by float operations on pieces of
-_CACHE_BLOCK terms, each small enough to stay in cache (Rump, Ogita &
-Oishi, "Accurate floating-point summation, part I", 2008), so it builds no
-Python objects per term and releases the GIL.
+results are combined in ascending index order.  The exact sum walks a
+chunk in pieces of _PIECE indices and splits each piece's terms into limbs
+on power-of-two grids by float operations (Rump, Ogita & Oishi, "Accurate
+floating-point summation, part I", 2008); the limbs of any cut sum exactly,
+so it builds no Python objects per term, releases the GIL and gives the
+same value for any piece width.
 
 One cell schedule serves every run: a checkpoint x reads [start, x] cut on
 the fixed CHUNK grid, whole grid cells and then one last cell ending at x.
@@ -30,10 +31,9 @@ pass (d, -d) over d | m, mu-mn (1, -mu(m)), the restricted kinds (1, 1).
 One unit builder zeroes the column off the kind's support, reads f with
 one call and reduces it, so the paper's sum -sum c_n(m) f(p(n))/n and
 its special cases (Alladi's and Dawsey's m = 1 series) share a single
-code path.  The float reducer selects the kept terms of a chunk once,
-then converts, weights and divides them one _CACHE_BLOCK piece at a
-time, straight into the exact sum's buffer, so no chunk-sized array of
-float terms is built.
+code path.  The float reducer selects, converts, weights and divides the
+kept terms of one piece at a time, as lpf-density reads a table weight,
+so neither builds a chunk-sized selection or float array.
 
 The finite-x rearrangement identity (difference_term) builds its two sides
 with the same unit builder, from the pairs (d, d) over d | m, d > 1, and
@@ -62,11 +62,17 @@ from typing import Callable
 
 import numpy as np
 
-from .sieve import MAX_LIMIT, SpfTable, _CACHE_BLOCK, _base_primes, _divisors, _thread_map
+from .sieve import MAX_LIMIT, SpfTable, _base_primes, _divisors, _thread_map
 
 #: Terms per summation chunk.  Fixed so that chunk boundaries (and hence
 #: the exact floating-point result) never depend on thread scheduling.
 CHUNK = 1 << 20
+
+#: Indices per piece of a float sum, which selects and sums each piece in
+#: turn through three float64 buffers of this length.  warm-sweep-1e7
+#: solve_s medians (5 seeds, 2 CPUs): 2.07 s at 2^16, 1.54 s at 2^17 and
+#: 1.52 s at 2^18, whose larger buffers raised peak RSS 189 -> 200 MB.
+_PIECE = CHUNK // 8
 
 #: Largest |f(p)| of a table weight.  A term is at most sigma(m) < 2**35
 #: times |f(p)|, and a series sums at most 2**32 terms, so no term, chunk
@@ -318,30 +324,22 @@ def _select(col: np.ndarray, primes: np.ndarray, weight: PrimeWeight):
     return sel, col[sel], None if fv is None else fv[sel]
 
 
-def _exact_sum(p: np.ndarray) -> float:
-    """The exact sum of the float64 array p, rounded once, as math.fsum gives it.
-
-    p is left unchanged; it must be finite with max|p| < 2**1000.
-    """
-    return _block_sum(p.size, lambda a, b, out: p[a:b])
-
-
 def _block_sum(n: int, block: Callable[[int, int, np.ndarray], np.ndarray]) -> float:
     """The exact sum of the float64 terms block(a, b, out) over the pieces
     [a, b) of [0, n), rounded once, as math.fsum of all the terms gives it.
 
-    block returns the b - a terms of its piece, written into the scratch
-    array out or read from elsewhere.  Pieces hold _CACHE_BLOCK terms and
-    share three buffers allocated once per call, so a piece stays in cache
-    across the passes of _block_limbs and no piece allocates.  fsum of
+    block returns its piece's terms, at most b - a and possibly none, in
+    the scratch array out or elsewhere; pieces span _PIECE indices and
+    share three buffers allocated once per call.  Every term must be
+    finite with |term| < 2**(1023 - k), k as in _block_limbs.  fsum of
     every piece's limbs, each an exact float, is the correctly rounded
     value of the whole sum.
     """
-    out, q, r = np.empty((3, min(n, _CACHE_BLOCK)))
+    out, q, r = np.empty((3, min(n, _PIECE)))
     limbs = []
-    for a in range(0, n, _CACHE_BLOCK):
-        m = min(n - a, _CACHE_BLOCK)
-        _block_limbs(block(a, a + m, out[:m]), q[:m], r[:m], limbs)
+    for a in range(0, n, _PIECE):
+        p = block(a, min(n, a + _PIECE), out[: n - a])
+        _block_limbs(p, q[: p.size], r[: p.size], limbs)
     return fsum(limbs)
 
 
@@ -358,7 +356,7 @@ def _block_limbs(p: np.ndarray, q: np.ndarray, r: np.ndarray, limbs: list[float]
     alone.
     """
     k = (p.size + 1).bit_length()
-    while True:
+    while p.size:  # an empty piece appends no limb
         top = max(p.max(), -p.min())
         if top == 0:
             return
@@ -374,22 +372,22 @@ def _block_limbs(p: np.ndarray, q: np.ndarray, r: np.ndarray, limbs: list[float]
 def _reduce(col: np.ndarray, primes: np.ndarray, weight: PrimeWeight, lo: int) -> float:
     """fsum of col[i] * f(primes[i]) / (lo + i) over the kept terms.
 
-    The kept terms are converted to float64, weighted and divided one
-    piece at a time, straight into the exact sum's buffer, so no
-    chunk-sized array of float terms is built.  A sign carried in the
-    integer column rounds the same as negating each float term.
+    Each piece of the index range selects its kept terms and converts,
+    weights and divides them straight into the exact sum's buffer.  A
+    sign carried in the integer column rounds as negating each term does.
     """
-    sel, num, fv = _select(col, primes, weight)
-    sel += lo  # the kept n
 
     def terms(a: int, b: int, out: np.ndarray) -> np.ndarray:
-        np.copyto(out, num[a:b])
+        sel, num, fv = _select(col[a:b], primes[a:b], weight)
+        out = out[: sel.size]
+        np.copyto(out, num)
         if fv is not None:
-            out *= fv[a:b]
-        out /= sel[a:b]
+            out *= fv
+        sel += lo + a  # the kept n
+        out /= sel
         return out
 
-    return _block_sum(sel.size, terms)
+    return _block_sum(col.size, terms)
 
 
 # --- the exact reducer: sums as prime-power partial fractions ---------------
@@ -404,12 +402,12 @@ def _reduce(col: np.ndarray, primes: np.ndarray, weight: PrimeWeight, lo: int) -
 
 _EMPTY = np.zeros(0, dtype=np.int64)
 
-#: Terms per piece of the exact reducer.  Each term spreads over its few
-#: prime powers and a dozen int64 or float64 work arrays, so a piece is an
-#: eighth of _CACHE_BLOCK.  Over the twelve 1e5-term identity calls of the
-#: exact-oracle benchmark (2 CPUs), 2^12-term pieces peaked at 36.6 MB RSS
-#: and 2^15-term pieces at 48.9 MB, in the same time within noise.
-_EXACT_PIECE = _CACHE_BLOCK // 8
+#: Kept terms per piece of the exact reducer, which selects a whole chunk
+#: once; each term spreads over a dozen int64 or float64 work arrays.  Over
+#: the twelve 1e5-term identity calls of the exact-oracle benchmark (2 CPUs),
+#: 2^12-term pieces peaked at 36.6 MB RSS and 2^15-term pieces at 48.9 MB,
+#: in the same time within noise.
+_EXACT_PIECE = 1 << 12
 
 
 def _inverse(u: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -684,10 +682,11 @@ def _lpf_units(t: SpfTable, spec: SeriesSpec):
     indicator = weight.at(lpf[:0])[1] is None  # the 0/1 weights give no f values
 
     def unit(lo: int, hi: int):
-        support, fv = weight.at(lpf[lo:hi])
-        if fv is not None:
-            return _exact_sum(fv[support]), None
-        cnt = hi - lo if support is None else int(np.count_nonzero(support))
+        view = lpf[lo:hi]
+        if not indicator:  # sum each piece's supported f values, fv[support]
+            return _block_sum(view.size, lambda a, b, _: np.compress(*weight.at(view[a:b]))), None
+        support = weight.at(view)[0]
+        cnt = view.size if support is None else int(np.count_nonzero(support))
         return float(cnt), cnt
 
     def combine(x: int, parts):

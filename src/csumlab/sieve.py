@@ -70,9 +70,9 @@ MAX_LIMIT = 2**32 - 1
 #: Entries per sieve segment and per threaded unit of the mu/lpf derivation.
 _BLOCK = 1 << 20
 
-#: Entries per cache-sized piece, 256 KiB of float64.  The mu/lpf steps and
-#: the series reducer both walk their arrays in pieces of this length,
-#: through buffers allocated once per unit, so the temporaries stay in cache.
+#: Entries per cache-sized piece, 256 KiB of float64.  The mu/lpf steps
+#: walk their units in pieces of this length, through buffers allocated
+#: once per unit, so the temporaries stay in cache.
 _CACHE_BLOCK = 1 << 15
 
 #: Threads of every parallel step: one per CPU.
@@ -97,7 +97,7 @@ def _thread_map(fn: Callable, items: list) -> list:
         return list(pool.map(lambda item: fn(*item), items))
 
 
-@dataclass
+@dataclass(eq=False)
 class SpfTable:
     """Smallest prime factor of every integer in [2, limit].
 
@@ -108,14 +108,15 @@ class SpfTable:
             must never be read.  spf[n] == n exactly when n is prime.
 
     The array is frozen after construction and safe to share across
-    threads.  The lazy mu/lpf tables are pure functions of spf, so a
-    racy double build is harmless.
+    threads; a table equals only itself and hashes by identity.  The lazy
+    mu/lpf tables are pure functions of spf, so a racy double build is
+    harmless.
     """
 
     limit: int
     spf: np.ndarray
-    _mu: np.ndarray | None = field(default=None, repr=False, compare=False)
-    _lpf: np.ndarray | None = field(default=None, repr=False, compare=False)
+    _mu: np.ndarray | None = field(default=None, repr=False)
+    _lpf: np.ndarray | None = field(default=None, repr=False)
 
     def mu_table(self) -> np.ndarray:
         """Precomputed mu(n) for all n <= limit (int8); mu[0] = 0.

@@ -1004,19 +1004,19 @@ def exact_sum_cases():
     yield "tie", np.array([2.0**53, 1.0, 1.0 - 2.0**-53])
     yield "tie, reversed", np.array([1.0 - 2.0**-53, 1.0, 2.0**53])
     yield "tie to even", np.array([1.0, 2.0**-53, 2.0**-106])
-    # past two exact-sum blocks: huge, subnormal and ordinary terms, with
-    # exactly cancelling pairs that straddle each block boundary
-    block = series._CACHE_BLOCK
-    mixed = rng.choice([1e100, -1e100, 5e-324, -5e-324, 1.0, -0.1], size=100_000)
+    # past three pieces: huge, subnormal and ordinary terms, with exactly
+    # cancelling pairs that straddle each piece boundary
+    piece = series._PIECE
+    mixed = rng.choice([1e100, -1e100, 5e-324, -5e-324, 1.0, -0.1], size=3 * piece + 5000)
     mixed *= rng.integers(1, 1000, size=mixed.size)
-    for edge in (block, 2 * block, 3 * block):
+    for edge in (piece, 2 * piece, 3 * piece):
         pairs = rng.standard_normal(64) * 1e100
         mixed[edge - 64 : edge] = pairs
         mixed[edge : edge + 64] = -pairs[::-1]
-    yield "100000 mixed terms, pairs across blocks", mixed
+    yield "mixed terms, pairs across pieces", mixed
     huge = rng.standard_normal(50_000) * 2.0 ** rng.integers(300, 333, size=50_000)
     tiny = rng.integers(-50, 51, size=50_000) * 5e-324
-    yield "huge terms cancelling across blocks, subnormals left", np.concatenate(
+    yield "huge terms cancelling across pieces, subnormals left", np.concatenate(
         [huge, tiny, -rng.permutation(huge)]
     )
     for seed in range(20):
@@ -1029,14 +1029,37 @@ def exact_sum_cases():
 
 
 def test_exact_sum_matches_fsum():
+    # each case through _block_sum twice: pieces read straight from the
+    # array, and pieces that keep only their nonzero terms, copied into
+    # the scratch buffer, so that many pieces come back short or empty
+    def nonzero_terms(a):
+        def block(lo, hi, out):
+            piece = a[lo:hi][a[lo:hi] != 0]
+            np.copyto(out[: piece.size], piece)
+            return out[: piece.size]
+
+        return block
+
     for name, a in exact_sum_cases():
         before = a.copy()
-        got = series._exact_sum(a)
-        assert float.hex(got) == float.hex(fsum_reference(a)), name
+        want = float.hex(fsum_reference(a))
+        assert float.hex(series._block_sum(a.size, lambda lo, hi, out: a[lo:hi])) == want, name
+        assert float.hex(series._block_sum(a.size, nonzero_terms(a))) == want, name
         assert np.array_equal(a, before), name  # the input is left alone
     for bad in (np.nan, np.inf):
+        terms = np.array([1.0, bad])
         with pytest.raises(ValueError):
-            series._exact_sum(np.array([1.0, bad]))
+            series._block_sum(terms.size, lambda lo, hi, out: terms[lo:hi])
+
+
+def test_empty_pieces_add_no_limb():
+    limbs = []
+    series._block_limbs(np.zeros(0), np.zeros(0), np.zeros(0), limbs)
+    assert limbs == []
+    piece, terms = series._PIECE, np.array([0.1, -2.0**-60, 3.0])
+    got = series._block_sum(5 * piece, lambda lo, hi, out: terms if lo == 2 * piece else terms[:0])
+    assert float.hex(got) == float.hex(math.fsum(terms.tolist()))
+    assert series._block_sum(5 * piece, lambda lo, hi, out: terms[:0]) == 0.0
 
 
 def reduce_reference(col, primes, weight, lo):
@@ -1058,13 +1081,14 @@ REDUCE_WEIGHTS = (
 
 @pytest.mark.parametrize("weight", REDUCE_WEIGHTS, ids=weight_id)
 def test_reduce_matches_fsum_of_its_terms(weight):
-    # kept counts around the exact sum's pieces, up to a whole chunk; every
-    # unkept entry is zero in the column or off the weight's support
-    block, lo = series._CACHE_BLOCK, 5 * series.CHUNK + 17
+    # kept counts from none to a whole chunk over columns that run a few
+    # entries past a piece edge; every unkept entry is zero in the column
+    # or off the weight's support
+    piece, lo = series._PIECE, 5 * series.CHUNK + 17
     rng = np.random.default_rng(2024)
     f_at = {p: float(weight_naive(weight, p)) for p in (3, 5, 7, 11)}  # f(5) = 0 but for "one"
-    for kept in (0, 1, block, block + 1, series.CHUNK):
-        size = max(kept, 3 * block)
+    for kept in (0, 1, piece, piece + 1, series.CHUNK):
+        size = max(kept, 3 * piece + 5)
         col = rng.choice(np.array([-3, -1, 1, 2, 126], dtype=np.int8), size)
         primes = rng.choice(np.array([3, 7, 11], dtype=np.uint32), size)
         off = rng.permutation(size)[kept:]
@@ -1083,19 +1107,79 @@ def test_reduce_matches_fsum_of_its_terms(weight):
 
 
 def test_reduce_builds_no_chunk_sized_float_array(table_big):
-    # one mu-baseline chunk, 61% of its terms kept: the selection holds
-    # about 5 MB of indices, and whole-chunk float64 terms would add 10 MB
+    # one mu-baseline chunk, 61% of its terms kept: a whole-chunk selection
+    # would hold about 5 MB of indices, whole-chunk float64 terms 10 MB
+    # more and a table weight's f values 8 MB, while each piece of the
+    # index range selects only its own terms
     lo = 2 * series.CHUNK
     col = series._column(table_big.mu_table(), [(1, -1)], lo, lo + series.CHUNK)
     primes = table_big.spf[lo : lo + series.CHUNK]
-    tracemalloc.start()
-    try:
-        value = series._reduce(col, primes, PrimeWeight.constant_one(), lo)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert value == reduce_reference(col, primes, PrimeWeight.constant_one(), lo)
-    assert peak < 8 * 2**20, peak
+    for weight in REDUCE_WEIGHTS:
+        tracemalloc.start()
+        try:
+            value = series._reduce(col, primes, weight, lo)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert float.hex(value) == float.hex(reduce_reference(col, primes, weight, lo))
+        assert peak < 6 * 2**20, (weight_id(weight), peak)
+
+
+def float_rows(table, cps):
+    """float.hex and count of every row at cps: each kind once, twice
+    where it takes a weight (its DISPATCH weight and a table) or a
+    threshold (y = 5, and y = 10^5, whose pieces mostly keep no term),
+    and both float difference_term sides for m = 6 at each checkpoint."""
+    rows = {}
+    for kind in SERIES_KINDS:
+        params = dict(DISPATCH[kind][0])
+        variants = [params]
+        if "weight" in params:
+            variants = [params, {**params, "weight": TABLE_W}]
+        if "y" in params:
+            variants = [{**params, "y": y} for y in (5, 10**5)]
+        for i, p in enumerate(variants):
+            spec = SeriesSpec(kind=kind, checkpoints=cps, **p)
+            rows[kind, i] = [(float.hex(r.value), r.count) for r in run_series(table, spec).rows]
+    sides = [side for x in cps for side in difference_term(table, 6, TABLE_W, x)]
+    rows["difference"] = [float.hex(side) for side in sides]
+    return rows
+
+
+def test_float_sums_select_one_piece_at_a_time(table_big, monkeypatch):
+    # every float kind and both float difference_term sides over four
+    # chunks: no selection or table lookup may read more than one piece
+    seen = {"_select": [], "TableWeight.at": []}
+    select, table_at = series._select, TableWeight.at
+
+    def select_spy(col, primes, weight):
+        seen["_select"].append(col.size)
+        return select(col, primes, weight)
+
+    def table_at_spy(self, primes):
+        seen["TableWeight.at"].append(primes.size)
+        return table_at(self, primes)
+
+    monkeypatch.setattr(series, "_select", select_spy)
+    monkeypatch.setattr(TableWeight, "at", table_at_spy)
+    float_rows(table_big, (3 * 2**20 + 5,))
+    for name, sizes in seen.items():
+        assert sizes and max(sizes) <= series._PIECE, (name, max(sizes, default=None))
+
+
+def test_piece_width_never_changes_a_float_row(table_big, monkeypatch):
+    # the rows and identity sides at chunk edges stay those of the chosen
+    # width when pieces are cut at 97 or 2^15 indices instead
+    cps = (2**20 - 1, 2**20, 2**20 + 1, 3 * 2**20 + 5)
+    want = float_rows(table_big, cps)
+    for width in (97, 2**15):
+        monkeypatch.setattr(series, "_PIECE", width)
+        assert float_rows(table_big, cps) == want, width
+
+
+def block_sum_reference(n, block):
+    """_block_sum as math.fsum of the terms of one piece spanning [0, n)."""
+    return fsum_reference(block(0, n, np.empty(n)))
 
 
 def test_exact_sum_rows_match_fsum_reference(table_big, monkeypatch):
@@ -1119,6 +1203,7 @@ def test_exact_sum_rows_match_fsum_reference(table_big, monkeypatch):
         return rows
 
     fast = evaluate()
-    monkeypatch.setattr(series, "_exact_sum", fsum_reference)
+    monkeypatch.setattr(series, "_block_sum", block_sum_reference)
+    assert fast == evaluate()
     monkeypatch.setattr(series, "_reduce", reduce_reference)
     assert fast == evaluate()

@@ -61,6 +61,18 @@ def test_tiny_table_values():
     assert {n: int(t.spf[n]) for n in range(2, 11)} == expected
 
 
+def test_table_equals_only_itself_and_hashes():
+    # equality by identity: comparing the spf arrays field by field would
+    # ask numpy for the truth value of an elementwise comparison
+    t, u = build_spf_table(100), build_spf_table(100)
+    assert t == t
+    assert not t == u
+    assert t != u
+    assert {t, u, t} == {t, u}
+    assert hash(t) == hash(t)
+    assert {t: 1}[t] == 1
+
+
 def test_large_prime_and_composite_entries(table_mid):
     assert smallest_prime_factor(table_mid, 999983) == 999983  # prime
     assert largest_prime_factor(table_mid, 999966) == lpf_naive(999966)

@@ -40,16 +40,15 @@ with the same unit builder, from the pairs (d, d) over d | m, d > 1, and
 one (1, 1) column per such d read at p(d*n), and runs them through the
 same driver.  Its float and exact modes differ only in the reducer and
 the combine step: both reducers read one term selection.  The exact one
-writes the sum of its terms a/n, every n <= x, as prime-power partial
-fractions z + sum_p r_p / p^e_p, with p^e_p the largest power of p among
-the denominators: it factors n through the table, takes each residue with
-a vectorized modular inverse and keeps every product inside int64 or
-uint64.  Each unit returns one such sum, times the power of two that
-makes every f value an integer.  Units merge residue by residue, and each
-side becomes one Fraction at the end, from a product tree over the
-pairwise coprime prime powers, in lowest terms without a big-int gcd.  m
-is factored by trial division by the primes below 2**16, never through
-the table.
+fixes one lane per prime p <= x, with denominator q_p the largest power
+of p up to x, and writes the sum of its terms a/n as z + sum r_p / q_p,
+0 <= r_p < q_p: it factors n through the table and takes each residue
+with a vectorized modular inverse, inside int64 or uint64.  Each unit
+returns one such sum, times the power of two that makes every f value an
+integer; sums add lane by lane, and each side becomes one Fraction from a
+product tree over the pairwise coprime prime powers, in lowest terms
+without a big-int gcd.  m is factored by trial division by the primes
+below 2**16, never through the table.
 """
 
 from __future__ import annotations
@@ -392,22 +391,35 @@ def _reduce(col: np.ndarray, primes: np.ndarray, weight: PrimeWeight, lo: int) -
 
 # --- the exact reducer: sums as prime-power partial fractions ---------------
 #
-# A partial-fraction sum (z, p, q, r) stands for z + sum r[i] / q[i]: z is a
-# Python int, q[i] is a power of the prime p[i] below 2**32 and
-# 0 <= r[i] < q[i], all int64.  Once _add has merged it, p is ascending
-# with no repeats.  The reducer sums a unit's terms in this form, scaled
-# to integer weights, and the combine step merges units by their primes, so
-# the one Fraction of a side is built once, by _exact_value, with no big-int
-# gcd.
+# A partial-fraction sum (z, r) over the prime layout of one exact call,
+# _Lanes, stands for z + sum r[i] / q[i], z a Python int and r one int64
+# lane per prime with 0 <= r[i] < q[i], so equal values have equal lanes.
 
 _EMPTY = np.zeros(0, dtype=np.int64)
 
-#: Kept terms per piece of the exact reducer, which selects a whole chunk
-#: once; each term spreads over a dozen int64 or float64 work arrays.  Over
-#: the twelve 1e5-term identity calls of the exact-oracle benchmark (2 CPUs),
-#: 2^12-term pieces peaked at 36.6 MB RSS and 2^15-term pieces at 48.9 MB,
-#: in the same time within noise.
+#: Kept terms per piece of the exact reducer, which selects a whole chunk once;
+#: each term spreads over a dozen int64 or float64 work arrays.  The twelve
+#: 1e5-term identity calls of exact-oracle (2 CPUs, 3 runs) took 0.74-0.98 s
+#: at 37.0 MB peak RSS with 2^12-term pieces, 0.86-1.12 s at 49.7 MB with 2^15.
 _EXACT_PIECE = 1 << 12
+
+
+class _Lanes:
+    """The prime layout of one exact call over the table spf: the primes
+    p <= x ascending, q the largest power of each that is <= x, and rank,
+    an int32 array over [0, x] that maps a prime to its lane.  The primes
+    are found one CHUNK cell at a time, so no temporary spans [0, x]."""
+
+    def __init__(self, spf: np.ndarray, x: int):
+        found = (lo + np.flatnonzero(spf[lo:hi] == np.arange(lo, hi, dtype=spf.dtype))
+                 for lo, hi in _cells(2, x + 1))
+        self.spf, self.primes = spf, np.concatenate([_EMPTY, *found])
+        self.q, more = self.primes.copy(), np.flatnonzero(self.primes <= x // self.primes)
+        while more.size:
+            self.q[more] *= self.primes[more]
+            more = more[self.q[more] <= x // self.primes[more]]
+        self.rank = np.zeros(x + 1, dtype=np.int32)
+        self.rank[self.primes] = np.arange(self.primes.size, dtype=np.int32)
 
 
 def _inverse(u: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -439,15 +451,16 @@ def _inverse(u: np.ndarray, q: np.ndarray) -> np.ndarray:
     return out.astype(np.int64) % q
 
 
-def _piece_fractions(spf: np.ndarray, a: np.ndarray, n: np.ndarray):
-    """(z, p, q, r) with sum a/n = z + sum r/q, one triple per p**k || n.
+def _piece_fractions(lanes: _Lanes, a: np.ndarray, n: np.ndarray, acc: np.ndarray) -> int:
+    """The int z with sum a/n = z + sum r/q, after adding each r/q, one per
+    p**k || n, into p's lane of acc as r * (q_p / q) / q_p.
 
     Each n >= 1 is factored through spf.  For n = q * u with q = p**k and
     p not dividing u, r = a * u**-1 mod q; then a/n - sum r/q over the
     prime powers of n is the integer (a - sum r * u) / n, and r * u < n.
     The product a * u**-1 is taken in uint64, which holds it for q < 2**32.
     """
-    a = a.astype(np.int64)
+    a, spf = a.astype(np.int64), lanes.spf  # a copy: a - sum r * u goes into it
     at = np.flatnonzero(n > 1)  # spf[1] is not a prime
     rem, idx, ps, qs = n[at], [_EMPTY], [_EMPTY], [_EMPTY]
     while at.size:
@@ -469,76 +482,60 @@ def _piece_fractions(spf: np.ndarray, a: np.ndarray, n: np.ndarray):
     u64 = np.uint64
     r = (a[at] % q).astype(u64) * _inverse(u % q, q).astype(u64) % q.astype(u64)
     r = r.astype(np.int64)
-    s = np.zeros_like(a)
-    np.add.at(s, at, r * u)
-    return int(((a - s) // n).sum()), p, q, r
+    np.add.at(a, at, -r * u)
+    lane = lanes.rank[p]
+    np.add.at(acc, lane, r * (lanes.q[lane] // q))
+    return int((a // n).sum())
 
 
-def _add(sums: list) -> tuple:
-    """The merged partial-fraction sum of the partial-fraction sums in sums.
-
-    The triples of one prime are lifted to its largest modulus Q, as
-    r * (Q / q) < Q, and summed; the sum's quotient by Q moves into z and
-    its remainder is the residue.  A prime has fewer than 2**31 triples,
-    so no sum leaves int64.
-    """
-    z = sum(s[0] for s in sums)
-    p, q, r = (np.concatenate([_EMPTY, *(s[i] for s in sums)]) for i in (1, 2, 3))
-    o = np.argsort(p)
-    p, q, r = p[o], q[o], r[o]
-    head = np.flatnonzero(np.diff(p, prepend=0))
-    top = np.maximum.reduceat(q, head)
-    total = np.add.reduceat(r * (np.repeat(top, np.diff(head, append=p.size)) // q), head)
-    return z + int((total // top).sum()), p[head], top, total % top
+def _add(lanes: _Lanes, sums) -> tuple:
+    """The partial-fraction sum of the (z, r) pairs that the iterable sums
+    yields: their lanes, any int64 values whose totals stay in int64, are
+    added, and one carry moves each total's quotient by q into z."""
+    z, acc = 0, np.zeros(lanes.q.size, dtype=np.int64)
+    for s in sums:
+        z += s[0]
+        acc += s[1]
+    return z + int((acc // lanes.q).sum()), acc % lanes.q
 
 
-def _times(c: int, sums: tuple) -> tuple:
+def _times(lanes: _Lanes, c: int, sums: tuple) -> tuple:
     """c * sums for a Python int c of any size, by Horner's rule on the
-    31-bit digits of |c|: every step scales residues below 2**32 by at
-    most 2**31, so no product leaves int64, and moves the quotients into z."""
-
-    def scaled(d: int, z, p, q, r):
-        dr = r * d
-        return d * z + int((dr // q).sum()), p, q, dr % q
-
-    sign, mag = (1, c) if c >= 0 else (-1, -c)
-    digits = [mag >> s & (1 << 31) - 1 for s in range(0, mag.bit_length(), 31)] or [0]
-    acc = scaled(sign * digits[-1], *sums)
-    for d in reversed(digits[:-1]):
-        acc = _add([scaled(1 << 31, *acc), scaled(sign * d, *sums)])
+    30-bit digits of |c|: each step takes lanes below 2**32 into
+    (-2**62, 2**63), so none leaves int64, and carries once."""
+    z, r = sums
+    acc, sign, mag = (0, np.zeros_like(r)), (1 if c >= 0 else -1), abs(c)
+    for s in reversed(range(0, mag.bit_length(), 30)):
+        d = sign * (mag >> s & (1 << 30) - 1)
+        acc = _add(lanes, [((acc[0] << 30) + d * z, (acc[1] << 30) + d * r)])
     return acc
 
 
-def _partial_fractions(spf: np.ndarray, a: np.ndarray, n: np.ndarray) -> tuple:
-    """The merged partial-fraction sum of a/n over integer arrays a and n,
-    n >= 1 in the table, folded in one _EXACT_PIECE piece at a time so
-    that the temporaries stay bounded."""
-    acc = _add([])
-    for i in range(0, n.size, _EXACT_PIECE):
-        acc = _add([acc, _piece_fractions(spf, a[i : i + _EXACT_PIECE], n[i : i + _EXACT_PIECE])])
-    return acc
+def _partial_fractions(lanes: _Lanes, a: np.ndarray, n: np.ndarray) -> tuple:
+    """The partial-fraction sum of a/n over integer arrays a and n, n >= 1
+    in the table, factored one _EXACT_PIECE piece at a time so that the
+    temporaries stay bounded.  Each term adds less than 2**32 to a lane and
+    a unit has fewer than 2**31 terms, so one carry at the end suffices."""
+    acc = np.zeros(lanes.q.size, dtype=np.int64)
+    z = sum(_piece_fractions(lanes, a[i : i + _EXACT_PIECE], n[i : i + _EXACT_PIECE], acc)
+            for i in range(0, n.size, _EXACT_PIECE))
+    return _add(lanes, [(z, acc)])
 
 
-def _reduce_exact(spf: np.ndarray, scale: int, col: np.ndarray, primes: np.ndarray,
+def _reduce_exact(lanes: _Lanes, scale: int, col: np.ndarray, primes: np.ndarray,
                   weight: PrimeWeight, lo: int) -> tuple:
     """scale times the exact value of the sum _reduce rounds, from the same
-    selection, as one partial-fraction sum with n factored through spf.
-
-    scale is a power of two that makes every f value an integer.  Terms
-    are grouped by their f value (the 0/1 weights form one group with
-    f = 1, and take scale 1); each group's partial-fraction sum is
-    multiplied by the integer scale * f and the groups are merged.
-    """
+    selection, as one partial-fraction sum over lanes: the terms of each f
+    value (for the 0/1 weights, all with f = 1 and scale 1) are summed and
+    multiplied by the integer scale * f, scale being a power of two that
+    makes every f value an integer."""
     sel, a, fv = _select(col, primes, weight)
     n = sel + lo
     if fv is None:
-        return _partial_fractions(spf, a, n)
-    groups = []
-    for v in np.unique(fv):
-        f = Fraction(v)
-        groups.append(_times(f.numerator * (scale // f.denominator),
-                             _partial_fractions(spf, a[fv == v], n[fv == v])))
-    return _add(groups)
+        return _partial_fractions(lanes, a, n)
+    groups = ((Fraction(v), fv == v) for v in np.unique(fv))
+    return _add(lanes, (_times(lanes, f.numerator * (scale // f.denominator),
+                               _partial_fractions(lanes, a[k], n[k])) for f, k in groups))
 
 
 def _coprime_sum(pairs: list[tuple[int, int]]) -> tuple[int, int]:
@@ -567,18 +564,18 @@ def _lowest_terms(num: int, den: int) -> Fraction:
     return Fraction(num, den, _normalize=False)
 
 
-def _exact_value(sums: tuple, scale: int) -> Fraction:
-    """(z + sum r/q) / scale for a merged partial-fraction sum and a power
-    of two scale, as one Fraction in lowest terms.
+def _exact_value(lanes: _Lanes, sums: tuple, scale: int) -> Fraction:
+    """(z + sum r/q) / scale for a partial-fraction sum over lanes and a
+    power of two scale, as one Fraction in lowest terms.
 
     Stripping the factors of p from each r leaves every r/q in lowest
     terms with pairwise coprime q, so with N/D = sum r/q from a product
     tree, (N + z D) / D is in lowest terms too, and dividing it by scale
     cancels only powers of two.  No big-int gcd or division is taken.
     """
-    z, p, q, r = sums
-    keep = r != 0
-    p, q, r = p[keep], q[keep], r[keep]
+    z, r = sums
+    keep = np.flatnonzero(r)  # indexing copies, so the strip step leaves sums alone
+    p, q, r = lanes.primes[keep], lanes.q[keep], r[keep]
     hit = np.flatnonzero(r % p == 0)
     while hit.size:
         r[hit] //= p[hit]
@@ -896,8 +893,9 @@ def difference_term(
     # the d = 1 term of c_n(m) is mu(n), so the lhs column leaves it out
     divs = _divisors(_trial_factors(m))[1:]
     if exact:
-        reduce = partial(_reduce_exact, t.spf, weight.scale)
-        add, value = _add, partial(_exact_value, scale=weight.scale)
+        lanes = _Lanes(t.spf, x)
+        reduce = partial(_reduce_exact, lanes, weight.scale)
+        add, value = partial(_add, lanes), partial(_exact_value, lanes, scale=weight.scale)
     else:
         reduce, add, value = _reduce, fsum, float
 
@@ -908,4 +906,6 @@ def difference_term(
     lhs = side([(d, d) for d in divs], 1, x, 2)
     # one mu slice per divisor d > 1: n walks [1, x // d] and f reads p(d*n)
     rhs = add([side([(1, 1)], d, x // d, 1) for d in divs if x // d >= 1])
+    if exact:  # the value step reads no rank, so free its 4 bytes per n first
+        del lanes.rank
     return value(lhs), value(rhs)

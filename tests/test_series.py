@@ -501,8 +501,9 @@ def test_difference_identity_float_and_exact(table_small, m, weight):
 
 
 def test_difference_exact_across_chunks_and_threads(table_small, monkeypatch):
-    # 1000-term chunks split each side into several units; the exact
-    # combine must give the same Fractions for any thread count
+    # 1000-term chunks split each side into several units, and 7- or 97-term
+    # pieces split each unit; the exact combine must give the same Fractions
+    # as 2^12-term pieces of whole chunks, for any thread count
     x = 5000
     whole = {
         (m, i): difference_term(table_small, m, w, x, exact=True)
@@ -510,10 +511,12 @@ def test_difference_exact_across_chunks_and_threads(table_small, monkeypatch):
         for i, w in enumerate(IDENTITY_WEIGHTS)
     }
     monkeypatch.setattr(series, "CHUNK", 1000)
-    for threads in (1, 3):
+    for threads, piece in ((1, 7), (3, 97), (1, 1 << 12), (3, 1 << 12)):
         monkeypatch.setattr(sieve, "_THREADS", threads)
+        monkeypatch.setattr(series, "_EXACT_PIECE", piece)
         for (m, i), sides in whole.items():
-            assert difference_term(table_small, m, IDENTITY_WEIGHTS[i], x, exact=True) == sides
+            got = difference_term(table_small, m, IDENTITY_WEIGHTS[i], x, exact=True)
+            assert got == sides, (threads, piece)
 
 
 def test_difference_term_m_past_table(table_small):
@@ -562,10 +565,33 @@ def exact_reducer_batches(spf):
         yield f"random, {size} terms", a, rng.integers(1, limit + 1, size)
 
 
-def test_exact_reducer_matches_fraction_bruteforce(table_mid):
+@pytest.fixture(scope="module")
+def lanes_mid(table_mid):
+    return series._Lanes(table_mid.spf, table_mid.limit)
+
+
+@pytest.fixture
+def lane_rule(monkeypatch):
+    """Checks every sum that _partial_fractions, _add and _times return, also
+    inside other calls: an int z and one int64 lane per prime, 0 <= r < q."""
+
+    def checked(op):
+        def run(lanes, *args):
+            z, r = out = op(lanes, *args)
+            assert type(z) is int and r.dtype == np.int64 and r.shape == lanes.q.shape
+            assert np.all((r >= 0) & (r < lanes.q)), op.__name__
+            return out
+
+        return run
+
+    for name in ("_partial_fractions", "_add", "_times"):
+        monkeypatch.setattr(series, name, checked(getattr(series, name)))
+
+
+def test_exact_reducer_matches_fraction_bruteforce(table_mid, lanes_mid, lane_rule):
     spf = table_mid.spf
     for name, a, n in exact_reducer_batches(spf):
-        got = series._exact_value(series._partial_fractions(spf, a, n), 1)
+        got = series._exact_value(lanes_mid, series._partial_fractions(lanes_mid, a, n), 1)
         want = fraction_sum(a, n)
         # equal as normalized pairs, not only as values
         assert type(got) is Fraction, name
@@ -573,7 +599,7 @@ def test_exact_reducer_matches_fraction_bruteforce(table_mid):
         assert gcd(got.numerator, got.denominator) == 1, name
 
 
-def test_exact_reducer_scales_groups_by_any_float(table_mid):
+def test_exact_reducer_scales_groups_by_any_float(table_mid, lanes_mid, lane_rule):
     # every f is an integer over a power of two; huge and subnormal f make
     # that integer thousands of bits long
     spf, rng = table_mid.spf, np.random.default_rng(7)
@@ -592,10 +618,43 @@ def test_exact_reducer_scales_groups_by_any_float(table_mid):
         # the least scale that makes every f an integer, and a larger one
         least = max(Fraction(v).denominator for v in values)
         for scale in (least, least << 40):
-            sums = series._reduce_exact(spf, scale, col, primes, weight, lo)
-            got = series._exact_value(sums, scale)
+            sums = series._reduce_exact(lanes_mid, scale, col, primes, weight, lo)
+            got = series._exact_value(lanes_mid, sums, scale)
             assert (got.numerator, got.denominator) == (want.numerator, want.denominator), trial
-    assert series._exact_value(series._add([]), 2**1074) == 0
+    assert series._exact_value(lanes_mid, series._add(lanes_mid, []), 2**1074) == 0
+
+
+def same_lanes(s, t) -> bool:
+    return s[0] == t[0] and np.array_equal(s[1], t[1])
+
+
+def test_equal_values_have_equal_lanes(table_small, lane_rule, monkeypatch):
+    # every sum of a call has one lane per prime <= x, so two sums of one
+    # value agree lane by lane, with no r = 0 lane left over from a merge
+    spf = table_small.spf
+    lanes = series._Lanes(spf, table_small.limit)
+    rng = np.random.default_rng(11)
+    a, n = rng.integers(-99, 100, 3000), rng.integers(1, spf.size, 3000)
+    o = rng.permutation(n.size)
+    split = [series._partial_fractions(lanes, a[o[i:j]], n[o[i:j]])
+             for i, j in ((0, 7), (7, 1200), (1200, 3000))]
+    pairs = {
+        "1/2 + 1/2 and 1/1": (series._partial_fractions(lanes, np.int8([1, 1]), np.array([2, 2])),
+                              series._partial_fractions(lanes, np.int8([1]), np.array([1]))),
+        "a batch and its permuted split": (series._partial_fractions(lanes, a, n),
+                                           series._add(lanes, split)),
+    }
+    # the raw sides of difference_term, before they become Fractions
+    monkeypatch.setattr(series, "_exact_value", lambda lanes, sums, scale: sums)
+    for m, w in ((6, IDENTITY_WEIGHTS[0]), (30, IDENTITY_WEIGHTS[2])):
+        pairs[f"identity sides, m = {m}"] = difference_term(table_small, m, w, 5000, exact=True)
+    for name, (s, t) in pairs.items():
+        assert same_lanes(s, t), name
+        i = np.flatnonzero(s[1])[0] if s[1].any() else 0
+        r = s[1].copy()
+        r[i] += -1 if r[i] else 1  # stays in [0, q)
+        assert not same_lanes((s[0], r), t), name
+        assert not same_lanes((s[0] + 1, s[1]), t), name
 
 
 def test_inverse_matches_pow_up_to_2_32():

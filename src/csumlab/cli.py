@@ -338,11 +338,13 @@ def cmd_identity(args) -> int:
     t = obtain_table(max(x, 2), args.cache)
     lhs, rhs = difference_term(t, m, weight, x, exact=args.exact)
     if args.exact:
-        # sides of tens of thousands of digits: subtract them only on a breach
+        # sides of tens of thousands of digits: convert agreeing sides to
+        # decimal once, and subtract them only on a breach
         agree = lhs == rhs
         with _int_digits_unlimited():
-            print(f"lhs  = {lhs}")
-            print(f"rhs  = {rhs}")
+            text = str(lhs)
+            print(f"lhs  = {text}")
+            print(f"rhs  = {text if agree else rhs}")
             print(f"diff = {0 if agree else lhs - rhs}")
         if not agree:
             print("identity breach: sides differ in exact arithmetic", file=sys.stderr)

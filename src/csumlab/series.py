@@ -37,24 +37,28 @@ so neither builds a chunk-sized selection or float array.
 
 The finite-x rearrangement identity (difference_term) builds its two sides
 with the same unit builder, from the pairs (d, d) over d | m, d > 1, and
-one (1, 1) column per such d read at p(d*n), and runs them through the
-same driver.  Its float and exact modes differ only in the reducer and
-the combine step: both reducers read one term selection.  The exact one
-fixes one lane per prime p <= x, with denominator q_p the largest power
-of p up to x, and writes the sum of its terms a/n as z + sum r_p / q_p,
-0 <= r_p < q_p: it factors n through the table and takes each residue
-with a vectorized modular inverse, inside int64 or uint64.  Each unit
-returns one such sum, times the power of two that makes every f value an
-integer; sums add lane by lane, and each side becomes one Fraction from a
-product tree over the pairwise coprime prime powers, in lowest terms
-without a big-int gcd.  m is factored by trial division by the primes
-below 2**16, never through the table.
+one (1, 1) column per such d read at p(d*n), and maps each side's cells
+over the same threads, adding the cells' results in cell order as the
+threads finish them.  Its float and exact modes differ only in the
+reducer and the combine step: both reducers read one term selection.
+The exact one fixes one lane per prime p <= x, with denominator q_p the
+largest power of p up to x, and writes the sum of its terms a/n as
+z + sum r_p / q_p, 0 <= r_p < q_p: it factors n through the table and
+takes each residue with a modular inverse, inside int64 or uint64,
+gathered from a read-only table for the prime powers up to 2**10 and
+from a vectorized Euclid past them.  Each unit returns one such sum, times the power of two that makes
+every f value an integer; sums add lane by lane.  The form is canonical,
+so the two sides are equal exactly when their z and lanes are: then one
+Fraction serves both, and otherwise each side becomes its own.  A
+Fraction comes from a product tree over the pairwise coprime prime
+powers, in lowest terms without a big-int gcd.  m is factored by trial
+division by the primes below 2**16, never through the table.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import cache, cached_property, partial
 from fractions import Fraction
 from math import frexp, fsum, gcd, isfinite, isqrt, ldexp
 from typing import Callable
@@ -433,7 +437,9 @@ def _inverse(u: np.ndarray, q: np.ndarray) -> np.ndarray:
     at least 1 / r1 from one, and rounding moves it by less than
     2**-21 / r1.  A lane ends when its remainder r1 reaches 0; its next
     step divides by that 0, so from then on it holds inf or nan and is
-    never read again.
+    never read again.  A call runs as many steps as its slowest lane
+    needs, so the exact reducer calls it only for the prime powers past
+    _INVERSE_BOUND, and _inverse_table once for each one up to it.
     """
     r0, r1 = q.astype(np.float64), u.astype(np.float64)
     s0, s1 = np.zeros(q.size), np.ones(q.size)
@@ -449,6 +455,40 @@ def _inverse(u: np.ndarray, q: np.ndarray) -> np.ndarray:
             np.copyto(out, s0, where=ended)
             left -= np.count_nonzero(ended)
     return out.astype(np.int64) % q
+
+
+#: Prime powers q up to this bound take u**-1 mod q from _inverse_table.
+#: They are 82% of the lanes of the twelve 1e5 identity calls of
+#: exact-oracle, which took (2 CPUs, 3 runs) 0.56-0.62 s at 2^9, 0.48-0.59 s
+#: at 2^10 (87,760 entries, built in 21 ms) and 0.64-0.67 s at 2^11 (305k).
+_INVERSE_BOUND = 1 << 10
+
+
+@cache
+def _inverse_table() -> tuple[np.ndarray, np.ndarray]:
+    """(start, table), both read-only: table[start[q] + u] is u**-1 mod q
+    for every prime power q <= _INVERSE_BOUND and unit u of q, in uint16.
+
+    Built on the first exact call, once per process (a racy double build
+    only builds it twice), one modulus at a time through _inverse, so no
+    temporary spans the table.
+    """
+    powers = []
+    for p in _SMALL_PRIMES[_SMALL_PRIMES <= _INVERSE_BOUND].tolist():
+        q = p
+        while q <= _INVERSE_BOUND:
+            powers.append((p, q))
+            q *= p
+    start = np.zeros(_INVERSE_BOUND + 1, dtype=np.int64)
+    table = np.zeros(sum(q for _, q in powers), dtype=np.uint16)
+    at = 0
+    for p, q in powers:
+        u = np.arange(1, q, dtype=np.int64)
+        u = u[u % p != 0]
+        table[at + u] = _inverse(u, np.full(u.size, q))
+        start[q], at = at, at + q
+    start.flags.writeable = table.flags.writeable = False
+    return start, table
 
 
 def _piece_fractions(lanes: _Lanes, a: np.ndarray, n: np.ndarray, acc: np.ndarray) -> int:
@@ -479,8 +519,14 @@ def _piece_fractions(lanes: _Lanes, a: np.ndarray, n: np.ndarray, acc: np.ndarra
         at, rem = at[go], rem[go]
     at, p, q = np.concatenate(idx), np.concatenate(ps), np.concatenate(qs)
     u = n[at] // q
-    u64 = np.uint64
-    r = (a[at] % q).astype(u64) * _inverse(u % q, q).astype(u64) % q.astype(u64)
+    w, u64 = u % q, np.uint64
+    # one gather for every lane, then _inverse over the lanes past the
+    # table, whose gathered (clipped) entries are overwritten
+    start, table = _inverse_table()
+    inv = table.take(start[np.minimum(q, _INVERSE_BOUND)] + w, mode="clip").astype(u64)
+    big = np.flatnonzero(q > _INVERSE_BOUND)
+    inv[big] = _inverse(w[big], q[big])
+    r = (a[at] % q).astype(u64) * inv % q.astype(u64)
     r = r.astype(np.int64)
     np.add.at(a, at, -r * u)
     lane = lanes.rank[p]
@@ -538,22 +584,23 @@ def _reduce_exact(lanes: _Lanes, scale: int, col: np.ndarray, primes: np.ndarray
                                _partial_fractions(lanes, a[k], n[k])) for f, k in groups))
 
 
-def _coprime_sum(pairs: list[tuple[int, int]]) -> tuple[int, int]:
-    """(N, D) with N/D the sum of the fractions n/d given as (n, d) pairs
-    whose d are pairwise coprime, so that D is the product of every d.
+def _coprime_sum(nums: list[int], dens: list[int]) -> tuple[int, int]:
+    """(N, D) with N/D the sum of the fractions nums[i] / dens[i] whose
+    dens are pairwise coprime, so that D is the product of every den.
 
-    Pairs are merged by recursive halving, which keeps the big-int
-    products balanced; no gcd is taken.
+    Neighbours are merged by recursive halving, which keeps the big-int
+    products balanced; each level is two lists, with no tuple per
+    fraction, and no gcd is taken.
     """
-    if not pairs:
+    if not dens:
         return 0, 1
-    while len(pairs) > 1:
-        merged = [(n1 * d2 + n2 * d1, d1 * d2)
-                  for (n1, d1), (n2, d2) in zip(pairs[::2], pairs[1::2])]
-        if len(pairs) % 2:
-            merged.append(pairs[-1])
-        pairs = merged
-    return pairs[0]
+    while len(dens) > 1:
+        if len(dens) % 2:  # the odd fraction merges with 0/1 into itself
+            nums, dens = nums + [0], dens + [1]
+        nums, dens = ([n1 * d2 + n2 * d1
+                       for n1, d1, n2, d2 in zip(nums[::2], dens[::2], nums[1::2], dens[1::2])],
+                      [d1 * d2 for d1, d2 in zip(dens[::2], dens[1::2])])
+    return nums[0], dens[0]
 
 
 def _lowest_terms(num: int, den: int) -> Fraction:
@@ -581,7 +628,7 @@ def _exact_value(lanes: _Lanes, sums: tuple, scale: int) -> Fraction:
         r[hit] //= p[hit]
         q[hit] //= p[hit]
         hit = hit[r[hit] % p[hit] == 0]
-    num, den = _coprime_sum(list(zip(r.tolist(), q.tolist())))
+    num, den = _coprime_sum(r.tolist(), q.tolist())
     num += z * den
     s = scale.bit_length() - 1
     cut = min(s, (num & -num).bit_length() - 1) if num else s
@@ -894,18 +941,24 @@ def difference_term(
     divs = _divisors(_trial_factors(m))[1:]
     if exact:
         lanes = _Lanes(t.spf, x)
-        reduce = partial(_reduce_exact, lanes, weight.scale)
-        add, value = partial(_add, lanes), partial(_exact_value, lanes, scale=weight.scale)
+        reduce, add = partial(_reduce_exact, lanes, weight.scale), partial(_add, lanes)
     else:
-        reduce, add, value = _reduce, fsum, float
+        reduce, add = _reduce, fsum
 
     def side(terms, stride: int, top: int, start: int):
+        """The sum of one column over the cells of [start, top], each
+        added as its thread finishes it."""
         unit, _ = _mu_units(t, weight, terms, reduce=reduce, stride=stride)
-        return add(_drive(unit, (top,), start)[0])
+        return add(_thread_map(unit, _cells(start, top + 1)))
 
     lhs = side([(d, d) for d in divs], 1, x, 2)
     # one mu slice per divisor d > 1: n walks [1, x // d] and f reads p(d*n)
-    rhs = add([side([(1, 1)], d, x // d, 1) for d in divs if x // d >= 1])
-    if exact:  # the value step reads no rank, so free its 4 bytes per n first
-        del lanes.rank
+    rhs = add(side([(1, 1)], d, x // d, 1) for d in divs if x // d >= 1)
+    if not exact:
+        return lhs, rhs
+    del lanes.rank  # the value step reads no rank, so free its 4 bytes per n first
+    value = partial(_exact_value, lanes, scale=weight.scale)
+    if lhs[0] == rhs[0] and np.array_equal(lhs[1], rhs[1]):
+        both = value(lhs)  # sums are canonical, so equal lanes are one value: convert it once
+        return both, both
     return value(lhs), value(rhs)

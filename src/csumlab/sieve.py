@@ -60,7 +60,7 @@ import zlib
 from concurrent import futures
 from dataclasses import dataclass, field
 from math import isqrt
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -85,16 +85,21 @@ _ENTRY_WIDTH = 4
 _HEADER = struct.Struct("<4sIQBI")
 
 
-def _thread_map(fn: Callable, items: list) -> list:
-    """[fn(*item) for item in items], mapped over up to _THREADS threads.
+def _thread_map(fn: Callable, items: list) -> Iterator:
+    """fn(*item) for each item, mapped over up to _THREADS threads and
+    yielded in item order.  Nothing runs until the first result is asked
+    for, so a caller must consume it; one that folds each result as it
+    comes holds about one per thread.
 
-    A single item, or a single thread, runs in the calling thread.
+    A single item, or a single thread, runs in the calling thread, one
+    item per result asked for.
     """
     threads = min(_THREADS, len(items))
     if threads <= 1:
-        return [fn(*item) for item in items]
+        yield from (fn(*item) for item in items)
+        return
     with futures.ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(lambda item: fn(*item), items))
+        yield from pool.map(lambda item: fn(*item), items)
 
 
 @dataclass(eq=False)
@@ -201,7 +206,8 @@ def _derive(spf: np.ndarray, dtype, seed: tuple[int, int], step) -> np.ndarray:
     lo = 2
     while lo < n:
         hi = min(2 * lo, n)
-        _thread_map(step, [(spf, out, a, min(a + _BLOCK, hi)) for a in range(lo, hi, _BLOCK)])
+        units = [(spf, out, a, min(a + _BLOCK, hi)) for a in range(lo, hi, _BLOCK)]
+        list(_thread_map(step, units))
         lo = hi
     out.setflags(write=False)
     return out
@@ -254,7 +260,7 @@ def build_spf_table(limit: int) -> SpfTable:
     base = _base_primes(isqrt(limit))
     segments = [(spf, base, lo, min(lo + _BLOCK, limit + 1))
                 for lo in range(0, limit + 1, _BLOCK)]
-    _thread_map(_mark_segment, segments)
+    list(_thread_map(_mark_segment, segments))
     spf.setflags(write=False)
     return SpfTable(limit=limit, spf=spf)
 

@@ -10,6 +10,7 @@ import math
 import os
 import time
 import tracemalloc
+import weakref
 from dataclasses import FrozenInstanceError, fields, is_dataclass, replace
 from fractions import Fraction
 from math import gcd
@@ -668,6 +669,108 @@ def test_inverse_matches_pow_up_to_2_32():
         qs += [q] * len(near)
     got = series._inverse(np.array(us, dtype=np.int64), np.array(qs, dtype=np.int64))
     assert got.tolist() == [pow(u, -1, q) for u, q in zip(us, qs)]
+
+
+def test_inverse_table_matches_pow():
+    start, table = series._inverse_table()
+    assert table.dtype == np.uint16 and table.nbytes + start.nbytes <= 256 * 1024
+    assert not (start.flags.writeable or table.flags.writeable)
+    bound = series._INVERSE_BOUND
+    powers = [p**k for p in range(2, bound + 1) if spf_naive(p) == p
+              for k in range(1, bound.bit_length()) if p**k <= bound]
+    assert table.size == sum(powers)
+    for q in powers:
+        got = table[start[q] : start[q] + q].tolist()
+        assert got == [pow(w, -1, q) if gcd(w, q) == 1 else 0 for w in range(q)], q
+
+
+def test_piece_fractions_equal_past_the_inverse_table(table_mid, lanes_mid, monkeypatch):
+    # pieces whose n hold prime powers on both sides of the table's bound:
+    # 729 = 3^6 and 1024 = 2^10 inside it, the prime 1031 past it; with the
+    # bound at 1, every lane takes _inverse
+    series._inverse_table()  # built at the real bound
+    spf, rng = table_mid.spf, np.random.default_rng(2048)
+    moduli, real_inverse = [], series._inverse
+
+    def inverse(u, q):
+        moduli.append(q)
+        return real_inverse(u, q)
+
+    monkeypatch.setattr(series, "_inverse", inverse)
+    for trial in range(6):
+        q = rng.choice([729, 1024, 1031, 1021, 2, 3, 1], 3000)
+        n = q * rng.integers(1, (spf.size - 1) // 1031, q.size)
+        a = rng.integers(-(2**30), 2**30, n.size)
+        got = []
+        for bound in (2**10, 1):
+            monkeypatch.setattr(series, "_INVERSE_BOUND", bound)
+            moduli.clear()
+            acc = np.zeros(lanes_mid.q.size, dtype=np.int64)
+            got.append((series._piece_fractions(lanes_mid, a, n, acc), acc))
+            inverted = np.concatenate([np.zeros(0, dtype=np.int64), *moduli])
+            assert inverted.size and inverted.min() > bound, (trial, bound)
+        assert got[0][0] == got[1][0] and np.array_equal(got[0][1], got[1][1]), trial
+
+
+def test_agreeing_sides_are_converted_once(table_small, monkeypatch):
+    # the sides are compared lane by lane: one Fraction when they agree, and
+    # two, unequal, after one rhs lane or z moves by 1
+    x, lanes = 5000, series._Lanes(table_small.spf, 5000)
+    values, real_value, real_add = [], series._exact_value, series._add
+
+    def value(lanes, sums, scale):
+        values.append(scale)
+        return real_value(lanes, sums, scale)
+
+    added, nudge = [], {}
+
+    def add(lanes, sums):
+        out = real_add(lanes, sums)
+        added.append(out)
+        if len(added) == nudge.get("at"):  # the rhs: the last sum added
+            z, r = out
+            return nudge["change"](z, r.copy())
+        return out
+
+    monkeypatch.setattr(series, "_exact_value", value)
+    monkeypatch.setattr(series, "_add", add)
+    for w in (IDENTITY_WEIGHTS[0], IDENTITY_WEIGHTS[2]):
+        for log in (values, added, nudge):
+            log.clear()
+        lhs, rhs = difference_term(table_small, 30, w, x, exact=True)
+        assert lhs is rhs and len(values) == 1
+        i = int(np.flatnonzero(added[-1][1])[0])
+
+        def lane(z, r):
+            r[i] -= 1  # r[i] > 0, so it stays in [0, q)
+            return z, r
+
+        for change, moved in ((lane, -Fraction(1, int(lanes.q[i]))),
+                              (lambda z, r: (z + 1, r), Fraction(1))):
+            nudge.update(at=len(added), change=change)
+            values.clear()
+            added.clear()
+            got = difference_term(table_small, 30, w, x, exact=True)
+            assert len(values) == 2 and got[0] != got[1]
+            assert got == (lhs, lhs + moved / w.scale)
+
+
+def test_exact_side_folds_each_cell_as_it_finishes(table_small, monkeypatch):
+    # one thread runs each cell when the side asks for it, so a side holds
+    # its running total and at most two cells' lanes, not one per cell
+    monkeypatch.setattr(series, "CHUNK", 500)
+    monkeypatch.setattr(sieve, "_THREADS", 1)
+    held, most, real_reduce = [], [], series._reduce_exact
+
+    def reduce(*args):
+        out = real_reduce(*args)
+        held.append(weakref.ref(out[1]))
+        most.append(sum(ref() is not None for ref in held))
+        return out
+
+    monkeypatch.setattr(series, "_reduce_exact", reduce)
+    lhs, rhs = difference_term(table_small, 6, IDENTITY_WEIGHTS[0], 5000, exact=True)
+    assert lhs == rhs and len(held) > 10 and max(most) <= 2
 
 
 @pytest.mark.parametrize("x", [2**15 + 1, 2**17 + 3])

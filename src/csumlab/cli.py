@@ -44,7 +44,14 @@ from .series import (
     difference_term,
     run_series,
 )
-from .sieve import MAX_LIMIT, SpfTable, build_spf_table, load_spf_table, save_spf_table
+from .sieve import (
+    _CACHE_MAGIC,
+    MAX_LIMIT,
+    SpfTable,
+    build_spf_table,
+    load_spf_table,
+    save_spf_table,
+)
 
 CACHE_ENV = "CSUMLAB_CACHE_DIR"
 
@@ -196,8 +203,11 @@ def obtain_table(limit: int, cache: str | None) -> SpfTable:
 
     The path is --cache, or failing that CSUMLAB_CACHE_DIR/spf_<limit>.bin;
     no other file is read.  A file there that fails validation (damaged,
-    truncated, another format) or covers less than `limit` draws a warning
-    and is rebuilt and rewritten, so a cache file never blocks a run.
+    truncated, another cache version) or covers less than `limit` draws a
+    warning and is rebuilt and rewritten, so a cache file never blocks a
+    run.  Only a file that starts with the cache magic b"SPFT", or with a
+    shorter prefix of it, is rewritten: any other is left as it is, and
+    the run uses a fresh table.
     """
     _check_limit(limit)
     path = cache or _env_cache_path(limit)
@@ -205,6 +215,12 @@ def obtain_table(limit: int, cache: str | None) -> SpfTable:
         try:
             t = load_spf_table(path)
         except ValueError as exc:
+            with open(path, "rb") as fh:
+                ours = _CACHE_MAGIC.startswith(fh.read(len(_CACHE_MAGIC)))
+            if not ours:
+                print(f"warning: {exc}; using a fresh table and leaving {path} as it is",
+                      file=sys.stderr)
+                return build_spf_table(limit)
             print(f"warning: {exc}; rebuilding", file=sys.stderr)
         else:
             if t.limit >= limit:

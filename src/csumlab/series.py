@@ -12,11 +12,11 @@ so it builds no Python objects per term, releases the GIL and gives the
 same value for any piece width.
 
 One cell schedule serves every run: a checkpoint x reads [start, x] cut on
-the fixed CHUNK grid, whole grid cells and then one last cell ending at x.
-The checkpoint driver maps each distinct cell once over the sieve's threads
-and hands back each checkpoint's unit results in cell order.  A row is thus
-a function of its checkpoint alone, never of the other checkpoints or the
-thread count, so rows are bit-identical for any schedule and parallelism.
+the fixed CHUNK grid, whole cells and then one last cell ending at x.  The
+sieve's driver maps each distinct cell once over its threads and folds
+each checkpoint's unit results in cell order.  A row is thus a function of
+its checkpoint alone, never of the other checkpoints or the thread count,
+so rows are bit-identical for any schedule and parallelism.
 
 The kinds live in one registry, SERIES_KINDS: each maps to its required
 parameters, its target and a unit factory.  run_series drives the kind's
@@ -37,7 +37,7 @@ so neither builds a chunk-sized selection or float array.
 
 The finite-x rearrangement identity (difference_term) builds its two sides
 with the same unit builder, from the pairs (d, d) over d | m, d > 1, and
-one (1, 1) column per such d read at p(d*n), and maps each side's cells
+one (1, 1) column per such d read at p(d*n), and drives each side's cells
 over the same threads, adding the cells' results in cell order as the
 threads finish them.  Its float and exact modes differ only in the
 reducer and the combine step: both reducers read one term selection.
@@ -65,11 +65,7 @@ from typing import Callable
 
 import numpy as np
 
-from .sieve import MAX_LIMIT, SpfTable, _base_primes, _divisors, _thread_map
-
-#: Terms per summation chunk.  Fixed so that chunk boundaries (and hence
-#: the exact floating-point result) never depend on thread scheduling.
-CHUNK = 1 << 20
+from .sieve import CHUNK, MAX_LIMIT, SpfTable, _base_primes, _divisors, _drive
 
 #: Indices per piece of a float sum, which selects and sums each piece in
 #: turn through three float64 buffers of this length.  warm-sweep-1e7
@@ -281,34 +277,8 @@ class PartialSumSeries:
 
 
 # ---------------------------------------------------------------------------
-# evaluation engine: one reducer, one column builder, one checkpoint driver
+# evaluation engine: one reducer, one column builder, the sieve's driver
 # ---------------------------------------------------------------------------
-
-
-def _cells(start: int, top: int) -> list[tuple[int, int]]:
-    """[start, top) cut on the fixed CHUNK grid: whole grid cells, then a
-    last cell ending at top (empty when top <= start).
-
-    Every cell but the last is a grid cell, so the cells of one checkpoint
-    are a function of that checkpoint alone and shared by any schedule.
-    """
-    if top <= start:
-        return []
-    bounds = [start, *range((start // CHUNK + 1) * CHUNK, top, CHUNK), top]
-    return list(zip(bounds, bounds[1:]))
-
-
-def _drive(unit, checkpoints: tuple[int, ...], start: int = 2) -> list[list]:
-    """The unit results of each checkpoint x, in ascending cell order.
-
-    unit(lo, hi) reduces the half-open range [lo, hi); x reads the cells of
-    [start, x + 1).  Each distinct cell is mapped once over the sieve's
-    threads, however many checkpoints share it.
-    """
-    plans = [_cells(start, x + 1) for x in checkpoints]
-    cells = sorted({cell for plan in plans for cell in plan})
-    results = dict(zip(cells, _thread_map(unit, cells)))
-    return [[results[cell] for cell in plan] for plan in plans]
 
 
 def _select(col: np.ndarray, primes: np.ndarray, weight: PrimeWeight):
@@ -412,11 +382,11 @@ class _Lanes:
     """The prime layout of one exact call over the table spf: the primes
     p <= x ascending, q the largest power of each that is <= x, and rank,
     an int32 array over [0, x] that maps a prime to its lane.  The primes
-    are found one CHUNK cell at a time, so no temporary spans [0, x]."""
+    are found cell by cell by the driver, so no temporary spans [0, x]."""
 
     def __init__(self, spf: np.ndarray, x: int):
-        found = (lo + np.flatnonzero(spf[lo:hi] == np.arange(lo, hi, dtype=spf.dtype))
-                 for lo, hi in _cells(2, x + 1))
+        found = _drive(lambda lo, hi: lo + np.flatnonzero(
+            spf[lo:hi] == np.arange(lo, hi, dtype=spf.dtype)), (x,))[0]
         self.spf, self.primes = spf, np.concatenate([_EMPTY, *found])
         self.q, more = self.primes.copy(), np.flatnonzero(self.primes <= x // self.primes)
         while more.size:
@@ -426,35 +396,52 @@ class _Lanes:
         self.rank[self.primes] = np.arange(self.primes.size, dtype=np.int32)
 
 
+#: Most division steps Euclid takes on (q, u) with 0 < u < q < 2**32: by
+#: Lame's theorem, n steps need q >= F(n + 2), and F(47) < 2**32 < F(48).
+_EUCLID_STEPS = 45
+
+
 def _inverse(u: np.ndarray, q: np.ndarray) -> np.ndarray:
     """u**-1 mod q for int64 arrays with gcd(u, q) = 1 and 0 < u < q < 2**32.
 
-    Extended Euclid in float64, on every lane until each has ended.
-    Remainders, quotients, their products with a remainder or a Bezout
-    coefficient, and the coefficients themselves are integers of
-    magnitude at most q, so float64 holds each exactly.  The quotient
-    floor(r0 / r1) is exact too: when r0 / r1 is not an integer it lies
-    at least 1 / r1 from one, and rounding moves it by less than
-    2**-21 / r1.  A lane ends when its remainder r1 reaches 0; its next
-    step divides by that 0, so from then on it holds inf or nan and is
-    never read again.  A call runs as many steps as its slowest lane
-    needs, so the exact reducer calls it only for the prime powers past
-    _INVERSE_BOUND, and _inverse_table once for each one up to it.
+    Extended Euclid in float64, on every lane until each has ended, for at
+    most _EUCLID_STEPS steps.  Remainders, quotients, their products with
+    a remainder or a Bezout coefficient, and the coefficients themselves
+    are integers of magnitude at most q, so float64 holds each exactly.
+    The quotient floor(r0 / r1) is exact too: when r0 / r1 is not an
+    integer it lies at least 1 / r1 from one, and rounding moves it by
+    less than 2**-21 / r1.  A lane ends when its remainder r1 reaches 0,
+    with r0 the gcd and s0 * u = r0 (mod q); its next step divides by that
+    0, so from then on it holds inf or nan and is never read again.  A
+    call runs as many steps as its slowest lane needs, so the exact
+    reducer calls it only for the prime powers past _INVERSE_BOUND, and
+    _inverse_table once for each one up to it.
+
+    Raises:
+        ValueError: a lane never ends (u = 0) or its s0 * u is not 1 mod q
+            (a gcd above 1).
     """
     r0, r1 = q.astype(np.float64), u.astype(np.float64)
     s0, s1 = np.zeros(q.size), np.ones(q.size)
     out, t, ended = np.empty(q.size), np.empty(q.size), np.empty(q.size, dtype=bool)
     left = q.size
     with np.errstate(divide="ignore", invalid="ignore"):
-        while left:
+        for _ in range(_EUCLID_STEPS):
+            if not left:
+                break
             np.floor(np.divide(r0, r1, out=t), out=t)
             r0 -= t * r1
             s0 -= t * s1
             r0, r1, s0, s1 = r1, r0, s1, s0
-            np.equal(r1, 0, out=ended)  # r0 is the gcd 1, and s0 * u = 1 (mod q)
+            np.equal(r1, 0, out=ended)  # r0 is the gcd, and s0 * u = r0 (mod q)
             np.copyto(out, s0, where=ended)
             left -= np.count_nonzero(ended)
-    return out.astype(np.int64) % q
+    if left:  # u = 0 ends no lane
+        raise ValueError("cannot invert a non-unit modulo its q")
+    inv = out.astype(np.int64) % q
+    if np.any(inv.astype(np.uint64) * u.astype(np.uint64) % q.astype(np.uint64) != 1):  # gcd > 1
+        raise ValueError("cannot invert a non-unit modulo its q")
+    return inv
 
 
 #: Prime powers q up to this bound take u**-1 mod q from _inverse_table.
@@ -946,14 +933,14 @@ def difference_term(
         reduce, add = _reduce, fsum
 
     def side(terms, stride: int, top: int, start: int):
-        """The sum of one column over the cells of [start, top], each
-        added as its thread finishes it."""
+        """The sum of one column over [start, top], each cell added as
+        its thread finishes it; an empty range is the empty sum."""
         unit, _ = _mu_units(t, weight, terms, reduce=reduce, stride=stride)
-        return add(_thread_map(unit, _cells(start, top + 1)))
+        return _drive(unit, (top,), start, add)[0]
 
     lhs = side([(d, d) for d in divs], 1, x, 2)
     # one mu slice per divisor d > 1: n walks [1, x // d] and f reads p(d*n)
-    rhs = add(side([(1, 1)], d, x // d, 1) for d in divs if x // d >= 1)
+    rhs = add(side([(1, 1)], d, x // d, 1) for d in divs)
     if not exact:
         return lhs, rhs
     del lanes.rank  # the value step reads no rank, so free its 4 bytes per n first

@@ -10,7 +10,7 @@ list, for the table's factorizations and for trial-division ones alike.
 The sieve walks the base primes p <= sqrt(limit) in descending order and
 stores p at every multiple from p*p on, so the smallest prime is written
 last and wins; entries left at 0 are primes and get themselves.  It marks
-segments of _BLOCK entries.
+the cells of [0, limit] on the CHUNK grid.
 
 The bulk mu and largest-prime-factor tables come from spf alone, by the
 cofactor recurrence of the linear sieve (Gries & Misra, CACM 1978).  With
@@ -29,16 +29,16 @@ the 4-byte spf(q).
 
 The recurrence runs over doubling blocks [lo, hi) with hi <= 2*lo.  Every
 cofactor of a block is below lo, so it is already filled, and the block is
-one vectorised pass.  Its units of at most _BLOCK entries are mapped over
-threads, and each unit runs its step on pieces of _CACHE_BLOCK entries,
-whose float64 temporaries (256 KiB buffers, allocated once per unit) stay
-in cache.
+one vectorised pass.  Its units, the block's cells on the CHUNK grid, are
+mapped over threads, and each unit runs its step on pieces of _CACHE_BLOCK
+entries, whose float64 temporaries (256 KiB buffers, allocated once per
+unit) stay in cache.
 
-Thread policy: every parallel step (the sieve's segments, the mu/lpf
-units and the series driver's chunk units) goes through one helper,
-_thread_map, which maps over one thread per CPU (_THREADS) and runs in
-the calling thread when there is a single item.  Work is split on fixed
-boundaries, so no result depends on the thread count.
+One grid, one driver: every threaded walk (the sieve's segments, the
+mu/lpf units, the series rows, the identity sides and the exact layout's
+prime scan) cuts its range on the fixed CHUNK grid and goes through
+_drive, which maps the cells over one thread per CPU (_THREADS) and folds
+their results in cell order, so no result depends on the thread count.
 
 Memory per n: 4 bytes for spf (uint32), so a limit of 10**8 costs ~400 MB
 resident.  Limits must stay below 2**32.  The optional mu and lpf tables,
@@ -59,6 +59,7 @@ import struct
 import zlib
 from concurrent import futures
 from dataclasses import dataclass, field
+from functools import partial
 from math import isqrt
 from typing import Callable, Iterator
 
@@ -67,8 +68,9 @@ import numpy as np
 #: Largest supported sieve limit (uint32 entries).
 MAX_LIMIT = 2**32 - 1
 
-#: Entries per sieve segment and per threaded unit of the mu/lpf derivation.
-_BLOCK = 1 << 20
+#: Entries per cell of the one grid that every threaded walk is cut on;
+#: fixed, so that no result depends on thread scheduling.
+CHUNK = 1 << 20
 
 #: Entries per cache-sized piece, 256 KiB of float64.  The mu/lpf steps
 #: walk their units in pieces of this length, through buffers allocated
@@ -100,6 +102,35 @@ def _thread_map(fn: Callable, items: list) -> Iterator:
         return
     with futures.ThreadPoolExecutor(max_workers=threads) as pool:
         yield from pool.map(lambda item: fn(*item), items)
+
+
+def _cells(start: int, top: int) -> list[tuple[int, int]]:
+    """[start, top) cut on the fixed CHUNK grid: whole grid cells, then a
+    last cell ending at top (empty when top <= start).
+
+    Every cell but the last is a grid cell, so the cells of one range are
+    a function of that range alone and shared by any schedule.
+    """
+    if top <= start:
+        return []
+    bounds = [start, *range((start // CHUNK + 1) * CHUNK, top, CHUNK), top]
+    return list(zip(bounds, bounds[1:]))
+
+
+def _drive(unit, tops: tuple[int, ...], start: int = 2, fold=list) -> list:
+    """fold of the unit results of each top x, in ascending cell order.
+
+    unit(lo, hi) works on the half-open range [lo, hi); x reads the cells
+    of [start, x + 1).  With a single top, fold consumes the results as
+    the threads yield them; with several, each distinct cell is mapped
+    once, however many tops share it.
+    """
+    plans = [_cells(start, x + 1) for x in tops]
+    if len(plans) == 1:
+        return [fold(_thread_map(unit, plans[0]))]
+    cells = sorted({cell for plan in plans for cell in plan})
+    results = dict(zip(cells, _thread_map(unit, cells)))
+    return [fold(results[cell] for cell in plan) for plan in plans]
 
 
 @dataclass(eq=False)
@@ -196,9 +227,9 @@ def _derive(spf: np.ndarray, dtype, seed: tuple[int, int], step) -> np.ndarray:
     """A read-only table t with t[:2] = seed and t[2:] filled by step(spf, t, lo, hi).
 
     Doubling blocks [lo, hi), hi <= 2*lo, run in order: every cofactor
-    n / spf(n) of a block is below lo and so already filled.  The units of
-    at most _BLOCK entries of one block are independent and are mapped
-    over threads; step walks its unit in cache-sized pieces.
+    n / spf(n) of a block is below lo and so already filled.  The cells of
+    one block are independent units, driven over threads; step walks its
+    unit in cache-sized pieces.
     """
     n = len(spf)
     out = np.empty(n, dtype=dtype)
@@ -206,8 +237,7 @@ def _derive(spf: np.ndarray, dtype, seed: tuple[int, int], step) -> np.ndarray:
     lo = 2
     while lo < n:
         hi = min(2 * lo, n)
-        units = [(spf, out, a, min(a + _BLOCK, hi)) for a in range(lo, hi, _BLOCK)]
-        list(_thread_map(step, units))
+        _drive(partial(step, spf, out), (hi - 1,), lo)
         lo = hi
     out.setflags(write=False)
     return out
@@ -238,9 +268,9 @@ def _mark_segment(spf: np.ndarray, base: list[int], lo: int, hi: int) -> None:
 def build_spf_table(limit: int) -> SpfTable:
     """Sieve the smallest prime factor of every n in [2, limit].
 
-    Segments of _BLOCK entries are marked over _thread_map's threads;
-    the finished table is bit-identical for any segment length or thread
-    count.
+    The cells of [0, limit] on the CHUNK grid are marked over the
+    driver's threads; the finished table is bit-identical for any cell
+    length or thread count.
 
     Args:
         limit: inclusive upper bound, >= 2 and < 2**32.
@@ -258,9 +288,7 @@ def build_spf_table(limit: int) -> SpfTable:
 
     spf = np.zeros(limit + 1, dtype=np.uint32)
     base = _base_primes(isqrt(limit))
-    segments = [(spf, base, lo, min(lo + _BLOCK, limit + 1))
-                for lo in range(0, limit + 1, _BLOCK)]
-    list(_thread_map(_mark_segment, segments))
+    _drive(partial(_mark_segment, spf, base), (limit,), 0)
     spf.setflags(write=False)
     return SpfTable(limit=limit, spf=spf)
 

@@ -223,7 +223,7 @@ def test_criterion_11_determinism(table_mid, tmp_path, monkeypatch):
     series_ok &= m1 == m2
     caches = []
     for segment, threads in ((1 << 13, 1), (1 << 14, 6)):
-        monkeypatch.setattr(sieve, "_BLOCK", segment)
+        monkeypatch.setattr(sieve, "CHUNK", segment)
         monkeypatch.setattr(sieve, "_THREADS", threads)
         caches.append(tmp_path / f"{segment}.bin")
         save_spf_table(build_spf_table(10**5), str(caches[-1]))

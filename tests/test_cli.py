@@ -575,14 +575,42 @@ def test_damaged_cache_is_rebuilt(tmp_path, monkeypatch, capsys):
     cache = tmp_path / "spf.bin"
     assert main(["sieve", "--limit", "1e4", "--out", str(cache)]) == EXIT_OK
     good = cache.read_bytes()
-    for damaged in (good[: len(good) // 2], b"JUNK" + good[4:]):
+    # a truncated cache is rewritten; a file without the cache magic is
+    # not a cache, so it is left as it is
+    for damaged, after in ((good[: len(good) // 2], good), (b"JUNK" + good[4:], None)):
         cache.write_bytes(damaged)
         capsys.readouterr()
         assert main(argv + ["--cache", str(cache)]) == EXIT_OK
         captured = capsys.readouterr()
         assert captured.out == fresh
         assert "warning" in captured.err
-        assert cache.read_bytes() == good
+        assert cache.read_bytes() == (after or damaged)
+
+
+def test_cache_rewrites_only_its_own_format(tmp_path, monkeypatch, capsys):
+    # files that start with the magic b"SPFT" or a shorter prefix of it
+    # (the empty file too) are caches and get rewritten; any other file is
+    # left byte for byte, while the run still uses a fresh table
+    monkeypatch.delenv("CSUMLAB_CACHE_DIR", raising=False)
+    argv = ["verify", "mu-baseline", "--limit", "1e3"]
+    assert main(argv) == EXIT_OK
+    fresh = capsys.readouterr().out
+    cache = tmp_path / "spf.bin"
+    assert main(["sieve", "--limit", "1e3", "--out", str(cache)]) == EXIT_OK
+    good = cache.read_bytes()
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_bytes()
+    for before, rewritten in ((b"", True), (b"SP", True), (b"SPFT" + readme, True),
+                              (readme, False), (b"S", True), (b"SPX", False), (b"\0", False)):
+        cache.write_bytes(before)
+        capsys.readouterr()
+        assert main(argv + ["--cache", str(cache)]) == EXIT_OK, before[:8]
+        captured = capsys.readouterr()
+        assert captured.out == fresh and "warning" in captured.err, before[:8]
+        assert cache.read_bytes() == (good if rewritten else before), before[:8]
+    # sieve --out writes its named output whatever was there
+    cache.write_bytes(readme)
+    assert main(["sieve", "--limit", "1e3", "--out", str(cache)]) == EXIT_OK
+    assert cache.read_bytes() == good
 
 
 def test_checksum_or_version_mismatch_is_rebuilt(tmp_path, monkeypatch, capsys):

@@ -8,12 +8,15 @@ sub-ulp error per chunk, the slack covers term rounding).
 
 import math
 import os
+import subprocess
+import sys
 import time
 import tracemalloc
 import weakref
 from dataclasses import FrozenInstanceError, fields, is_dataclass, replace
 from fractions import Fraction
 from math import gcd
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -197,7 +200,7 @@ def test_mu_mn_bruteforce(table_small, monkeypatch, m):
     assert s.spec.target == mu_naive(m) / (k - 1)
     # 97-term chunks start off the multiples of 2, 3 and 5, so a coprime
     # mask laid at the wrong offset inside a chunk changes the rows
-    monkeypatch.setattr(series, "CHUNK", 97)
+    monkeypatch.setattr(sieve, "CHUNK", 97)
     for r in mu_mn_partial_sum(table_small, m, k, l, [97, 500, 1001, 2000]).rows:
         assert abs(r.value - brute_sum(r.x, term)) < EPS, r.x
 
@@ -206,8 +209,8 @@ def test_mu_mn_squarefull_m_identically_zero(table_small, monkeypatch):
     # mu(m) = 0 gives an all-zero column in every unit; the rows must be
     # +0.0, never -0.0, on the real grid and on 97-term chunks
     cps = [1, 2, 10, 97, 100, 1000, 10**4]
-    for chunk in (series.CHUNK, 97):
-        monkeypatch.setattr(series, "CHUNK", chunk)
+    for chunk in (sieve.CHUNK, 97):
+        monkeypatch.setattr(sieve, "CHUNK", chunk)
         for m in (4, 12, 72):
             for k, l in ((3, 1), (4, 3), (1, 0)):
                 s = mu_mn_partial_sum(table_small, m, k, l, cps)
@@ -248,7 +251,7 @@ def test_mertens_restricted_bruteforce(table_small, monkeypatch):
         s = mertens_restricted(table_small, y, [500])
         assert s.rows[0].value == float(expected(500, y)), y
     # chunk edges off the 2**20 grid must leave the integer rows unchanged
-    monkeypatch.setattr(series, "CHUNK", 97)
+    monkeypatch.setattr(sieve, "CHUNK", 97)
     for y in (1, 2, 7):
         for r in mertens_restricted(table_small, y, [97, 400, 1001]).rows:
             assert r.value == float(expected(r.x, y)), (y, r.x)
@@ -283,7 +286,7 @@ def test_mertens_rows_are_the_float_of_the_integer_sum(table_big, monkeypatch):
     for x in cps:
         for y in (x, x + 1, 10**8):
             assert rows(y, [x]) == ["0x1.0000000000000p+0"], (x, y)
-    monkeypatch.setattr(series, "CHUNK", 97)
+    monkeypatch.setattr(sieve, "CHUNK", 97)
     cps = [1, 96, 97, 98, 1000]
     for y in (2, 7):
         assert rows(y, cps) == expected(y, cps), y
@@ -306,7 +309,7 @@ def test_mu_over_n_restricted_bruteforce(table_small, monkeypatch):
         assert abs(s.rows[0].value - expected(400, y)) < EPS, y
     # the p(n) > y support is applied to each chunk's column, so chunk
     # edges off the 2**20 grid must leave the rows unchanged
-    monkeypatch.setattr(series, "CHUNK", 97)
+    monkeypatch.setattr(sieve, "CHUNK", 97)
     for y in (2, 5):
         for r in mu_over_n_restricted(table_small, y, [97, 400, 1001]).rows:
             assert abs(r.value - expected(r.x, y)) < EPS, (y, r.x)
@@ -511,7 +514,7 @@ def test_difference_exact_across_chunks_and_threads(table_small, monkeypatch):
         for m in (6, 30)
         for i, w in enumerate(IDENTITY_WEIGHTS)
     }
-    monkeypatch.setattr(series, "CHUNK", 1000)
+    monkeypatch.setattr(sieve, "CHUNK", 1000)
     for threads, piece in ((1, 7), (3, 97), (1, 1 << 12), (3, 1 << 12)):
         monkeypatch.setattr(sieve, "_THREADS", threads)
         monkeypatch.setattr(series, "_EXACT_PIECE", piece)
@@ -671,6 +674,35 @@ def test_inverse_matches_pow_up_to_2_32():
     assert got.tolist() == [pow(u, -1, q) for u, q in zip(us, qs)]
 
 
+def test_inverse_takes_the_longest_euclid_below_2_32():
+    # consecutive Fibonacci numbers take the most steps for their size, and
+    # F(47) is the largest below 2**32: every one of the capped steps counts
+    fib = [0, 1]
+    while fib[-1] < 2**32:
+        fib.append(fib[-1] + fib[-2])
+    u, q = fib[46], fib[47]
+    got = series._inverse(np.array([u, 2], dtype=np.int64), np.array([q, q], dtype=np.int64))
+    assert got.tolist() == [pow(u, -1, q), pow(2, -1, q)]
+
+
+def test_inverse_refuses_a_non_unit():
+    # gcd(3, 9) = 3 and gcd(6, 10) = 2: no inverse exists, and the call
+    # raises instead of returning a coefficient that is none, even beside
+    # a unit lane
+    for u, q in (([3], [9]), ([6], [10]), ([1, 3], [7, 9])):
+        with pytest.raises(ValueError):
+            series._inverse(np.array(u, dtype=np.int64), np.array(q, dtype=np.int64))
+    # u = 0 never reaches a zero remainder; a child process bounds a
+    # regression to a failure instead of a hang
+    code = ("import numpy as np; from csumlab.series import _inverse\n"
+            "try:\n    _inverse(np.array([0, 3]), np.array([7, 10]))\n"
+            "except ValueError:\n    print('refused')\n")
+    env = {**os.environ, "PYTHONPATH": str(Path(series.__file__).resolve().parents[1])}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 0 and proc.stdout == "refused\n", proc.stderr
+
+
 def test_inverse_table_matches_pow():
     start, table = series._inverse_table()
     assert table.dtype == np.uint16 and table.nbytes + start.nbytes <= 256 * 1024
@@ -758,7 +790,7 @@ def test_agreeing_sides_are_converted_once(table_small, monkeypatch):
 def test_exact_side_folds_each_cell_as_it_finishes(table_small, monkeypatch):
     # one thread runs each cell when the side asks for it, so a side holds
     # its running total and at most two cells' lanes, not one per cell
-    monkeypatch.setattr(series, "CHUNK", 500)
+    monkeypatch.setattr(sieve, "CHUNK", 500)
     monkeypatch.setattr(sieve, "_THREADS", 1)
     held, most, real_reduce = [], [], series._reduce_exact
 
@@ -828,14 +860,15 @@ def test_checkpoint_prefix_consistency(table_small, monkeypatch):
     # the same across chunk edges: checkpoints below start, on, beside and
     # between the edges of 97-term cells
     chunk, cps = 97, (1, 96, 97, 98, 194, 195, 500, 9001)
-    monkeypatch.setattr(series, "CHUNK", chunk)
-    mapped, real_map = [], series._thread_map
+    monkeypatch.setattr(sieve, "CHUNK", chunk)
+    table_small.lpf_table()  # built first: the spy counts the series' walks only
+    mapped, real_map = [], sieve._thread_map
 
     def spy(fn, items):
         mapped.append(list(items))
         return real_map(fn, items)
 
-    monkeypatch.setattr(series, "_thread_map", spy)
+    monkeypatch.setattr(sieve, "_thread_map", spy)
     # perfbench's series_chunks: the grid cells up to the last checkpoint,
     # plus one cell for each checkpoint off the grid
     cells = len(range(chunk, cps[-1] + 2, chunk)) + sum(
@@ -853,6 +886,49 @@ def test_checkpoint_prefix_consistency(table_small, monkeypatch):
             spec = SeriesSpec(kind=kind, checkpoints=(row.x,), **params)
             alone = run_series(table_small, spec).rows[0]
             assert (alone.value.hex(), alone.count) == (row.value.hex(), row.count), (kind, row.x)
+
+
+def grid_cells(start, top, chunk):
+    """[start, top) cut at the multiples of chunk, none when top <= start."""
+    cuts = [start, *(c for c in range(chunk, top, chunk) if c > start), top]
+    return list(zip(cuts, cuts[1:])) if top > start else []
+
+
+def test_every_threaded_walk_maps_its_grid_cells(monkeypatch):
+    # one driver on one grid: the sieve's segments, each doubling block of
+    # the mu and lpf tables, a series' distinct checkpoint cells, the exact
+    # layout's prime scan and each identity side hand the thread map
+    # exactly their cells of the CHUNK grid, one map per walk
+    chunk, limit, x = 1000, 5000, 4321
+    monkeypatch.setattr(sieve, "CHUNK", chunk)
+    mapped, real_map = [], sieve._thread_map
+
+    def spy(fn, items):
+        mapped.append(list(items))
+        return real_map(fn, items)
+
+    monkeypatch.setattr(sieve, "_thread_map", spy)
+
+    def maps(call):
+        mapped.clear()
+        call()
+        return mapped[:]
+
+    t = build_spf_table(limit)
+    assert mapped == [grid_cells(0, limit + 1, chunk)]
+    blocks = [(2**k, min(2 ** (k + 1), limit + 1)) for k in range(1, limit.bit_length())]
+    derived = [grid_cells(lo, hi, chunk) for lo, hi in blocks]
+    assert maps(t.mu_table) == derived
+    assert maps(t.lpf_table) == derived
+    cps = (1, 999, 1000, 2500, x)
+    spec = SeriesSpec(kind="ramanujan-alladi", m=6, k=4, l=3, checkpoints=cps)
+    assert maps(lambda: run_series(t, spec)) == [
+        sorted({cell for cp in cps for cell in grid_cells(2, cp + 1, chunk)})]
+    rhs = [grid_cells(1, x // d + 1, chunk) for d in (2, 3, 6)]
+    one = PrimeWeight.constant_one()
+    assert maps(lambda: difference_term(t, 6, one, x)) == [grid_cells(2, x + 1, chunk), *rhs]
+    assert maps(lambda: difference_term(t, 6, one, x, exact=True)) == [
+        grid_cells(2, x + 1, chunk), grid_cells(2, x + 1, chunk), *rhs]
 
 
 TABLE_W = PrimeWeight.from_table({2: 0.5, 3: -0.25, 7: 1.0})
@@ -1329,14 +1405,23 @@ def test_float_sums_select_one_piece_at_a_time(table_big, monkeypatch):
         assert sizes and max(sizes) <= series._PIECE, (name, max(sizes, default=None))
 
 
-def test_piece_width_never_changes_a_float_row(table_big, monkeypatch):
+def test_piece_width_never_changes_a_float_row(table_big, table_small, monkeypatch):
     # the rows and identity sides at chunk edges stay those of the chosen
-    # width when pieces are cut at 97 or 2^15 indices instead
+    # width when pieces are cut at 2^15 indices on the real grid, and at
+    # 97 or 2^9 indices on a 2^12 grid, whose cells the chosen width
+    # covers in one piece
+    chosen = series._PIECE
     cps = (2**20 - 1, 2**20, 2**20 + 1, 3 * 2**20 + 5)
     want = float_rows(table_big, cps)
-    for width in (97, 2**15):
+    monkeypatch.setattr(series, "_PIECE", 2**15)
+    assert float_rows(table_big, cps) == want, 2**15
+    monkeypatch.setattr(sieve, "CHUNK", 2**12)
+    monkeypatch.setattr(series, "_PIECE", chosen)
+    cps = (2**12 - 1, 2**12, 2**12 + 1, 2 * 2**12 + 5)
+    want = float_rows(table_small, cps)
+    for width in (97, 2**9):
         monkeypatch.setattr(series, "_PIECE", width)
-        assert float_rows(table_big, cps) == want, width
+        assert float_rows(table_small, cps) == want, width
 
 
 def block_sum_reference(n, block):

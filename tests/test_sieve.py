@@ -125,7 +125,7 @@ def test_lpf_reference_anchored_to_definition():
 
 
 #: limits at the ends of the derivation's doubling blocks, around its
-#: _BLOCK = 2**20-entry units and its _CACHE_BLOCK = 2**15-entry pieces.
+#: CHUNK = 2**20-entry units and its _CACHE_BLOCK = 2**15-entry pieces.
 #: 3 * 2**15 + 1 and 5 * 2**15 + 7 end their last doubling block a few
 #: entries into a piece; 3 * 2**20 + 1 splits a block into two units.
 EDGE_LIMITS = (
@@ -169,7 +169,7 @@ def test_derived_tables_do_not_depend_on_thread_count(monkeypatch, edge_referenc
             assert np.array_equal(t.lpf_table(), lpf_ref[: limit + 1]), (limit, threads)
     # many small units per block, mapped over several threads, each cut
     # into pieces that do not divide it
-    monkeypatch.setattr(sieve, "_BLOCK", 1000)
+    monkeypatch.setattr(sieve, "CHUNK", 1000)
     for piece in (1000, 96, 7):
         monkeypatch.setattr(sieve, "_CACHE_BLOCK", piece)
         t = build_spf_table(10**5)
@@ -315,13 +315,13 @@ def test_lpf_table_matches_independent_sieve_at_scale(table_mid):
 def test_segment_size_does_not_change_table(monkeypatch):
     base = build_spf_table(10**5)
     for seg in (1 << 10, 1 << 14, 10**5 + 1):
-        monkeypatch.setattr(sieve, "_BLOCK", seg)
+        monkeypatch.setattr(sieve, "CHUNK", seg)
         other = build_spf_table(10**5)
         assert np.array_equal(base.spf, other.spf), seg
 
 
 def test_worker_count_does_not_change_table(monkeypatch):
-    monkeypatch.setattr(sieve, "_BLOCK", 1 << 12)
+    monkeypatch.setattr(sieve, "CHUNK", 1 << 12)
     tables = []
     for threads in (1, 8):
         monkeypatch.setattr(sieve, "_THREADS", threads)

@@ -45,8 +45,8 @@ from .series import (
     run_series,
 )
 from .sieve import (
-    _CACHE_MAGIC,
     MAX_LIMIT,
+    NotACacheError,
     SpfTable,
     build_spf_table,
     load_spf_table,
@@ -202,25 +202,22 @@ def obtain_table(limit: int, cache: str | None) -> SpfTable:
     """The table at the cache path if it covers `limit`, else a new one saved there.
 
     The path is --cache, or failing that CSUMLAB_CACHE_DIR/spf_<limit>.bin;
-    no other file is read.  A file there that fails validation (damaged,
+    no other file is read.  A cache there that fails validation (damaged,
     truncated, another cache version) or covers less than `limit` draws a
     warning and is rebuilt and rewritten, so a cache file never blocks a
-    run.  Only a file that starts with the cache magic b"SPFT", or with a
-    shorter prefix of it, is rewritten: any other is left as it is, and
-    the run uses a fresh table.
+    run.  A file that load_spf_table calls not a cache draws a warning and
+    is left as it is, and the run uses a fresh table.
     """
     _check_limit(limit)
     path = cache or _env_cache_path(limit)
     if path and os.path.exists(path):
         try:
             t = load_spf_table(path)
+        except NotACacheError as exc:
+            print(f"warning: {exc}; using a fresh table and leaving {path} as it is",
+                  file=sys.stderr)
+            return build_spf_table(limit)
         except ValueError as exc:
-            with open(path, "rb") as fh:
-                ours = _CACHE_MAGIC.startswith(fh.read(len(_CACHE_MAGIC)))
-            if not ours:
-                print(f"warning: {exc}; using a fresh table and leaving {path} as it is",
-                      file=sys.stderr)
-                return build_spf_table(limit)
             print(f"warning: {exc}; rebuilding", file=sys.stderr)
         else:
             if t.limit >= limit:
@@ -229,7 +226,6 @@ def obtain_table(limit: int, cache: str | None) -> SpfTable:
                   file=sys.stderr)
     t = build_spf_table(limit)
     if path:
-        os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
         save_spf_table(t, path)
     return t
 
@@ -242,12 +238,9 @@ def obtain_table(limit: int, cache: str | None) -> SpfTable:
 def cmd_sieve(args) -> int:
     limit = parse_count(args.limit)
     _check_limit(limit)
-    out = args.out
+    out = args.out or _env_cache_path(limit)
     if out is None:
-        out = _env_cache_path(limit)
-        if out is None:
-            raise UsageError(f"--out is required when {CACHE_ENV} is not set")
-        os.makedirs(os.path.dirname(out), exist_ok=True)
+        raise UsageError(f"--out is required when {CACHE_ENV} is not set")
     t0 = time.perf_counter()
     table = build_spf_table(limit)
     build_s = time.perf_counter() - t0

@@ -46,10 +46,12 @@ built lazily for bulk workloads, cost 1 and 4 more bytes per n.
 
 Cache file (version 2, little-endian): the 21-byte header b"SPFT",
 uint32 version, uint64 limit, uint8 entry width (4) and uint32 zlib.crc32
-of the payload, then the limit+1 uint32 spf entries.  A save writes a
-temporary file beside the target and renames it into place, so an
-interrupted save leaves the old file or none.  A load rejects any other
-version, a wrong size or a checksum mismatch with ValueError.
+of the payload, then the limit+1 uint32 spf entries.  A save creates the
+target's directory and renames a temporary file written beside the target
+into place, so an interrupted save leaves the old file or none.  A load
+fails three ways: NotACacheError if the first bytes are no prefix of b"SPFT",
+else ValueError for a truncated file (shorter than the header, unlike any v1
+cache) or a bad one (other version, width or limit, wrong size or checksum).
 """
 
 from __future__ import annotations
@@ -361,18 +363,22 @@ def factorize(t: SpfTable, n: int) -> list[tuple[int, int]]:
     return out
 
 
-def save_spf_table(t: SpfTable, path: str) -> None:
-    """Write the spf array as a version-2 binary cache (see the module doc).
+class NotACacheError(ValueError):
+    """The file is not an spf cache: its leading bytes are not a prefix of b"SPFT"."""
 
-    The bytes go to a temporary file beside path, which then replaces path,
-    so an interrupted save leaves the previous file or none.
-    """
+
+def save_spf_table(t: SpfTable, path: str) -> None:
+    """Write the spf array as a version-2 binary cache (see the module doc),
+    creating the directory of path.  The bytes go to a temporary file beside
+    path, which then replaces it, so an interrupted save leaves the previous
+    file or none."""
     payload = t.spf.astype("<u4", copy=False)
     header = _HEADER.pack(
         _CACHE_MAGIC, _CACHE_VERSION, t.limit, _ENTRY_WIDTH, zlib.crc32(payload)
     )
     tmp = f"{path}.{os.urandom(6).hex()}.tmp"
     try:
+        os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
         try:
             with open(tmp, "xb") as fh:
                 fh.write(header)
@@ -387,19 +393,19 @@ def save_spf_table(t: SpfTable, path: str) -> None:
 
 
 def load_spf_table(path: str) -> SpfTable:
-    """Load a cache written by save_spf_table, validating header, size and checksum."""
+    """Load a cache written by save_spf_table: NotACacheError for a file that
+    is not a cache, ValueError for a truncated or bad one (see the module doc)."""
     try:
         with open(path, "rb") as fh:
             head = fh.read(_HEADER.size)
             size = os.fstat(fh.fileno()).st_size
-            if len(head) < 8 or head[:4] != _CACHE_MAGIC:
-                raise ValueError(f"{path}: not an spf cache (bad magic)")
-            (version,) = struct.unpack_from("<I", head, 4)
-            if version != _CACHE_VERSION:
-                raise ValueError(f"{path}: unsupported cache version {version}")
+            if not _CACHE_MAGIC.startswith(head[: len(_CACHE_MAGIC)]):
+                raise NotACacheError(f"{path}: not an spf cache (bad magic)")
             if len(head) < _HEADER.size:
                 raise ValueError(f"{path}: truncated cache header")
-            _, _, limit, width, crc = _HEADER.unpack(head)
+            _, version, limit, width, crc = _HEADER.unpack(head)
+            if version != _CACHE_VERSION:
+                raise ValueError(f"{path}: unsupported cache version {version}")
             if width != _ENTRY_WIDTH:
                 raise ValueError(f"{path}: unsupported entry width {width}")
             if not 2 <= limit <= MAX_LIMIT:

@@ -16,6 +16,7 @@ import pytest
 import csumlab.cli as cli
 from csumlab.cli import (
     EXIT_IDENTITY,
+    EXIT_IO,
     EXIT_OK,
     EXIT_ORACLE,
     EXIT_TOLERANCE,
@@ -589,8 +590,9 @@ def test_damaged_cache_is_rebuilt(tmp_path, monkeypatch, capsys):
 
 def test_cache_rewrites_only_its_own_format(tmp_path, monkeypatch, capsys):
     # files that start with the magic b"SPFT" or a shorter prefix of it
-    # (the empty file too) are caches and get rewritten; any other file is
-    # left byte for byte, while the run still uses a fresh table
+    # (the empty file too) are caches and get rewritten, every proper prefix
+    # of a valid header with a warning that says "truncated"; any other file
+    # is left byte for byte, while the run still uses a fresh table
     monkeypatch.delenv("CSUMLAB_CACHE_DIR", raising=False)
     argv = ["verify", "mu-baseline", "--limit", "1e3"]
     assert main(argv) == EXIT_OK
@@ -599,18 +601,45 @@ def test_cache_rewrites_only_its_own_format(tmp_path, monkeypatch, capsys):
     assert main(["sieve", "--limit", "1e3", "--out", str(cache)]) == EXIT_OK
     good = cache.read_bytes()
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_bytes()
-    for before, rewritten in ((b"", True), (b"SP", True), (b"SPFT" + readme, True),
-                              (readme, False), (b"S", True), (b"SPX", False), (b"\0", False)):
+    cases = [(good[:n], True, "truncated") for n in range(21)]  # the 21-byte header
+    cases += [(b"SPFT" + readme, True, "version"), (readme, False, "not an spf cache"),
+              (b"SPX", False, "not an spf cache"), (b"\0", False, "not an spf cache")]
+    for before, rewritten, says in cases:
         cache.write_bytes(before)
         capsys.readouterr()
         assert main(argv + ["--cache", str(cache)]) == EXIT_OK, before[:8]
         captured = capsys.readouterr()
-        assert captured.out == fresh and "warning" in captured.err, before[:8]
+        assert captured.out == fresh, before[:8]
+        assert captured.err.startswith("warning") and says in captured.err, captured.err
         assert cache.read_bytes() == (good if rewritten else before), before[:8]
     # sieve --out writes its named output whatever was there
     cache.write_bytes(readme)
     assert main(["sieve", "--limit", "1e3", "--out", str(cache)]) == EXIT_OK
     assert cache.read_bytes() == good
+
+
+def test_sieve_out_creates_its_directory(tmp_path):
+    # like --cache, --out may name a file in a directory that does not exist yet
+    out = tmp_path / "new" / "deeper" / "x.bin"
+    assert main(["sieve", "--limit", "100", "--out", str(out)]) == EXIT_OK
+    assert load_spf_table(str(out)).limit == 100
+    cache = tmp_path / "new2" / "x.bin"
+    assert main(["verify", "mu-baseline", "--limit", "100", "--cache", str(cache)]) == EXIT_OK
+    assert out.read_bytes() == cache.read_bytes()
+
+
+def test_cache_dir_naming_a_file_is_one_line_exit_1(tmp_path, monkeypatch, capsys):
+    not_a_dir = tmp_path / "hostname"
+    not_a_dir.write_text("a regular file\n")
+    monkeypatch.setenv("CSUMLAB_CACHE_DIR", str(not_a_dir))
+    for argv in (["verify", "mu-baseline", "--limit", "100"], ["sieve", "--limit", "100"]):
+        capsys.readouterr()
+        assert main(argv) == EXIT_IO, argv
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1, lines
+        want = f"error: cannot write spf cache to {not_a_dir / 'spf_100.bin'}: "
+        assert lines[0].startswith(want), lines
+    assert not_a_dir.read_text() == "a regular file\n"
 
 
 def test_checksum_or_version_mismatch_is_rebuilt(tmp_path, monkeypatch, capsys):

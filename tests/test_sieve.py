@@ -2,13 +2,14 @@
 
 import math
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import csumlab.sieve as sieve
 from csumlab.series import _totient
-from csumlab.sieve import _divisors
+from csumlab.sieve import NotACacheError, _divisors
 from csumlab import (
     build_spf_table,
     factorize,
@@ -384,6 +385,33 @@ def test_load_rejects_version_1(tmp_path, table_small):
     path = tmp_path / "spf.bin"
     path.write_bytes(v1_cache_bytes(table_small))
     with pytest.raises(ValueError, match="version 1"):
+        load_spf_table(str(path))
+
+
+@pytest.fixture(scope="module")
+def cache_1000(tmp_path_factory):
+    path = tmp_path_factory.mktemp("cache") / "spf_1000.bin"
+    save_spf_table(build_spf_table(1000), str(path))
+    return path.read_bytes()
+
+
+@pytest.mark.parametrize("n", range(21))  # every proper prefix of the 21-byte header
+def test_load_calls_a_cut_header_truncated(tmp_path, cache_1000, n):
+    path = tmp_path / "spf.bin"
+    path.write_bytes(cache_1000[:n])
+    with pytest.raises(ValueError, match="truncated cache header") as info:
+        load_spf_table(str(path))
+    assert info.type is ValueError  # a cut cache, not a foreign file
+
+
+README = (Path(__file__).resolve().parents[1] / "README.md").read_bytes()
+
+
+@pytest.mark.parametrize("raw", [README, b"SPX", b"\0"], ids=["readme", "SPX", "nul"])
+def test_load_calls_a_foreign_file_not_a_cache(tmp_path, raw):
+    path = tmp_path / "spf.bin"
+    path.write_bytes(raw)
+    with pytest.raises(NotACacheError, match="not an spf cache"):
         load_spf_table(str(path))
 
 

@@ -6,13 +6,21 @@ case (E. Cohen, "An extension of Ramanujan's sum", Duke Math. J. 1949).
 The defining exponential sum (cosines over residues coprime to n) is kept
 as a slow independent oracle.
 
-The oracle's data for a modulus n does not depend on m: the units q of
-Z/nZ in ascending order and the cosines cos(j * 2*pi/n) for j in [0, n).
-Every caller (csum --check-oracle, the acceptance sweep, the benchmark)
-walks m for one n before the next n, so the last modulus's two arrays
-are kept (_unit_circle, a one-entry cache) and a call only gathers
-cosines[q * m mod n].  The entry is read-only and holds at most 16 bytes
-per residue, about 16 MB at DIRECT_EVAL_CAP.
+The oracle's data for a modulus n does not depend on m, and two paths
+share it.  The first call on a modulus sums directly: it keeps the units
+q of Z/nZ in ascending order and the cosines cos(j * 2*pi/n) for j in
+[0, n) (_unit_circle, a one-entry cache), gathers cosines[q * m mod n]
+and adds them with fsum.  A call on the same modulus as the call just
+before it builds that modulus's row once (_residue_row, a one-entry
+cache): the rounded sum for every residue j in [0, n), from one FFT of
+the 0/1 unit indicator, which is the same exponential sum taken as a DFT.
+It and every later call on n read row[m mod n].  So a walk over m for one
+n (csum --check-oracle, the acceptance sweep, the benchmark's pairs)
+pays one O(n log n) transform per modulus, while a walk that takes a new
+modulus each call (one m over many n) builds no row: an FFT of prime
+length n runs through Bluestein's algorithm and costs about twice the
+direct sum.  Both entries are read-only and together hold at most 24
+bytes per residue, about 24 MB at DIRECT_EVAL_CAP.
 """
 
 from __future__ import annotations
@@ -46,10 +54,14 @@ def ramanujan_sum_direct(n: int, m: int) -> int:
     """c_n(m) from the defining exponential sum, as an independent oracle.
 
     Sums cos(2*pi*q*m/n) over 1 <= q <= n coprime to n (imaginary parts
-    cancel exactly) and rounds to the nearest integer.  Usable for
-    n <= DIRECT_EVAL_CAP; a rounding residue above 1e-6 * max(1, phi(n))
-    means double precision can no longer be trusted and raises.
+    cancel exactly) and rounds to the nearest integer.  The first call on
+    n sums directly; a call on the n of the call just before it reads the
+    row of every residue's sum, built once by FFT.  Usable for
+    n <= DIRECT_EVAL_CAP; a rounding residue above 1e-6 * max(1, phi(n)),
+    at m or, when the row is built, at any residue, means double
+    precision can no longer be trusted and raises.
     """
+    global _last_modulus
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     if n > DIRECT_EVAL_CAP:
@@ -58,6 +70,9 @@ def ramanujan_sum_direct(n: int, m: int) -> int:
         raise ValueError(f"m must be >= 1, got {m}")
     if n == 1:
         return 1  # single q=1 term, e^0
+    if n == _last_modulus:
+        return int(_residue_row(n)[m % n])
+    _last_modulus = n
     units, cosines = _unit_circle(n)
     # q * (m mod n) < n**2 fits int64 for any m, and its residue j mod n
     # picks cos(2*pi*q*m/n) = cosines[j], whose argument stays below 2*pi
@@ -71,6 +86,12 @@ def ramanujan_sum_direct(n: int, m: int) -> int:
     return int(nearest)
 
 
+#: Modulus of the last call that summed directly; the next call on it
+#: reads _residue_row instead.  A racing thread can only pick the other
+#: path, which gives the same integer.
+_last_modulus = 0
+
+
 @lru_cache(maxsize=1)
 def _unit_circle(n: int) -> tuple[np.ndarray, np.ndarray]:
     """(units, cosines) of a modulus n >= 2, both read-only: the j in
@@ -82,6 +103,32 @@ def _unit_circle(n: int) -> tuple[np.ndarray, np.ndarray]:
     units.flags.writeable = False
     cosines.flags.writeable = False
     return units, cosines
+
+
+@lru_cache(maxsize=1)
+def _residue_row(n: int) -> np.ndarray:
+    """c_n(j) for every j in [0, n) of a modulus n >= 2, read-only int64.
+
+    Term j of the DFT of the 0/1 indicator of the units is the sum of
+    exp(-2*pi*i*q*j/n) over the units q; its real part is the direct
+    path's cosine sum at m = j.  Each is rounded under the same residue
+    tolerance, checked over the whole row before any is returned.
+    """
+    units = _unit_circle(n)[0]
+    unit = np.zeros(n)
+    unit[units] = 1.0
+    sums = np.fft.fft(unit).real
+    row = np.rint(sums)
+    residue = np.abs(sums - row)
+    j = int(residue.argmax())
+    if residue[j] > _RESIDUE_TOL * max(1, units.size):
+        raise ArithmeticError(
+            f"direct Ramanujan sum unreliable at n={n}, m={j} (mod n): "
+            f"rounding residue {residue[j]:.3e}"
+        )
+    row = row.astype(np.int64)
+    row.flags.writeable = False
+    return row
 
 
 def generalized_ramanujan_sum(t: SpfTable, n: int, m: int, s: int = 1) -> int:

@@ -44,10 +44,14 @@ reducer and the combine step: both reducers read one term selection.
 The exact one fixes one lane per prime p <= x, with denominator q_p the
 largest power of p up to x, and writes the sum of its terms a/n as
 z + sum r_p / q_p, 0 <= r_p < q_p: it factors n through the table and
-takes each residue with a modular inverse, inside int64 or uint64,
-gathered from a read-only table for the prime powers up to 2**10 and
-from a vectorized Euclid past them.  Each unit returns one such sum, times the power of two that makes
-every f value an integer; sums add lane by lane.  The form is canonical,
+takes each residue with a modular inverse, inside int64 or uint64.  The
+inverse of w = u mod q comes from one read-only table of s**-1 mod u for
+every modulus u <= 500 (254,516 B, built by the swap rule
+s**-1 mod u = (1 + u t) / s with t = -u**-1 mod s read at the smaller
+modulus s): directly when q <= 500, by the same rule at modulus w when
+only w <= 500, and from a vectorized Euclid only when both pass 500,
+which needs n > 250,000.  Each unit returns one such sum, times the power of two that makes every f
+value an integer; sums add lane by lane.  The form is canonical,
 so the two sides are equal exactly when their z and lanes are: then one
 Fraction serves both, and otherwise each side becomes its own.  A
 Fraction comes from a product tree over the pairwise coprime prime
@@ -414,8 +418,8 @@ def _inverse(u: np.ndarray, q: np.ndarray) -> np.ndarray:
     with r0 the gcd and s0 * u = r0 (mod q); its next step divides by that
     0, so from then on it holds inf or nan and is never read again.  A
     call runs as many steps as its slowest lane needs, so the exact
-    reducer calls it only for the prime powers past _INVERSE_BOUND, and
-    _inverse_table once for each one up to it.
+    reducer reads _inverse_table instead wherever q or u is at most
+    _INVERSE_BOUND, and calls it only on the lanes past both.
 
     Raises:
         ValueError: a lane never ends (u = 0) or its s0 * u is not 1 mod q
@@ -444,36 +448,47 @@ def _inverse(u: np.ndarray, q: np.ndarray) -> np.ndarray:
     return inv
 
 
-#: Prime powers q up to this bound take u**-1 mod q from _inverse_table.
-#: They are 82% of the lanes of the twelve 1e5 identity calls of
-#: exact-oracle, which took (2 CPUs, 3 runs) 0.56-0.62 s at 2^9, 0.48-0.59 s
-#: at 2^10 (87,760 entries, built in 21 ms) and 0.64-0.67 s at 2^11 (305k).
-_INVERSE_BOUND = 1 << 10
+#: Every modulus u up to this bound has a row in _inverse_table.  A lane
+#: with q <= B reads its row, and one with q > B and w = u mod q <= B
+#: reads the row of w by the swap rule; only lanes with both past B, so
+#: n > B**2, run _inverse.  At 500 (125,250 entries, 254,516 B with the
+#: offsets, built in 7-13 ms) the twelve 1e5 identity calls of
+#: exact-oracle run no Euclid, since a lane with q > 500 there has
+#: w = u < 200; their inverse step took (2 CPUs, 2 runs each) 0.07-0.08 s,
+#: against 0.11-0.14 s with the prime-power table up to 2**10 (87,760
+#: entries, built by Euclid in 25-37 ms) and Euclid past it.
+_INVERSE_BOUND = 500
+
+
+def _swap_inverse(start: np.ndarray, table: np.ndarray, s, u):
+    """s**-1 mod u for int64 s in [1, _INVERSE_BOUND] and u > s, read from
+    the row of the modulus s of _inverse_table, 0 where gcd(s, u) > 1.
+
+    t = (s - (u mod s)**-1 mod s) mod s gives u t = -1 (mod s), so s
+    divides 1 + u t and (1 + u t) / s < u is s**-1 mod u; 1 + u t stays
+    below 2**41 for u < 2**32.  On a non-unit s >= 2, u mod s is no unit
+    of s either, its entry is 0, so t = 0 and (1 + 0) // s = 0.
+    """
+    t = (s - table[start[s] + u % s]) % s
+    return (1 + u * t) // s
 
 
 @cache
 def _inverse_table() -> tuple[np.ndarray, np.ndarray]:
-    """(start, table), both read-only: table[start[q] + u] is u**-1 mod q
-    for every prime power q <= _INVERSE_BOUND and unit u of q, in uint16.
+    """(start, table), both read-only: table[start[u] + s] is s**-1 mod u
+    in uint16 for every modulus 1 <= u <= _INVERSE_BOUND and s in [0, u),
+    0 where s is no unit of u; start[u] = u (u - 1) / 2.
 
     Built on the first exact call, once per process (a racy double build
-    only builds it twice), one modulus at a time through _inverse, so no
-    temporary spans the table.
+    only builds it twice), one modulus at a time by _swap_inverse from the
+    rows of the smaller moduli, with no Euclid.
     """
-    powers = []
-    for p in _SMALL_PRIMES[_SMALL_PRIMES <= _INVERSE_BOUND].tolist():
-        q = p
-        while q <= _INVERSE_BOUND:
-            powers.append((p, q))
-            q *= p
-    start = np.zeros(_INVERSE_BOUND + 1, dtype=np.int64)
-    table = np.zeros(sum(q for _, q in powers), dtype=np.uint16)
-    at = 0
-    for p, q in powers:
-        u = np.arange(1, q, dtype=np.int64)
-        u = u[u % p != 0]
-        table[at + u] = _inverse(u, np.full(u.size, q))
-        start[q], at = at, at + q
+    start = np.zeros(_INVERSE_BOUND + 2, dtype=np.int64)
+    np.cumsum(np.arange(_INVERSE_BOUND + 1), out=start[1:])
+    table = np.zeros(start[-1], dtype=np.uint16)
+    for u in range(2, _INVERSE_BOUND + 1):
+        s = np.arange(1, u, dtype=np.int64)
+        table[start[u] + s] = _swap_inverse(start, table, s, u)
     start.flags.writeable = table.flags.writeable = False
     return start, table
 
@@ -507,12 +522,16 @@ def _piece_fractions(lanes: _Lanes, a: np.ndarray, n: np.ndarray, acc: np.ndarra
     at, p, q = np.concatenate(idx), np.concatenate(ps), np.concatenate(qs)
     u = n[at] // q
     w, u64 = u % q, np.uint64
-    # one gather for every lane, then _inverse over the lanes past the
-    # table, whose gathered (clipped) entries are overwritten
+    # one gather for every lane; the lanes past the table overwrite their
+    # (clipped) entries by the swap rule at w, or by _inverse past both
     start, table = _inverse_table()
     inv = table.take(start[np.minimum(q, _INVERSE_BOUND)] + w, mode="clip").astype(u64)
-    big = np.flatnonzero(q > _INVERSE_BOUND)
-    inv[big] = _inverse(w[big], q[big])
+    far = np.flatnonzero(q > _INVERSE_BOUND)
+    by_w = w[far] <= _INVERSE_BOUND
+    swap, far = far[by_w], far[~by_w]
+    inv[swap] = _swap_inverse(start, table, w[swap], q[swap])
+    if far.size:  # only past n = _INVERSE_BOUND**2
+        inv[far] = _inverse(w[far], q[far])
     r = (a[at] % q).astype(u64) * inv % q.astype(u64)
     r = r.astype(np.int64)
     np.add.at(a, at, -r * u)

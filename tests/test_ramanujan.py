@@ -16,7 +16,9 @@ from csumlab import (
     ramanujan_sum,
     ramanujan_sum_direct,
 )
-from csumlab.ramanujan import DIRECT_EVAL_CAP, _unit_circle
+from csumlab import ramanujan
+from csumlab.cli import EXIT_ORACLE, main
+from csumlab.ramanujan import DIRECT_EVAL_CAP, _residue_row, _unit_circle
 
 from conftest import (
     csum_divisor_naive,
@@ -58,42 +60,106 @@ def test_exponential_form_matches_totient_oracle(table_small):
             assert ramanujan_sum_direct(n, m) == ramanujan_sum(table_small, n, m), (n, m)
 
 
+@pytest.fixture
+def fresh_oracle(monkeypatch):
+    """Both oracle caches empty and no previous modulus."""
+    _unit_circle.cache_clear()
+    _residue_row.cache_clear()
+    monkeypatch.setattr(ramanujan, "_last_modulus", 0)
+
+
 def test_exponential_form_matches_uncached_reference():
-    # the one-modulus table must not change an answer, whichever order the
-    # calls come in: n-major reuses the entry, m-major replaces it each call
+    # neither one-modulus cache may change an answer, whichever order the
+    # calls come in: n-major sums each n directly once and then reads its
+    # row, m-major mostly takes a new modulus each call
     grid = [(n, m) for n in range(1, 301) for m in range(1, 2 * n + 1)]
     expected = {nm: ramanujan_sum_direct_reference(*nm) for nm in grid}
     for n, m in grid:
         assert ramanujan_sum_direct(n, m) == expected[n, m], (n, m)
+    assert _unit_circle.cache_info().currsize <= 1 and _residue_row.cache_info().currsize <= 1
     for n, m in sorted(grid, key=lambda nm: (nm[1], nm[0])):
         assert ramanujan_sum_direct(n, m) == expected[n, m], (n, m)
+    assert _unit_circle.cache_info().currsize <= 1 and _residue_row.cache_info().currsize <= 1
     for m in (10**17, 2**63 - 1, 2**63, 10**30):
         for n in range(1, 301):
             assert ramanujan_sum_direct(n, m) == ramanujan_sum_direct_reference(n, m), (n, m)
-    assert _unit_circle.cache_info().currsize <= 1
+    assert _unit_circle.cache_info().currsize <= 1 and _residue_row.cache_info().currsize <= 1
+
+
+def test_new_modulus_each_call_builds_no_row(fresh_oracle):
+    # an m-major walk and a single-m sweep over n never repeat a modulus
+    # in a row, so both sum directly and never pay for an FFT
+    for m in range(1, 201):
+        for n in range(1, 201):
+            assert ramanujan_sum_direct(n, m) == csum_totient(n, m), (n, m)
+    for n in range(1, 3001):
+        assert ramanujan_sum_direct(n, 6) == csum_totient(n, 6), n
+    assert _residue_row.cache_info().misses == 0
+
+
+def test_row_answers_as_the_direct_sum_at_large_moduli(fresh_oracle):
+    # 720720 is highly composite, 999983 the largest prime below the cap
+    # (a Bluestein FFT), 10**6 the cap itself
+    for n in (720720, 999983, 10**6):
+        ms = (1, 2, 5, n - 1, 10**30)
+        direct = [ramanujan_sum_direct(n, 3)] + [ramanujan_sum_direct_reference(n, m) for m in ms]
+        misses = _residue_row.cache_info().misses
+        assert [ramanujan_sum_direct(n, m) for m in (3, *ms)] == direct, n
+        assert _residue_row.cache_info().misses == misses + 1, n
 
 
 def test_exponential_form_refuses_before_touching_the_table():
     ramanujan_sum_direct(12, 5)
-    before = _unit_circle.cache_info()
+    ramanujan_sum_direct(12, 5)
+    before = _unit_circle.cache_info(), _residue_row.cache_info(), ramanujan._last_modulus
     for n, m in ((0, 1), (DIRECT_EVAL_CAP + 1, 1), (7, 0)):
         with pytest.raises(ValueError):
             ramanujan_sum_direct(n, m)
-    assert _unit_circle.cache_info() == before
+    assert (_unit_circle.cache_info(), _residue_row.cache_info(), ramanujan._last_modulus) == before
 
 
 def test_unit_circle_table_is_read_only():
     ramanujan_sum_direct(12, 5)
     units, cosines = _unit_circle(12)
     assert units.tolist() == [1, 5, 7, 11] and cosines.size == 12
-    for arr in (units, cosines):
+    ramanujan_sum_direct(12, 5)
+    row = _residue_row(12)
+    assert row.tolist() == [csum_totient(12, j) for j in range(12)]
+    for arr in (units, cosines, row):
         assert not arr.flags.writeable
         with pytest.raises(ValueError):
             arr[0] = 0
 
 
-def test_exponential_form_needs_no_divisor_form(monkeypatch):
-    # the oracle checks the divisor form, so it must answer without it
+def test_row_checks_its_residue(fresh_oracle, monkeypatch, capsys):
+    # a tolerance below 0 fails every residue: the first call sums directly
+    # and passes, the second builds the row and raises, naming n
+    assert ramanujan_sum_direct(12, 5) == csum_totient(12, 5)
+    tol = ramanujan._RESIDUE_TOL
+    monkeypatch.setattr(ramanujan, "_RESIDUE_TOL", -1.0)
+    with pytest.raises(ArithmeticError, match="n=12"):
+        ramanujan_sum_direct(12, 7)
+    assert _residue_row.cache_info().currsize == 0
+    # the CLI maps the row's refusal to exit 3: only the row sees the
+    # tolerance below 0, so the run stops at n = 2, m = 2
+    monkeypatch.setattr(ramanujan, "_RESIDUE_TOL", tol)
+    real_row = ramanujan._residue_row
+
+    def strict(n):
+        monkeypatch.setattr(ramanujan, "_RESIDUE_TOL", -1.0)
+        return real_row(n)
+
+    monkeypatch.setattr(ramanujan, "_residue_row", strict)
+    assert main(["csum", "--n", "1..5", "--m", "1..3", "--check-oracle"]) == EXIT_ORACLE
+    captured = capsys.readouterr()
+    assert captured.out.splitlines() == ["n,m,c", "1,1,1", "1,2,1", "1,3,1", "2,1,-1"]
+    assert captured.err.startswith("oracle failure:") and "n=2" in captured.err
+
+
+def test_exponential_form_needs_no_divisor_form(monkeypatch, fresh_oracle):
+    # the oracle checks the divisor form, so it must answer without it, by
+    # either path: each modulus is called twice, summed directly and then
+    # read from its row
     def refuse(*args, **kwargs):
         raise AssertionError("the exponential-sum oracle used the divisor form")
 
@@ -101,10 +167,11 @@ def test_exponential_form_needs_no_divisor_form(monkeypatch):
                    "csumlab.ramanujan.factorize", "csumlab.sieve.moebius",
                    "csumlab.sieve.factorize"):
         monkeypatch.setattr(target, refuse)
-    _unit_circle.cache_clear()
     for n in range(1, 201):
         for m in range(1, 201):
-            assert ramanujan_sum_direct(n, m) == csum_totient(n, m), (n, m)
+            want = csum_totient(n, m)
+            assert ramanujan_sum_direct(n, m) == ramanujan_sum_direct(n, m) == want, (n, m)
+    assert _residue_row.cache_info().misses == 199
 
 
 def test_reduces_to_moebius_at_m_equal_one(table_small):

@@ -708,39 +708,66 @@ def test_inverse_table_matches_pow():
     assert table.dtype == np.uint16 and table.nbytes + start.nbytes <= 256 * 1024
     assert not (start.flags.writeable or table.flags.writeable)
     bound = series._INVERSE_BOUND
-    powers = [p**k for p in range(2, bound + 1) if spf_naive(p) == p
-              for k in range(1, bound.bit_length()) if p**k <= bound]
-    assert table.size == sum(powers)
-    for q in powers:
-        got = table[start[q] : start[q] + q].tolist()
-        assert got == [pow(w, -1, q) if gcd(w, q) == 1 else 0 for w in range(q)], q
+    assert table.size == sum(range(1, bound + 1))
+    for u in range(1, bound + 1):
+        got = table[start[u] : start[u] + u].tolist()
+        assert got == [pow(s, -1, u) if gcd(s, u) == 1 else 0 for s in range(u)], u
 
 
 def test_piece_fractions_equal_past_the_inverse_table(table_mid, lanes_mid, monkeypatch):
-    # pieces whose n hold prime powers on both sides of the table's bound:
-    # 729 = 3^6 and 1024 = 2^10 inside it, the prime 1031 past it; with the
-    # bound at 1, every lane takes _inverse
+    # every lane of these pieces takes one of three routes: q <= B reads
+    # the table at q; q > B with w = u mod q <= B reads it at w by the swap
+    # rule; q and w both past B (so n > B**2) run _inverse.  The primes
+    # 1031 and 1021 and 1024 = 2^10 lie past B, 499, 256 = 2^8 and
+    # 243 = 3^5 below it, and cofactors run to 969.  With the bound at 0,
+    # every lane runs _inverse.
     series._inverse_table()  # built at the real bound
+    bound = series._INVERSE_BOUND
     spf, rng = table_mid.spf, np.random.default_rng(2048)
-    moduli, real_inverse = [], series._inverse
+    calls, real_inverse, real_swap = {"inverse": [], "swap": []}, series._inverse, series._swap_inverse
 
     def inverse(u, q):
-        moduli.append(q)
+        calls["inverse"].append((u, q))
         return real_inverse(u, q)
 
+    def swap(start, table, s, u):
+        calls["swap"].append((s, u))
+        return real_swap(start, table, s, u)
+
+    def lane_count(n):  # the prime powers of each n, one lane each
+        count = 0
+        for k in n.tolist():
+            while k > 1:
+                p = int(spf[k])
+                while k % p == 0:
+                    k //= p
+                count += 1
+        return count
+
     monkeypatch.setattr(series, "_inverse", inverse)
+    monkeypatch.setattr(series, "_swap_inverse", swap)
     for trial in range(6):
-        q = rng.choice([729, 1024, 1031, 1021, 2, 3, 1], 3000)
+        q = rng.choice([243, 256, 499, 1024, 1031, 1021, 2, 3, 1], 3000)
         n = q * rng.integers(1, (spf.size - 1) // 1031, q.size)
         a = rng.integers(-(2**30), 2**30, n.size)
+        lanes = lane_count(n)
         got = []
-        for bound in (2**10, 1):
-            monkeypatch.setattr(series, "_INVERSE_BOUND", bound)
-            moduli.clear()
+        for b in (bound, 0):
+            monkeypatch.setattr(series, "_INVERSE_BOUND", b)
+            for c in calls.values():
+                c.clear()
             acc = np.zeros(lanes_mid.q.size, dtype=np.int64)
             got.append((series._piece_fractions(lanes_mid, a, n, acc), acc))
-            inverted = np.concatenate([np.zeros(0, dtype=np.int64), *moduli])
-            assert inverted.size and inverted.min() > bound, (trial, bound)
+            u, qs, s, us = (np.concatenate([np.zeros(0, dtype=np.int64),
+                                            *(c[i] for c in calls[name])])
+                            for name in ("inverse", "swap") for i in (0, 1))
+            if b:
+                # each route taken, and every lane by the one its q and w pick
+                assert u.size and u.min() > b and qs.min() > b, trial
+                assert s.size and s.max() <= b and us.min() > b, trial
+                assert lanes - u.size - s.size > 0, trial
+            else:
+                assert u.size == lanes and s.size == 0, trial
         assert got[0][0] == got[1][0] and np.array_equal(got[0][1], got[1][1]), trial
 
 

@@ -8,19 +8,21 @@ as a slow independent oracle.
 
 The oracle's data for a modulus n does not depend on m, and two paths
 share it.  The first call on a modulus sums directly: it keeps the units
-q of Z/nZ in ascending order and the cosines cos(j * 2*pi/n) for j in
-[0, n) (_unit_circle, a one-entry cache), gathers cosines[q * m mod n]
-and adds them with fsum.  A call on the same modulus as the call just
-before it builds that modulus's row once (_residue_row, a one-entry
-cache): the rounded sum for every residue j in [0, n), from one FFT of
-the 0/1 unit indicator, which is the same exponential sum taken as a DFT.
-It and every later call on n read row[m mod n].  So a walk over m for one
-n (csum --check-oracle, the acceptance sweep, the benchmark's pairs)
-pays one O(n log n) transform per modulus, while a walk that takes a new
-modulus each call (one m over many n) builds no row: an FFT of prime
-length n runs through Bluestein's algorithm and costs about twice the
-direct sum.  Both entries are read-only and together hold at most 24
-bytes per residue, about 24 MB at DIRECT_EVAL_CAP.
+q of Z/nZ in ascending order (what is left of [0, n) after striking the
+multiples of each prime of n, found by trial division) and the cosines
+cos(j * 2*pi/n) for j in [0, n) (_unit_circle, a one-entry cache),
+gathers cosines[q * m mod n] and adds them with fsum.  A call on the
+same modulus as the call just before it builds that modulus's row once
+(_residue_row, a one-entry cache): the rounded sum for every residue j
+in [0, n), from one FFT of the 0/1 unit indicator, which is the same
+exponential sum taken as a DFT.  It and every later call on n read
+row[m mod n].  So a walk over m for one n (csum --check-oracle, the
+acceptance sweep, the benchmark's pairs) pays one O(n log n) transform
+per modulus, while a walk that takes a new modulus each call (one m over
+many n) builds no row: an FFT of prime length n runs through Bluestein's
+algorithm and costs about twice the direct sum.  Both entries are
+read-only and together hold at most 24 bytes per residue, about 24 MB at
+DIRECT_EVAL_CAP.
 """
 
 from __future__ import annotations
@@ -96,13 +98,35 @@ _last_modulus = 0
 def _unit_circle(n: int) -> tuple[np.ndarray, np.ndarray]:
     """(units, cosines) of a modulus n >= 2, both read-only: the j in
     [0, n) coprime to n, ascending (the q in [1, n] coprime to n, since
-    neither 0 nor n is), and cos(j * (2*pi/n)) for every j in [0, n)."""
+    neither 0 nor n is), and cos(j * (2*pi/n)) for every j in [0, n).
+
+    The units are what is left after striking the multiples of each prime
+    dividing n."""
     j = np.arange(n, dtype=np.int64)
-    units = j[np.gcd(j, n) == 1]
+    coprime = np.ones(n, dtype=bool)
+    for p in _prime_divisors(n):
+        coprime[::p] = False
+    units = j[coprime]
     cosines = np.cos(j * (2.0 * pi / n))
     units.flags.writeable = False
     cosines.flags.writeable = False
     return units, cosines
+
+
+def _prime_divisors(n: int) -> list[int]:
+    """The primes dividing n >= 2, ascending, by trial division: the oracle
+    keeps off the sieve tables that the divisor form reads."""
+    primes = []
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            primes.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1
+    if n > 1:
+        primes.append(n)
+    return primes
 
 
 @lru_cache(maxsize=1)

@@ -7,10 +7,12 @@ mu(n), the largest prime factor P(n), and factorizations as plain
 [(prime, exponent), ...] lists; _divisors lists the divisors of such a
 list, for the table's factorizations and for trial-division ones alike.
 
-The sieve walks the base primes p <= sqrt(limit) in descending order and
-stores p at every multiple from p*p on, so the smallest prime is written
-last and wins; entries left at 0 are primes and get themselves.  It marks
-the cells of [0, limit] on the CHUNK grid.
+The sieve splits every n by parity (the two-spoke wheel).  Every even
+n >= 2 has spf 2, written by one stride-2 slice.  For the odd n it walks
+the odd base primes p <= sqrt(limit) in descending order and stores p at
+every odd multiple from p*p on, at stride 2p, so the smallest prime is
+written last and wins; odd entries left at 0 are primes and get
+themselves.  It marks the cells of [0, limit] on the CHUNK grid.
 
 The bulk mu and largest-prime-factor tables come from spf alone, by the
 cofactor recurrence of the linear sieve (Gries & Misra, CACM 1978).  With
@@ -19,6 +21,13 @@ s = spf(n) and q = n / s:
     mu(n)  = 0 if s | q else -mu(q),   mu(1) = 1
     lpf(n) = max(lpf(q), s),           lpf(1) = 0
 
+Even n have closed forms that read only j = n / 2:
+
+    mu(2j)  = -mu(j) for odd j, 0 for even j
+    lpf(2j) = max(lpf(j), 2)
+
+so a step fills them by strided slices, with no division, and runs the
+recurrence on the odd n alone, at stride 2.  For those,
 s | q is the same test as spf(q) = s, since no prime below s divides q,
 and it reads no table: s divides q exactly when the float64 quotient q / s
 is an integer.  That holds for every q < 2**32.  If s divides q, the
@@ -30,9 +39,9 @@ the 4-byte spf(q).
 The recurrence runs over doubling blocks [lo, hi) with hi <= 2*lo.  Every
 cofactor of a block is below lo, so it is already filled, and the block is
 one vectorised pass.  Its units, the block's cells on the CHUNK grid, are
-mapped over threads, and each unit runs its step on pieces of _CACHE_BLOCK
-entries, whose float64 temporaries (256 KiB buffers, allocated once per
-unit) stay in cache.
+mapped over threads, and each unit runs its odd n in pieces of
+_CACHE_BLOCK entries, whose float64 temporaries (256 KiB buffers,
+allocated once per unit) stay in cache.
 
 One grid, one driver: every threaded walk (the sieve's segments, the
 mu/lpf units, the series rows, the identity sides and the exact layout's
@@ -48,7 +57,9 @@ Cache file (version 2, little-endian): the 21-byte header b"SPFT",
 uint32 version, uint64 limit, uint8 entry width (4) and uint32 zlib.crc32
 of the payload, then the limit+1 uint32 spf entries.  A save creates the
 target's directory and renames a temporary file written beside the target
-into place, so an interrupted save leaves the old file or none.  A load
+into place, so an interrupted save leaves the old file or none.  The
+checksum and the payload write run as two jobs on _thread_map, both
+releasing the GIL, and the header goes in last.  A load
 fails three ways: NotACacheError if the first bytes are no prefix of b"SPFT",
 else ValueError for a truncated file (shorter than the header, unlike any v1
 cache) or a bad one (other version, width or limit, wrong size or checksum).
@@ -173,36 +184,54 @@ class SpfTable:
 
 
 def _cofactor_pieces(spf: np.ndarray, lo: int, hi: int):
-    """Yield (a, b, s, q, idx) for each piece [a, b) of [lo, hi), 2 <= lo:
-    s = spf(n), q = n / s in float64 and idx = q as indices, n in [a, b).
+    """Yield (a, b, s, q, idx) for each piece of the odd n in [lo, hi),
+    2 <= lo: the odd n in [a, b), a odd, with s = spf(n), q = n / s in
+    float64 and idx = q as indices, so s, q and idx line up with the
+    stride-2 slice [a:b:2].
 
-    Pieces hold at most _CACHE_BLOCK entries.  q and idx are views of
+    Pieces hold at most _CACHE_BLOCK odd n.  q and idx are views of
     buffers allocated once per call and refilled for every piece, so the
     caller may overwrite them.  The float64 quotient is exact: n < 2**32 <
     2**53 and s divides n.
     """
-    width = min(_CACHE_BLOCK, hi - lo)
-    n = np.arange(lo, lo + width, dtype=np.float64)
+    first = lo | 1
+    width = min(_CACHE_BLOCK, (hi - first + 1) // 2)
+    if width <= 0:
+        return
+    n = np.arange(first, first + 2 * width, 2, dtype=np.float64)
     q = np.empty(width)
     idx = np.empty(width, dtype=np.intp)
-    for a in range(lo, hi, width):
-        b = min(a + width, hi)
-        s = spf[a:b]
-        np.divide(n[: b - a], s, out=q[: b - a])
-        idx[: b - a] = q[: b - a]
-        yield a, b, s, q[: b - a], idx[: b - a]
-        n += width
+    for a in range(first, hi, 2 * width):
+        b = min(a + 2 * width, hi)
+        s = spf[a:b:2]
+        k = len(s)
+        np.divide(n[:k], s, out=q[:k])
+        idx[:k] = q[:k]
+        yield a, b, s, q[:k], idx[:k]
+        n += 2 * width
+
+
+def _halves(lo: int, hi: int) -> tuple[slice, slice]:
+    """(even, half): the even n in [lo, hi), 2 <= lo, as a stride-2 slice,
+    and the n / 2 of those n, all below lo, as a contiguous one."""
+    even = lo + (lo & 1)
+    return slice(even, hi, 2), slice(even // 2, (hi + 1) // 2)
 
 
 def _mu_step(spf: np.ndarray, mu: np.ndarray, lo: int, hi: int) -> None:
-    """mu(n) = -mu(q) * [s does not divide q] for n in [lo, hi), s = spf(n),
-    q = n / s, written straight into mu as one int8 product per piece.
+    """mu(n) for n in [lo, hi).  Even n = 2j take mu(2j) = -mu(j) for odd
+    j and 0 for even j.  Odd n take -mu(q) * [s does not divide q],
+    s = spf(n), q = n / s, written straight into mu as one int8 product
+    per piece.
 
     spf(q) is never read: s | q comes from _indivisible.
     """
-    floor = np.empty(min(_CACHE_BLOCK, hi - lo))
+    even, half = _halves(lo, hi)
+    np.negative(mu[half], out=mu[even])
+    mu[(lo + 3) // 4 * 4 : hi : 4] = 0
+    floor = np.empty(min(_CACHE_BLOCK, (hi - lo + 1) // 2))
     for a, b, s, q, idx in _cofactor_pieces(spf, lo, hi):
-        np.multiply(-mu[idx], _indivisible(q, s, floor[: b - a]), out=mu[a:b])
+        np.multiply(-mu[idx], _indivisible(q, s, floor[: len(q)]), out=mu[a:b:2])
 
 
 def _indivisible(q: np.ndarray, s: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -218,11 +247,14 @@ def _indivisible(q: np.ndarray, s: np.ndarray, out: np.ndarray) -> np.ndarray:
 
 
 def _lpf_step(spf: np.ndarray, lpf: np.ndarray, lo: int, hi: int) -> None:
-    """lpf(n) = max(lpf(q), s) for n in [lo, hi), one piece at a time."""
-    gathered = np.empty(min(_CACHE_BLOCK, hi - lo), dtype=lpf.dtype)
+    """lpf(n) for n in [lo, hi): lpf(2j) = max(lpf(j), 2) for even n, and
+    max(lpf(q), s) for odd n, one piece at a time."""
+    even, half = _halves(lo, hi)
+    np.maximum(lpf[half], 2, out=lpf[even])
+    gathered = np.empty(min(_CACHE_BLOCK, (hi - lo + 1) // 2), dtype=lpf.dtype)
     for a, b, s, q, idx in _cofactor_pieces(spf, lo, hi):
         # the indices are in range, and mode="clip" lets take fill the buffer directly
-        np.maximum(np.take(lpf, idx, out=gathered[: b - a], mode="clip"), s, out=lpf[a:b])
+        np.maximum(np.take(lpf, idx, out=gathered[: len(q)], mode="clip"), s, out=lpf[a:b:2])
 
 
 def _derive(spf: np.ndarray, dtype, seed: tuple[int, int], step) -> np.ndarray:
@@ -254,16 +286,22 @@ def _divisors(factors: list[tuple[int, int]]) -> list[int]:
 
 
 def _mark_segment(spf: np.ndarray, base: list[int], lo: int, hi: int) -> None:
-    # Descending base primes with plain stores: the last prime written to a
-    # composite is its smallest factor.  Composites n with spf(n)=p satisfy
-    # n >= p*p, so starting at p*p never skips one.
+    # Odd base primes, descending, with plain stores at their odd multiples
+    # only: the last prime written to an odd composite is its smallest
+    # factor.  Composites n with spf(n)=p satisfy n >= p*p, so starting at
+    # p*p never skips one.
     for p in reversed(base):
-        start = max(p * p, ((lo + p - 1) // p) * p)
+        if p == 2:
+            break
+        start = (lo + p - 1) // p * p
+        start = max(p * p, start if start & 1 else start + p)
         if start < hi:
-            spf[start:hi:p] = p
-    # untouched entries >= 2 are primes
-    rel = np.flatnonzero(spf[lo:hi] == 0) + lo
-    rel = rel[rel >= 2]
+            spf[start : hi : 2 * p] = p
+    # every even n >= 2 has spf 2; n = 0 stays 0
+    spf[max(2, lo + (lo & 1)) : hi : 2] = 2
+    # untouched odd entries >= 3 are primes
+    first = max(3, lo | 1)
+    rel = np.flatnonzero(spf[first:hi:2] == 0) * 2 + first
     spf[rel] = rel.astype(np.uint32)
 
 
@@ -373,16 +411,17 @@ def save_spf_table(t: SpfTable, path: str) -> None:
     path, which then replaces it, so an interrupted save leaves the previous
     file or none."""
     payload = t.spf.astype("<u4", copy=False)
-    header = _HEADER.pack(
-        _CACHE_MAGIC, _CACHE_VERSION, t.limit, _ENTRY_WIDTH, zlib.crc32(payload)
-    )
     tmp = f"{path}.{os.urandom(6).hex()}.tmp"
     try:
         os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
         try:
             with open(tmp, "xb") as fh:
-                fh.write(header)
-                fh.write(payload.data)
+                # the checksum and the payload write overlap: both release the GIL
+                fh.seek(_HEADER.size)
+                jobs = [(zlib.crc32, payload), (fh.write, payload.data)]
+                crc, _ = _thread_map(lambda job, data: job(data), jobs)
+                fh.seek(0)
+                fh.write(_HEADER.pack(_CACHE_MAGIC, _CACHE_VERSION, t.limit, _ENTRY_WIDTH, crc))
             os.replace(tmp, path)
         except BaseException:
             if os.path.exists(tmp):

@@ -131,6 +131,20 @@ def test_unit_circle_table_is_read_only():
             arr[0] = 0
 
 
+@pytest.mark.parametrize(
+    "moduli", [range(2, 3001), [720720, 999983, 10**6]], ids=["to-3000", "large"]
+)
+def test_unit_strikes_match_gcd(moduli):
+    # the units come from striking the multiples of each prime of n; the
+    # gcd route over every residue is the definition
+    for n in moduli:
+        j = np.arange(n, dtype=np.int64)
+        units, cosines = _unit_circle(n)
+        assert units.dtype == np.int64
+        assert np.array_equal(units, j[np.gcd(j, n) == 1]), n
+        assert np.array_equal(cosines, np.cos(j * (2.0 * np.pi / n))), n
+
+
 def test_row_checks_its_residue(fresh_oracle, monkeypatch, capsys):
     # a tolerance below 0 fails every residue: the first call sums directly
     # and passes, the second builds the row and raises, naming n

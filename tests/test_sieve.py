@@ -1,7 +1,9 @@
 """Smallest-prime-factor table and derived arithmetic functions."""
 
+import hashlib
 import math
 import struct
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -330,6 +332,38 @@ def test_worker_count_does_not_change_table(monkeypatch):
     assert np.array_equal(tables[0].spf, tables[1].spf)
 
 
+def test_spf_at_every_small_limit():
+    # every parity of the last entry, and the limits where the base primes
+    # (none, then 2, then 2 and 3, ...) change
+    for limit in range(2, 65):
+        t = build_spf_table(limit)
+        assert t.spf[:2].tolist() == [0, 0], limit
+        assert t.spf[2:].tolist() == [spf_naive(n) for n in range(2, limit + 1)], limit
+
+
+def test_spf_with_cells_at_odd_lo(monkeypatch):
+    # an odd CHUNK starts every other cell at an odd lo, so each cell's
+    # odd-multiple stride and even slice start on either parity
+    base = build_spf_table(10**5)
+    monkeypatch.setattr(sieve, "CHUNK", 999)
+    for threads in (1, 3):
+        monkeypatch.setattr(sieve, "_THREADS", threads)
+        assert np.array_equal(build_spf_table(10**5).spf, base.spf), threads
+    assert len(self_factored(base)) == 9592  # pi(10^5)
+
+
+def test_derived_tables_with_units_at_odd_lo(monkeypatch):
+    # an odd CHUNK starts units at odd lo, so their even slices start one
+    # entry in; odd piece widths end pieces mid-stride
+    mu_ref, lpf_ref = mu_reference(10**5), lpf_reference(10**5)
+    monkeypatch.setattr(sieve, "CHUNK", 999)
+    for piece in (7, 97):
+        monkeypatch.setattr(sieve, "_CACHE_BLOCK", piece)
+        t = build_spf_table(10**5)
+        assert np.array_equal(t.mu_table(), mu_ref), piece
+        assert np.array_equal(t.lpf_table(), lpf_ref), piece
+
+
 def test_save_load_round_trip(tmp_path, table_small):
     path = tmp_path / "spf.bin"
     save_spf_table(table_small, str(path))
@@ -343,6 +377,28 @@ def test_save_is_deterministic(tmp_path):
     save_spf_table(build_spf_table(5000), str(p1))
     save_spf_table(build_spf_table(5000), str(p2))
     assert p1.read_bytes() == p2.read_bytes()
+
+
+#: sha256 of the cache file of build_spf_table(10**6), pinned from the
+#: layout written before the checksum and the payload write overlapped
+CACHE_1E6_SHA256 = "96149ecb67b3bf1805f09696b5a3cb8122b89ca212986f42eb1cd72a741dd646"
+
+
+def test_cache_bytes_are_pinned(tmp_path, table_mid):
+    path = tmp_path / "spf.bin"
+    save_spf_table(table_mid, str(path))
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == CACHE_1E6_SHA256
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_header_crc_is_the_payload_crc(tmp_path, monkeypatch, table_small, threads):
+    monkeypatch.setattr(sieve, "_THREADS", threads)
+    path = tmp_path / "spf.bin"
+    save_spf_table(table_small, str(path))
+    raw = path.read_bytes()
+    *_, crc = struct.unpack("<4sIQBI", raw[:21])
+    assert crc == zlib.crc32(raw[21:]) == zlib.crc32(table_small.spf.astype("<u4"))
+    assert raw[21:] == table_small.spf.astype("<u4").tobytes()
 
 
 def test_load_rejects_corrupt_header(tmp_path, table_small):
@@ -416,10 +472,11 @@ def test_load_calls_a_foreign_file_not_a_cache(tmp_path, raw):
 
 
 class _FailingWriter:
-    """A file whose second write (the payload) raises after a partial write."""
+    """A file whose write number fail_at raises after a partial write: the
+    payload is the first write, the header the second."""
 
-    def __init__(self, fh, exc):
-        self.fh, self.exc, self.writes = fh, exc, 0
+    def __init__(self, fh, exc, fail_at=2):
+        self.fh, self.exc, self.fail_at, self.writes = fh, exc, fail_at, 0
 
     def __enter__(self):
         return self
@@ -427,9 +484,12 @@ class _FailingWriter:
     def __exit__(self, *exc_info):
         self.fh.close()
 
+    def seek(self, offset):
+        return self.fh.seek(offset)
+
     def write(self, data):
         self.writes += 1
-        if self.writes == 2:
+        if self.writes == self.fail_at:
             self.fh.write(bytes(memoryview(data).cast("B")[:100]))
             raise self.exc
         return self.fh.write(data)
@@ -442,6 +502,23 @@ def test_interrupted_save_keeps_previous_file(tmp_path, monkeypatch, table_small
     before = path.read_bytes()
     monkeypatch.setattr(
         sieve, "open", lambda *a, **k: _FailingWriter(open(*a, **k), exc), raising=False
+    )
+    with pytest.raises(type(exc)):
+        save_spf_table(table_small, str(path))
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["spf.bin"]
+
+
+@pytest.mark.parametrize("exc", [OSError("disk full"), KeyboardInterrupt()])
+@pytest.mark.parametrize("threads", [1, 2])
+def test_failed_payload_write_keeps_previous_file(tmp_path, monkeypatch, table_small, exc, threads):
+    # with two threads the payload write is the job that runs beside the checksum
+    monkeypatch.setattr(sieve, "_THREADS", threads)
+    path = tmp_path / "spf.bin"
+    save_spf_table(build_spf_table(5000), str(path))
+    before = path.read_bytes()
+    monkeypatch.setattr(
+        sieve, "open", lambda *a, **k: _FailingWriter(open(*a, **k), exc, 1), raising=False
     )
     with pytest.raises(type(exc)):
         save_spf_table(table_small, str(path))

@@ -6,28 +6,29 @@ case (E. Cohen, "An extension of Ramanujan's sum", Duke Math. J. 1949).
 The defining exponential sum (cosines over residues coprime to n) is kept
 as a slow independent oracle.
 
-The oracle's data for a modulus n does not depend on m, and two paths
-share it.  The first call on a modulus sums directly: it keeps the units
-q of Z/nZ in ascending order (what is left of [0, n) after striking the
-multiples of each prime of n, found by trial division) and the cosines
-cos(j * 2*pi/n) for j in [0, n) (_unit_circle, a one-entry cache),
-gathers cosines[q * m mod n] and adds them with fsum.  A call on the
-same modulus as the call just before it builds that modulus's row once
-(_residue_row, a one-entry cache): the rounded sum for every residue j
-in [0, n), from one FFT of the 0/1 unit indicator, which is the same
-exponential sum taken as a DFT.  It and every later call on n read
+The oracle keeps one piece of state, _last = (n, units, row), for the
+last modulus it saw; what it holds does not depend on m.  A call on a new
+modulus strikes the multiples of each prime of n (found by trial
+division) from [0, n) to get the units q of Z/nZ in ascending order,
+takes cos((q * m mod n) * 2*pi/n) over those phi(n) angles alone, adds
+them with fsum and stores (n, units, None).  A call on the same modulus
+as the call just before it builds that modulus's row once from the units
+it holds: the rounded sum for every residue j in [0, n), from one FFT of
+the 0/1 unit indicator, which is the same exponential sum taken as a
+DFT.  It stores (n, units, row), and it and every later call on n read
 row[m mod n].  So a walk over m for one n (csum --check-oracle, the
 acceptance sweep, the benchmark's pairs) pays one O(n log n) transform
 per modulus, while a walk that takes a new modulus each call (one m over
 many n) builds no row: an FFT of prime length n runs through Bluestein's
-algorithm and costs about twice the direct sum.  Both entries are
-read-only and together hold at most 24 bytes per residue, about 24 MB at
-DIRECT_EVAL_CAP.
+algorithm and costs about twice the direct sum, and each new length pays
+for its plan.  Units and row are read-only and together hold at most 16
+bytes per residue, about 16 MB at DIRECT_EVAL_CAP.  A racing thread can
+only re-sum or rebuild, which gives the same integer, and the one tuple
+swap keeps n, units and row consistent.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
 from math import fsum, gcd, pi
 
 import numpy as np
@@ -56,14 +57,14 @@ def ramanujan_sum_direct(n: int, m: int) -> int:
     """c_n(m) from the defining exponential sum, as an independent oracle.
 
     Sums cos(2*pi*q*m/n) over 1 <= q <= n coprime to n (imaginary parts
-    cancel exactly) and rounds to the nearest integer.  The first call on
+    cancel exactly) and rounds to the nearest integer.  A call on a new
     n sums directly; a call on the n of the call just before it reads the
     row of every residue's sum, built once by FFT.  Usable for
     n <= DIRECT_EVAL_CAP; a rounding residue above 1e-6 * max(1, phi(n)),
     at m or, when the row is built, at any residue, means double
     precision can no longer be trusted and raises.
     """
-    global _last_modulus
+    global _last
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     if n > DIRECT_EVAL_CAP:
@@ -72,45 +73,49 @@ def ramanujan_sum_direct(n: int, m: int) -> int:
         raise ValueError(f"m must be >= 1, got {m}")
     if n == 1:
         return 1  # single q=1 term, e^0
-    if n == _last_modulus:
-        return int(_residue_row(n)[m % n])
-    _last_modulus = n
-    units, cosines = _unit_circle(n)
-    # q * (m mod n) < n**2 fits int64 for any m, and its residue j mod n
-    # picks cos(2*pi*q*m/n) = cosines[j], whose argument stays below 2*pi
-    total = fsum(cosines[units * (m % n) % n].tolist())
-    nearest = round(total)
-    if abs(total - nearest) > _RESIDUE_TOL * max(1, units.size):
-        raise ArithmeticError(
-            f"direct Ramanujan sum unreliable at n={n}, m={m}: "
-            f"rounding residue {abs(total - nearest):.3e}"
-        )
-    return int(nearest)
+    last_n, units, row = _last
+    if n != last_n:
+        units = _units(n)
+        _last = (n, units, None)
+        # q * (m mod n) < n**2 fits int64 for any m, and its residue mod n
+        # keeps the cosine's argument below 2*pi
+        total = fsum(np.cos((units * (m % n) % n) * (2.0 * pi / n)).tolist())
+        nearest = round(total)
+        _check_residue(abs(total - nearest), n, units.size, m)
+        return int(nearest)
+    if row is None:
+        unit = np.zeros(n)
+        unit[units] = 1.0
+        # term j of the DFT of the unit indicator is the sum of
+        # exp(-2*pi*i*q*j/n) over the units q: its real part is c_n(j)
+        sums = np.fft.fft(unit).real
+        row = np.rint(sums)
+        residue = np.abs(sums - row)
+        j = int(residue.argmax())
+        _check_residue(residue[j], n, units.size, f"{j} (mod n)")
+        row = row.astype(np.int64)
+        row.flags.writeable = False
+        _last = (n, units, row)
+    return int(row[m % n])
 
 
-#: Modulus of the last call that summed directly; the next call on it
-#: reads _residue_row instead.  A racing thread can only pick the other
-#: path, which gives the same integer.
-_last_modulus = 0
+#: (n, units, row) of the last modulus: the units of n, ascending int64,
+#: and c_n(j) for every j in [0, n) once a second call on n builds it (None
+#: until then), both read-only.  Swapped as one tuple, so a racing thread
+#: sees n, units and row of one modulus.
+_last: tuple[int, np.ndarray | None, np.ndarray | None] = (0, None, None)
 
 
-@lru_cache(maxsize=1)
-def _unit_circle(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """(units, cosines) of a modulus n >= 2, both read-only: the j in
-    [0, n) coprime to n, ascending (the q in [1, n] coprime to n, since
-    neither 0 nor n is), and cos(j * (2*pi/n)) for every j in [0, n).
-
-    The units are what is left after striking the multiples of each prime
-    dividing n."""
-    j = np.arange(n, dtype=np.int64)
+def _units(n: int) -> np.ndarray:
+    """The j in [0, n) coprime to a modulus n >= 2, ascending read-only
+    int64 (the q in [1, n] coprime to n, since neither 0 nor n is): what
+    is left after striking the multiples of each prime dividing n."""
     coprime = np.ones(n, dtype=bool)
     for p in _prime_divisors(n):
         coprime[::p] = False
-    units = j[coprime]
-    cosines = np.cos(j * (2.0 * pi / n))
+    units = np.flatnonzero(coprime).astype(np.int64, copy=False)
     units.flags.writeable = False
-    cosines.flags.writeable = False
-    return units, cosines
+    return units
 
 
 def _prime_divisors(n: int) -> list[int]:
@@ -129,30 +134,14 @@ def _prime_divisors(n: int) -> list[int]:
     return primes
 
 
-@lru_cache(maxsize=1)
-def _residue_row(n: int) -> np.ndarray:
-    """c_n(j) for every j in [0, n) of a modulus n >= 2, read-only int64.
-
-    Term j of the DFT of the 0/1 indicator of the units is the sum of
-    exp(-2*pi*i*q*j/n) over the units q; its real part is the direct
-    path's cosine sum at m = j.  Each is rounded under the same residue
-    tolerance, checked over the whole row before any is returned.
-    """
-    units = _unit_circle(n)[0]
-    unit = np.zeros(n)
-    unit[units] = 1.0
-    sums = np.fft.fft(unit).real
-    row = np.rint(sums)
-    residue = np.abs(sums - row)
-    j = int(residue.argmax())
-    if residue[j] > _RESIDUE_TOL * max(1, units.size):
+def _check_residue(residue: float, n: int, phi: int, m: int | str) -> None:
+    """ArithmeticError naming n and m (for a row, the worst residue j mod n)
+    when a rounding residue is above the tolerance, 1e-6 * max(1, phi(n))."""
+    if residue > _RESIDUE_TOL * max(1, phi):
         raise ArithmeticError(
-            f"direct Ramanujan sum unreliable at n={n}, m={j} (mod n): "
-            f"rounding residue {residue[j]:.3e}"
+            f"direct Ramanujan sum unreliable at n={n}, m={m}: "
+            f"rounding residue {residue:.3e}"
         )
-    row = row.astype(np.int64)
-    row.flags.writeable = False
-    return row
 
 
 def generalized_ramanujan_sum(t: SpfTable, n: int, m: int, s: int = 1) -> int:

@@ -57,10 +57,13 @@ Cache file (version 2, little-endian): the 21-byte header b"SPFT",
 uint32 version, uint64 limit, uint8 entry width (4) and uint32 zlib.crc32
 of the payload, then the limit+1 uint32 spf entries.  A save creates the
 target's directory and renames a temporary file written beside the target
-into place, so an interrupted save leaves the old file or none.  The
+into place, so an interrupted save leaves the old file or none; a target
+that exists but is not a regular file (a FIFO, a device, a directory) is
+refused, not replaced.  The
 checksum and the payload write run as two jobs on _thread_map, both
 releasing the GIL, and the header goes in last.  A load
-fails three ways: NotACacheError if the first bytes are no prefix of b"SPFT",
+fails three ways: NotACacheError if the path is not a regular file, which
+is never opened, or if its first bytes are no prefix of b"SPFT",
 else ValueError for a truncated file (shorter than the header, unlike any v1
 cache) or a bad one (other version, width or limit, wrong size or checksum).
 """
@@ -68,6 +71,7 @@ cache) or a bad one (other version, width or limit, wrong size or checksum).
 from __future__ import annotations
 
 import os
+import stat
 import struct
 import zlib
 from concurrent import futures
@@ -402,17 +406,21 @@ def factorize(t: SpfTable, n: int) -> list[tuple[int, int]]:
 
 
 class NotACacheError(ValueError):
-    """The file is not an spf cache: its leading bytes are not a prefix of b"SPFT"."""
+    """The path is not an spf cache: not a regular file, or one whose leading
+    bytes are not a prefix of b"SPFT"."""
 
 
 def save_spf_table(t: SpfTable, path: str) -> None:
     """Write the spf array as a version-2 binary cache (see the module doc),
     creating the directory of path.  The bytes go to a temporary file beside
     path, which then replaces it, so an interrupted save leaves the previous
-    file or none."""
+    file or none.  OSError, before anything is written, if path exists but
+    is not a regular file."""
     payload = t.spf.astype("<u4", copy=False)
     tmp = f"{path}.{os.urandom(6).hex()}.tmp"
     try:
+        if os.path.exists(path) and not os.path.isfile(path):
+            raise OSError("not a regular file")
         os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
         try:
             with open(tmp, "xb") as fh:
@@ -433,8 +441,11 @@ def save_spf_table(t: SpfTable, path: str) -> None:
 
 def load_spf_table(path: str) -> SpfTable:
     """Load a cache written by save_spf_table: NotACacheError for a file that
-    is not a cache, ValueError for a truncated or bad one (see the module doc)."""
+    is not a cache, ValueError for a truncated or bad one (see the module doc).
+    The path is checked before it is opened, so a FIFO never blocks."""
     try:
+        if not stat.S_ISREG(os.stat(path).st_mode):
+            raise NotACacheError(f"{path}: not a regular file")
         with open(path, "rb") as fh:
             head = fh.read(_HEADER.size)
             size = os.fstat(fh.fileno()).st_size

@@ -2,6 +2,7 @@
 
 import os
 import resource
+import stat
 import struct
 import subprocess
 import sys
@@ -612,10 +613,64 @@ def test_cache_rewrites_only_its_own_format(tmp_path, monkeypatch, capsys):
         assert captured.out == fresh, before[:8]
         assert captured.err.startswith("warning") and says in captured.err, captured.err
         assert cache.read_bytes() == (good if rewritten else before), before[:8]
-    # sieve --out writes its named output whatever was there
+    # sieve --out writes its named output over any regular file there
     cache.write_bytes(readme)
     assert main(["sieve", "--limit", "1e3", "--out", str(cache)]) == EXIT_OK
     assert cache.read_bytes() == good
+
+
+def test_fifo_cache_never_blocks_a_run(tmp_path):
+    # a FIFO given to --cache is not a cache: it is never opened, and the
+    # run warns once and uses a fresh table.  In a child with a timeout, so
+    # a blocked open() fails the test instead of stalling the suite
+    fifo = tmp_path / "spf.bin"
+    os.mkfifo(fifo)
+    env = {k: v for k, v in os.environ.items() if k != cli.CACHE_ENV}
+    env["PYTHONPATH"] = str(Path(cli.__file__).resolve().parents[1])
+    argv = [sys.executable, "-m", "csumlab", "verify", "mu-baseline", "--limit", "1e3"]
+    fresh = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=60)
+    proc = subprocess.run(argv + ["--cache", str(fifo)], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert fresh.returncode == 0 and proc.returncode == 0, proc.stderr
+    assert proc.stdout == fresh.stdout
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("warning:"), lines
+    assert "not a regular file" in lines[0], lines
+    assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+
+
+def test_directory_cache_is_not_a_cache(tmp_path, monkeypatch, capsys):
+    monkeypatch.delenv("CSUMLAB_CACHE_DIR", raising=False)
+    argv = ["verify", "mu-baseline", "--limit", "1e3"]
+    assert main(argv) == EXIT_OK
+    fresh = capsys.readouterr().out
+    assert main(argv + ["--cache", str(tmp_path)]) == EXIT_OK
+    captured = capsys.readouterr()
+    assert captured.out == fresh
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and "not a regular file" in lines[0], lines
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_sieve_out_fifo_is_one_line_exit_1(tmp_path, capsys):
+    # the save refuses to replace what is not a regular file
+    fifo = tmp_path / "spf.bin"
+    os.mkfifo(fifo)
+    assert main(["sieve", "--limit", "1e3", "--out", str(fifo)]) == EXIT_IO
+    lines = capsys.readouterr().err.splitlines()
+    assert lines == [f"error: cannot write spf cache to {fifo}: not a regular file"]
+    assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+    assert [p.name for p in tmp_path.iterdir()] == ["spf.bin"]
+
+
+def test_report_out_into_missing_directory_is_one_line_exit_1(tmp_path, capsys):
+    # unlike a cache path, a report's --out does not create its directory
+    out = tmp_path / "missing" / "rep.csv"
+    assert main(["verify", "mu-baseline", "--limit", "1e3", "--out", str(out)]) == EXIT_IO
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), lines
+    assert "Traceback" not in lines[0] and str(out) in lines[0]
+    assert not out.parent.exists()
 
 
 def test_sieve_out_creates_its_directory(tmp_path):

@@ -4,6 +4,7 @@ import os
 import resource
 import subprocess
 import sys
+from concurrent.futures import ThreadPoolExecutor
 from math import gcd
 from pathlib import Path
 
@@ -18,7 +19,7 @@ from csumlab import (
 )
 from csumlab import ramanujan
 from csumlab.cli import EXIT_ORACLE, main
-from csumlab.ramanujan import DIRECT_EVAL_CAP, _residue_row, _unit_circle
+from csumlab.ramanujan import DIRECT_EVAL_CAP, _units
 
 from conftest import (
     csum_divisor_naive,
@@ -62,31 +63,42 @@ def test_exponential_form_matches_totient_oracle(table_small):
 
 @pytest.fixture
 def fresh_oracle(monkeypatch):
-    """Both oracle caches empty and no previous modulus."""
-    _unit_circle.cache_clear()
-    _residue_row.cache_clear()
-    monkeypatch.setattr(ramanujan, "_last_modulus", 0)
+    """No previous modulus in the oracle's state."""
+    monkeypatch.setattr(ramanujan, "_last", (0, None, None))
+
+
+@pytest.fixture
+def fft_calls(monkeypatch):
+    """A list that gets one entry per FFT, that is per row the oracle builds."""
+    calls = []
+    real_fft = np.fft.fft
+
+    def counting(a):
+        calls.append(len(a))
+        return real_fft(a)
+
+    monkeypatch.setattr(np.fft, "fft", counting)
+    return calls
 
 
 def test_exponential_form_matches_uncached_reference():
-    # neither one-modulus cache may change an answer, whichever order the
-    # calls come in: n-major sums each n directly once and then reads its
-    # row, m-major mostly takes a new modulus each call
+    # the state kept for the last modulus may not change an answer,
+    # whichever order the calls come in: n-major sums each n directly once
+    # and then reads its row, m-major mostly takes a new modulus each call
     grid = [(n, m) for n in range(1, 301) for m in range(1, 2 * n + 1)]
     expected = {nm: ramanujan_sum_direct_reference(*nm) for nm in grid}
     for n, m in grid:
         assert ramanujan_sum_direct(n, m) == expected[n, m], (n, m)
-    assert _unit_circle.cache_info().currsize <= 1 and _residue_row.cache_info().currsize <= 1
+    assert ramanujan._last[0] == 300 and ramanujan._last[2] is not None
     for n, m in sorted(grid, key=lambda nm: (nm[1], nm[0])):
         assert ramanujan_sum_direct(n, m) == expected[n, m], (n, m)
-    assert _unit_circle.cache_info().currsize <= 1 and _residue_row.cache_info().currsize <= 1
     for m in (10**17, 2**63 - 1, 2**63, 10**30):
         for n in range(1, 301):
             assert ramanujan_sum_direct(n, m) == ramanujan_sum_direct_reference(n, m), (n, m)
-    assert _unit_circle.cache_info().currsize <= 1 and _residue_row.cache_info().currsize <= 1
+    assert ramanujan._last[0] == 300 and ramanujan._last[2] is None
 
 
-def test_new_modulus_each_call_builds_no_row(fresh_oracle):
+def test_new_modulus_each_call_builds_no_row(fresh_oracle, fft_calls):
     # an m-major walk and a single-m sweep over n never repeat a modulus
     # in a row, so both sum directly and never pay for an FFT
     for m in range(1, 201):
@@ -94,38 +106,40 @@ def test_new_modulus_each_call_builds_no_row(fresh_oracle):
             assert ramanujan_sum_direct(n, m) == csum_totient(n, m), (n, m)
     for n in range(1, 3001):
         assert ramanujan_sum_direct(n, 6) == csum_totient(n, 6), n
-    assert _residue_row.cache_info().misses == 0
+    assert fft_calls == [] and ramanujan._last[2] is None
 
 
-def test_row_answers_as_the_direct_sum_at_large_moduli(fresh_oracle):
+def test_row_answers_as_the_direct_sum_at_large_moduli(fresh_oracle, fft_calls):
     # 720720 is highly composite, 999983 the largest prime below the cap
     # (a Bluestein FFT), 10**6 the cap itself
     for n in (720720, 999983, 10**6):
         ms = (1, 2, 5, n - 1, 10**30)
         direct = [ramanujan_sum_direct(n, 3)] + [ramanujan_sum_direct_reference(n, m) for m in ms]
-        misses = _residue_row.cache_info().misses
         assert [ramanujan_sum_direct(n, m) for m in (3, *ms)] == direct, n
-        assert _residue_row.cache_info().misses == misses + 1, n
+        assert fft_calls.count(n) == 1, n
 
 
 def test_exponential_form_refuses_before_touching_the_table():
-    ramanujan_sum_direct(12, 5)
-    ramanujan_sum_direct(12, 5)
-    before = _unit_circle.cache_info(), _residue_row.cache_info(), ramanujan._last_modulus
-    for n, m in ((0, 1), (DIRECT_EVAL_CAP + 1, 1), (7, 0)):
-        with pytest.raises(ValueError):
-            ramanujan_sum_direct(n, m)
-    assert (_unit_circle.cache_info(), _residue_row.cache_info(), ramanujan._last_modulus) == before
+    for calls in (1, 2):  # state without and with the row
+        for _ in range(calls):
+            ramanujan_sum_direct(12, 5)
+        before = ramanujan._last
+        for n, m in ((0, 1), (DIRECT_EVAL_CAP + 1, 1), (7, 0)):
+            with pytest.raises(ValueError):
+                ramanujan_sum_direct(n, m)
+        assert ramanujan._last is before
 
 
-def test_unit_circle_table_is_read_only():
+def test_unit_circle_table_is_read_only(fresh_oracle):
     ramanujan_sum_direct(12, 5)
-    units, cosines = _unit_circle(12)
-    assert units.tolist() == [1, 5, 7, 11] and cosines.size == 12
+    assert ramanujan._last[0] == 12 and ramanujan._last[2] is None
+    units = ramanujan._last[1]
+    assert units.tolist() == [1, 5, 7, 11]
     ramanujan_sum_direct(12, 5)
-    row = _residue_row(12)
+    assert ramanujan._last[1] is units
+    row = ramanujan._last[2]
     assert row.tolist() == [csum_totient(12, j) for j in range(12)]
-    for arr in (units, cosines, row):
+    for arr in (units, row):
         assert not arr.flags.writeable
         with pytest.raises(ValueError):
             arr[0] = 0
@@ -139,10 +153,9 @@ def test_unit_strikes_match_gcd(moduli):
     # gcd route over every residue is the definition
     for n in moduli:
         j = np.arange(n, dtype=np.int64)
-        units, cosines = _unit_circle(n)
+        units = _units(n)
         assert units.dtype == np.int64
         assert np.array_equal(units, j[np.gcd(j, n) == 1]), n
-        assert np.array_equal(cosines, np.cos(j * (2.0 * np.pi / n))), n
 
 
 def test_row_checks_its_residue(fresh_oracle, monkeypatch, capsys):
@@ -153,24 +166,19 @@ def test_row_checks_its_residue(fresh_oracle, monkeypatch, capsys):
     monkeypatch.setattr(ramanujan, "_RESIDUE_TOL", -1.0)
     with pytest.raises(ArithmeticError, match="n=12"):
         ramanujan_sum_direct(12, 7)
-    assert _residue_row.cache_info().currsize == 0
-    # the CLI maps the row's refusal to exit 3: only the row sees the
-    # tolerance below 0, so the run stops at n = 2, m = 2
+    assert ramanujan._last[0] == 12 and ramanujan._last[2] is None
+    # the CLI maps the row's refusal to exit 3: only the row sees an FFT
+    # off by a quarter, so the run stops at n = 2, m = 2
     monkeypatch.setattr(ramanujan, "_RESIDUE_TOL", tol)
-    real_row = ramanujan._residue_row
-
-    def strict(n):
-        monkeypatch.setattr(ramanujan, "_RESIDUE_TOL", -1.0)
-        return real_row(n)
-
-    monkeypatch.setattr(ramanujan, "_residue_row", strict)
+    real_fft = np.fft.fft
+    monkeypatch.setattr(np.fft, "fft", lambda a: real_fft(a) + 0.25)
     assert main(["csum", "--n", "1..5", "--m", "1..3", "--check-oracle"]) == EXIT_ORACLE
     captured = capsys.readouterr()
     assert captured.out.splitlines() == ["n,m,c", "1,1,1", "1,2,1", "1,3,1", "2,1,-1"]
     assert captured.err.startswith("oracle failure:") and "n=2" in captured.err
 
 
-def test_exponential_form_needs_no_divisor_form(monkeypatch, fresh_oracle):
+def test_exponential_form_needs_no_divisor_form(monkeypatch, fresh_oracle, fft_calls):
     # the oracle checks the divisor form, so it must answer without it, by
     # either path: each modulus is called twice, summed directly and then
     # read from its row
@@ -185,7 +193,30 @@ def test_exponential_form_needs_no_divisor_form(monkeypatch, fresh_oracle):
         for m in range(1, 201):
             want = csum_totient(n, m)
             assert ramanujan_sum_direct(n, m) == ramanujan_sum_direct(n, m) == want, (n, m)
-    assert _residue_row.cache_info().misses == 199
+    assert len(fft_calls) == 199
+
+
+def test_concurrent_calls_agree(fresh_oracle):
+    # the one tuple of state is all that calls share: each thread walks
+    # every n <= 300 in its own order, three calls a modulus, so both
+    # paths run while the other threads swap the state
+    def walk(seed):
+        rng = np.random.default_rng(seed)
+        wrong = []
+        for n in rng.permutation(np.arange(2, 301)).tolist():
+            for m in rng.integers(1, 2 * n + 1, size=3).tolist():
+                if ramanujan_sum_direct(n, m) != csum_totient(n, m):
+                    wrong.append((n, m))
+        return wrong
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            results = list(pool.map(walk, range(8)))
+    finally:
+        sys.setswitchinterval(interval)
+    assert results == [[]] * 8
 
 
 def test_reduces_to_moebius_at_m_equal_one(table_small):

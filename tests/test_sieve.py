@@ -2,7 +2,10 @@
 
 import hashlib
 import math
+import os
+import stat
 import struct
+import threading
 import zlib
 from pathlib import Path
 
@@ -469,6 +472,32 @@ def test_load_calls_a_foreign_file_not_a_cache(tmp_path, raw):
     path.write_bytes(raw)
     with pytest.raises(NotACacheError, match="not an spf cache"):
         load_spf_table(str(path))
+
+
+def test_load_calls_a_fifo_or_directory_not_a_cache(tmp_path):
+    # a FIFO is never opened: open() would wait for a writer.  The load runs
+    # on a daemon thread, so a blocked open fails the test, not the suite
+    fifo = tmp_path / "spf.bin"
+    os.mkfifo(fifo)
+    raised = []
+
+    def load():
+        try:
+            load_spf_table(str(fifo))
+        except Exception as exc:
+            raised.append(exc)
+
+    reader = threading.Thread(target=load, daemon=True)
+    reader.start()
+    reader.join(timeout=10)
+    blocked = reader.is_alive()
+    if blocked:  # hand the blocked open() a writer, so the thread can end
+        os.close(os.open(fifo, os.O_WRONLY | os.O_NONBLOCK))
+    assert not blocked
+    assert type(raised[0]) is NotACacheError and "not a regular file" in str(raised[0])
+    assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+    with pytest.raises(NotACacheError, match="not a regular file"):
+        load_spf_table(str(tmp_path))
 
 
 class _FailingWriter:

@@ -49,6 +49,7 @@ from .sieve import (
     NotACacheError,
     SpfTable,
     build_spf_table,
+    check_spf_target,
     load_spf_table,
     save_spf_table,
 )
@@ -241,6 +242,7 @@ def cmd_sieve(args) -> int:
     out = args.out or _env_cache_path(limit)
     if out is None:
         raise UsageError(f"--out is required when {CACHE_ENV} is not set")
+    check_spf_target(out)
     t0 = time.perf_counter()
     table = build_spf_table(limit)
     build_s = time.perf_counter() - t0

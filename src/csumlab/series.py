@@ -44,14 +44,14 @@ reducer and the combine step: both reducers read one term selection.
 The exact one fixes one lane per prime p <= x, with denominator q_p the
 largest power of p up to x, and writes the sum of its terms a/n as
 z + sum r_p / q_p, 0 <= r_p < q_p: it factors n through the table and
-takes each residue with a modular inverse, inside int64 or uint64.  The
-inverse of w = u mod q comes from one read-only table of s**-1 mod u for
-every modulus u <= 500 (254,516 B, built by the swap rule
-s**-1 mod u = (1 + u t) / s with t = -u**-1 mod s read at the smaller
-modulus s): directly when q <= 500, by the same rule at modulus w when
-only w <= 500, and from a vectorized Euclid only when both pass 500,
-which needs n > 250,000.  Each unit returns one such sum, times the power of two that makes every f
-value an integer; sums add lane by lane.  The form is canonical,
+takes each residue with a modular inverse, inside int64 or uint64.  One
+rule gives every inverse: the swap rule s**-1 mod u = (1 + u t) / s with
+t = -(u mod s)**-1 mod s, which asks for an inverse at the smaller
+modulus s.  It builds one read-only table of s**-1 mod u for every modulus
+u <= 500 (254,516 B); w = u mod q reads its entry at q when q <= 500, and
+otherwise takes swap steps down to the table.  Each unit returns one such
+sum, times the power of two that makes every f value an integer; sums add
+lane by lane.  The form is canonical,
 so the two sides are equal exactly when their z and lanes are: then one
 Fraction serves both, and otherwise each side becomes its own.  A
 Fraction comes from a product tree over the pairwise coprime prime
@@ -400,77 +400,60 @@ class _Lanes:
         self.rank[self.primes] = np.arange(self.primes.size, dtype=np.int32)
 
 
-#: Most division steps Euclid takes on (q, u) with 0 < u < q < 2**32: by
-#: Lame's theorem, n steps need q >= F(n + 2), and F(47) < 2**32 < F(48).
-_EUCLID_STEPS = 45
-
-
-def _inverse(u: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """u**-1 mod q for int64 arrays with gcd(u, q) = 1 and 0 < u < q < 2**32.
-
-    Extended Euclid in float64, on every lane until each has ended, for at
-    most _EUCLID_STEPS steps.  Remainders, quotients, their products with
-    a remainder or a Bezout coefficient, and the coefficients themselves
-    are integers of magnitude at most q, so float64 holds each exactly.
-    The quotient floor(r0 / r1) is exact too: when r0 / r1 is not an
-    integer it lies at least 1 / r1 from one, and rounding moves it by
-    less than 2**-21 / r1.  A lane ends when its remainder r1 reaches 0,
-    with r0 the gcd and s0 * u = r0 (mod q); its next step divides by that
-    0, so from then on it holds inf or nan and is never read again.  A
-    call runs as many steps as its slowest lane needs, so the exact
-    reducer reads _inverse_table instead wherever q or u is at most
-    _INVERSE_BOUND, and calls it only on the lanes past both.
-
-    Raises:
-        ValueError: a lane never ends (u = 0) or its s0 * u is not 1 mod q
-            (a gcd above 1).
-    """
-    r0, r1 = q.astype(np.float64), u.astype(np.float64)
-    s0, s1 = np.zeros(q.size), np.ones(q.size)
-    out, t, ended = np.empty(q.size), np.empty(q.size), np.empty(q.size, dtype=bool)
-    left = q.size
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for _ in range(_EUCLID_STEPS):
-            if not left:
-                break
-            np.floor(np.divide(r0, r1, out=t), out=t)
-            r0 -= t * r1
-            s0 -= t * s1
-            r0, r1, s0, s1 = r1, r0, s1, s0
-            np.equal(r1, 0, out=ended)  # r0 is the gcd, and s0 * u = r0 (mod q)
-            np.copyto(out, s0, where=ended)
-            left -= np.count_nonzero(ended)
-    if left:  # u = 0 ends no lane
-        raise ValueError("cannot invert a non-unit modulo its q")
-    inv = out.astype(np.int64) % q
-    if np.any(inv.astype(np.uint64) * u.astype(np.uint64) % q.astype(np.uint64) != 1):  # gcd > 1
-        raise ValueError("cannot invert a non-unit modulo its q")
-    return inv
-
-
-#: Every modulus u up to this bound has a row in _inverse_table.  A lane
-#: with q <= B reads its row, and one with q > B and w = u mod q <= B
-#: reads the row of w by the swap rule; only lanes with both past B, so
-#: n > B**2, run _inverse.  At 500 (125,250 entries, 254,516 B with the
-#: offsets, built in 7-13 ms) the twelve 1e5 identity calls of
-#: exact-oracle run no Euclid, since a lane with q > 500 there has
-#: w = u < 200; their inverse step took (2 CPUs, 2 runs each) 0.07-0.08 s,
-#: against 0.11-0.14 s with the prime-power table up to 2**10 (87,760
-#: entries, built by Euclid in 25-37 ms) and Euclid past it.
+#: Every modulus u up to this bound has a row in _inverse_table, which
+#: _inverse reads at q <= B; past it, each swap step moves a lane from
+#: (w, q) to (q mod w, w), so only lanes with w past B too, n > B**2, take
+#: more than one.  At 500 (125,250 entries, 254,516 B with the offsets,
+#: built in 7-13 ms) the twelve 1e5 identity calls of exact-oracle take at
+#: most one step, since a lane with q > 500 there has w = u < 200; their
+#: inverse step took (2 CPUs, 2 runs each) 0.07-0.08 s, against 0.11-0.14 s
+#: with a table of the prime-power moduli up to 2**10 (87,760 entries).
 _INVERSE_BOUND = 500
 
 
-def _swap_inverse(start: np.ndarray, table: np.ndarray, s, u):
-    """s**-1 mod u for int64 s in [1, _INVERSE_BOUND] and u > s, read from
-    the row of the modulus s of _inverse_table, 0 where gcd(s, u) > 1.
+def _swap(s, u, inv):
+    """s**-1 mod u for 1 <= s < u, from inv = (u mod s)**-1 mod s; 0 where
+    gcd(s, u) > 1, given inv = 0 there.
 
-    t = (s - (u mod s)**-1 mod s) mod s gives u t = -1 (mod s), so s
-    divides 1 + u t and (1 + u t) / s < u is s**-1 mod u; 1 + u t stays
-    below 2**41 for u < 2**32.  On a non-unit s >= 2, u mod s is no unit
-    of s either, its entry is 0, so t = 0 and (1 + 0) // s = 0.
+    t = (s - inv) mod s gives u t = -1 (mod s), so s divides 1 + u t and
+    (1 + u t) / s < u is s**-1 mod u.  1 + u t <= u s, below 2**64 for
+    u < 2**32 in uint64.  On a non-unit s >= 2, t = 0 and (1 + 0) // s = 0.
     """
-    t = (s - table[start[s] + u % s]) % s
-    return (1 + u * t) // s
+    return (1 + u * ((s - inv) % s)) // s
+
+
+def _inverse(w: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """w**-1 mod q in uint64 for int64 arrays with 0 <= w < q < 2**32,
+    q >= 2 and gcd(w, q) = 1.
+
+    Lanes with q <= _INVERSE_BOUND read row q of _inverse_table.  Every
+    other lane takes one _swap step from (q mod w)**-1 mod w, found the
+    same way on those lanes only, level by level until the table answers.
+    Each level is one step of Euclid: the moduli fall and keep the gcd,
+    and a chain may end at modulus 1, whose row reads 0.
+
+    Raises:
+        ValueError: gcd(w, q) > 1, seen as w = 0 past the table or as a
+            0 from the table carried up to the answer.
+    """
+    start, table = _inverse_table()
+    levels, s, u = [], w, q
+    while True:
+        inv = table.take(start[np.minimum(u, _INVERSE_BOUND)] + s, mode="clip").astype(np.uint64)
+        far = np.flatnonzero(u > _INVERSE_BOUND)
+        if not far.size:
+            break
+        s, u = s[far], u[far]
+        if not s.all():
+            raise ValueError("cannot invert a non-unit modulo its q")
+        levels.append((inv, far, s, u))
+        s, u = u % s, s
+    for up, far, s, u in reversed(levels):
+        up[far] = _swap(s.astype(np.uint64), u.astype(np.uint64), inv)
+        inv = up
+    if not inv.all():  # a unit's inverse modulo q >= 2 is never 0
+        raise ValueError("cannot invert a non-unit modulo its q")
+    return inv
 
 
 @cache
@@ -480,15 +463,15 @@ def _inverse_table() -> tuple[np.ndarray, np.ndarray]:
     0 where s is no unit of u; start[u] = u (u - 1) / 2.
 
     Built on the first exact call, once per process (a racy double build
-    only builds it twice), one modulus at a time by _swap_inverse from the
-    rows of the smaller moduli, with no Euclid.
+    only builds it twice), one modulus at a time by _swap from the rows of
+    the smaller moduli.
     """
     start = np.zeros(_INVERSE_BOUND + 2, dtype=np.int64)
     np.cumsum(np.arange(_INVERSE_BOUND + 1), out=start[1:])
     table = np.zeros(start[-1], dtype=np.uint16)
     for u in range(2, _INVERSE_BOUND + 1):
         s = np.arange(1, u, dtype=np.int64)
-        table[start[u] + s] = _swap_inverse(start, table, s, u)
+        table[start[u] + s] = _swap(s, u, table[start[s] + u % s])
     start.flags.writeable = table.flags.writeable = False
     return start, table
 
@@ -521,18 +504,7 @@ def _piece_fractions(lanes: _Lanes, a: np.ndarray, n: np.ndarray, acc: np.ndarra
         at, rem = at[go], rem[go]
     at, p, q = np.concatenate(idx), np.concatenate(ps), np.concatenate(qs)
     u = n[at] // q
-    w, u64 = u % q, np.uint64
-    # one gather for every lane; the lanes past the table overwrite their
-    # (clipped) entries by the swap rule at w, or by _inverse past both
-    start, table = _inverse_table()
-    inv = table.take(start[np.minimum(q, _INVERSE_BOUND)] + w, mode="clip").astype(u64)
-    far = np.flatnonzero(q > _INVERSE_BOUND)
-    by_w = w[far] <= _INVERSE_BOUND
-    swap, far = far[by_w], far[~by_w]
-    inv[swap] = _swap_inverse(start, table, w[swap], q[swap])
-    if far.size:  # only past n = _INVERSE_BOUND**2
-        inv[far] = _inverse(w[far], q[far])
-    r = (a[at] % q).astype(u64) * inv % q.astype(u64)
+    r = (a[at] % q).astype(np.uint64) * _inverse(u % q, q) % q.astype(np.uint64)
     r = r.astype(np.int64)
     np.add.at(a, at, -r * u)
     lane = lanes.rank[p]

@@ -59,7 +59,8 @@ of the payload, then the limit+1 uint32 spf entries.  A save creates the
 target's directory and renames a temporary file written beside the target
 into place, so an interrupted save leaves the old file or none; a target
 that exists but is not a regular file (a FIFO, a device, a directory) is
-refused, not replaced.  The
+refused, not replaced, by check_spf_target, which a caller can also run
+before it builds the table.  The
 checksum and the payload write run as two jobs on _thread_map, both
 releasing the GIL, and the header goes in last.  A load
 fails three ways: NotACacheError if the path is not a regular file, which
@@ -410,17 +411,22 @@ class NotACacheError(ValueError):
     bytes are not a prefix of b"SPFT"."""
 
 
+def check_spf_target(path: str) -> None:
+    """OSError if path exists but is not a regular file, which a save
+    refuses to replace: callers can ask before they build a table."""
+    if os.path.exists(path) and not os.path.isfile(path):
+        raise OSError(f"cannot write spf cache to {path}: not a regular file")
+
+
 def save_spf_table(t: SpfTable, path: str) -> None:
     """Write the spf array as a version-2 binary cache (see the module doc),
     creating the directory of path.  The bytes go to a temporary file beside
     path, which then replaces it, so an interrupted save leaves the previous
-    file or none.  OSError, before anything is written, if path exists but
-    is not a regular file."""
+    file or none.  check_spf_target runs first, before anything is written."""
+    check_spf_target(path)
     payload = t.spf.astype("<u4", copy=False)
     tmp = f"{path}.{os.urandom(6).hex()}.tmp"
     try:
-        if os.path.exists(path) and not os.path.isfile(path):
-            raise OSError("not a regular file")
         os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
         try:
             with open(tmp, "xb") as fh:

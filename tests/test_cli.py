@@ -652,15 +652,22 @@ def test_directory_cache_is_not_a_cache(tmp_path, monkeypatch, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
-def test_sieve_out_fifo_is_one_line_exit_1(tmp_path, capsys):
-    # the save refuses to replace what is not a regular file
-    fifo = tmp_path / "spf.bin"
+def test_sieve_out_fifo_is_one_line_exit_1(tmp_path, capsys, monkeypatch):
+    # sieve refuses to replace what is not a regular file, before it builds
+    def build(limit):
+        raise AssertionError("built a table for a target it refuses")
+
+    monkeypatch.setattr(cli, "build_spf_table", build)
+    fifo, folder = tmp_path / "spf.bin", tmp_path / "dir.bin"
     os.mkfifo(fifo)
-    assert main(["sieve", "--limit", "1e3", "--out", str(fifo)]) == EXIT_IO
-    lines = capsys.readouterr().err.splitlines()
-    assert lines == [f"error: cannot write spf cache to {fifo}: not a regular file"]
-    assert stat.S_ISFIFO(os.stat(fifo).st_mode)
-    assert [p.name for p in tmp_path.iterdir()] == ["spf.bin"]
+    folder.mkdir()
+    for target in (fifo, folder):
+        assert main(["sieve", "--limit", "1e3", "--out", str(target)]) == EXIT_IO
+        lines = capsys.readouterr().err.splitlines()
+        assert lines == [f"error: cannot write spf cache to {target}: not a regular file"]
+    assert stat.S_ISFIFO(os.stat(fifo).st_mode) and folder.is_dir()
+    assert not any(folder.iterdir())
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["dir.bin", "spf.bin"]
 
 
 def test_report_out_into_missing_directory_is_one_line_exit_1(tmp_path, capsys):

@@ -670,13 +670,19 @@ def test_inverse_matches_pow_up_to_2_32():
         near = [u for u in near if 0 < u < q and gcd(u, q) == 1]
         us += near
         qs += [q] * len(near)
+    # every unit of moduli just past the table, w = 1 among them: one swap
+    # level where w <= 500, two where w > 500
+    for q in (501, 503, 512, 625, 997, 1000):
+        near = [u for u in range(1, q) if gcd(u, q) == 1]
+        us += near
+        qs += [q] * len(near)
     got = series._inverse(np.array(us, dtype=np.int64), np.array(qs, dtype=np.int64))
     assert got.tolist() == [pow(u, -1, q) for u, q in zip(us, qs)]
 
 
 def test_inverse_takes_the_longest_euclid_below_2_32():
-    # consecutive Fibonacci numbers take the most steps for their size, and
-    # F(47) is the largest below 2**32: every one of the capped steps counts
+    # consecutive Fibonacci numbers take the most Euclid steps for their
+    # size, so the most swap levels, and F(47) is the largest below 2**32
     fib = [0, 1]
     while fib[-1] < 2**32:
         fib.append(fib[-1] + fib[-2])
@@ -688,12 +694,12 @@ def test_inverse_takes_the_longest_euclid_below_2_32():
 def test_inverse_refuses_a_non_unit():
     # gcd(3, 9) = 3 and gcd(6, 10) = 2: no inverse exists, and the call
     # raises instead of returning a coefficient that is none, even beside
-    # a unit lane
-    for u, q in (([3], [9]), ([6], [10]), ([1, 3], [7, 9])):
+    # a unit lane; gcd(2018, 3027) = 1009 lies past the table
+    for u, q in (([3], [9]), ([6], [10]), ([1, 3], [7, 9]), ([2 * 1009], [3 * 1009])):
         with pytest.raises(ValueError):
             series._inverse(np.array(u, dtype=np.int64), np.array(q, dtype=np.int64))
-    # u = 0 never reaches a zero remainder; a child process bounds a
-    # regression to a failure instead of a hang
+    # u = 0 has no inverse; a child process bounds a regression to a
+    # failure instead of a hang
     code = ("import numpy as np; from csumlab.series import _inverse\n"
             "try:\n    _inverse(np.array([0, 3]), np.array([7, 10]))\n"
             "except ValueError:\n    print('refused')\n")
@@ -715,59 +721,54 @@ def test_inverse_table_matches_pow():
 
 
 def test_piece_fractions_equal_past_the_inverse_table(table_mid, lanes_mid, monkeypatch):
-    # every lane of these pieces takes one of three routes: q <= B reads
-    # the table at q; q > B with w = u mod q <= B reads it at w by the swap
-    # rule; q and w both past B (so n > B**2) run _inverse.  The primes
-    # 1031 and 1021 and 1024 = 2^10 lie past B, 499, 256 = 2^8 and
-    # 243 = 3^5 below it, and cofactors run to 969.  With the bound at 0,
-    # every lane runs _inverse.
+    # every lane of these pieces stops at one of three depths: q <= B reads
+    # the table at q; q > B with w = u mod q <= B takes one swap step from
+    # the table at w; q and w both past B (so n > B**2) take more.  The
+    # primes 1031 and 1021 and 1024 = 2^10 lie past B, 499, 256 = 2^8 and
+    # 243 = 3^5 below it, and cofactors run to 969.  With the bound at 1,
+    # every lane takes swap steps down to the row of modulus 1.
     series._inverse_table()  # built at the real bound
     bound = series._INVERSE_BOUND
     spf, rng = table_mid.spf, np.random.default_rng(2048)
-    calls, real_inverse, real_swap = {"inverse": [], "swap": []}, series._inverse, series._swap_inverse
+    steps, real_swap = [], series._swap
 
-    def inverse(u, q):
-        calls["inverse"].append((u, q))
-        return real_inverse(u, q)
+    def swap(s, u, inv):
+        steps.append(u.size)
+        return real_swap(s, u, inv)
 
-    def swap(start, table, s, u):
-        calls["swap"].append((s, u))
-        return real_swap(start, table, s, u)
-
-    def lane_count(n):  # the prime powers of each n, one lane each
-        count = 0
+    def depths(n, b):
+        # the lanes, one per prime power q || n, stopped at the table,
+        # after one swap level, and deeper
+        count = [0, 0, 0]
         for k in n.tolist():
-            while k > 1:
-                p = int(spf[k])
-                while k % p == 0:
-                    k //= p
-                count += 1
+            rest = k
+            while rest > 1:
+                p, q = int(spf[rest]), 1
+                while rest % p == 0:
+                    rest //= p
+                    q *= p
+                count[0 if q <= b else 1 if k // q % q <= b else 2] += 1
         return count
 
-    monkeypatch.setattr(series, "_inverse", inverse)
-    monkeypatch.setattr(series, "_swap_inverse", swap)
+    monkeypatch.setattr(series, "_swap", swap)
     for trial in range(6):
         q = rng.choice([243, 256, 499, 1024, 1031, 1021, 2, 3, 1], 3000)
         n = q * rng.integers(1, (spf.size - 1) // 1031, q.size)
         a = rng.integers(-(2**30), 2**30, n.size)
-        lanes = lane_count(n)
         got = []
-        for b in (bound, 0):
+        for b in (bound, 1):
             monkeypatch.setattr(series, "_INVERSE_BOUND", b)
-            for c in calls.values():
-                c.clear()
+            steps.clear()
             acc = np.zeros(lanes_mid.q.size, dtype=np.int64)
             got.append((series._piece_fractions(lanes_mid, a, n, acc), acc))
-            u, qs, s, us = (np.concatenate([np.zeros(0, dtype=np.int64),
-                                            *(c[i] for c in calls[name])])
-                            for name in ("inverse", "swap") for i in (0, 1))
-            if b:
-                # each route taken, and every lane by the one its q and w pick
-                assert u.size and u.min() > b and qs.min() > b, trial
-                assert s.size and s.max() <= b and us.min() > b, trial
-                assert lanes - u.size - s.size > 0, trial
+            # one _swap call a level, deepest first: the last covers every
+            # lane past the table, the one before it those with w past it too
+            table, one, deeper = depths(n, b)
+            assert (steps[::-1] + [0, 0])[:2] == [one + deeper, deeper], trial
+            if b > 1:
+                assert table > 0 and one > 0 and deeper > 0, trial
             else:
-                assert u.size == lanes and s.size == 0, trial
+                assert table == 0 and one > 0 and deeper > 0, trial
         assert got[0][0] == got[1][0] and np.array_equal(got[0][1], got[1][1]), trial
 
 

@@ -17,9 +17,10 @@ Subcommands and their exit codes (stable API):
     5  identity sides differ beyond tolerance
 
 Counts may be written as plain integers (underscores allowed), scientific
-shorthand (1e7), or caret powers (10^7); all are parsed to exact integers,
-and a count of more than 4300 digits is a usage error.  Every subcommand
-runs its parallel steps on one thread per CPU.
+shorthand (1e7), or caret powers (10^7), signed as a whole (-10^2 is -100);
+all are parsed to exact integers, and a count of more than 4300 digits is
+a usage error.  Every refusal after argparse, the CLI's or the library's,
+is a ValueError: exit 2.  Every subcommand runs one thread per CPU.
 The environment variable CSUMLAB_CACHE_DIR names a directory where sieve
 tables are cached as spf_<limit>.bin and reused across runs; --cache PATH
 takes its place.
@@ -41,6 +42,7 @@ from .series import (
     SERIES_KINDS,
     PrimeWeight,
     SeriesSpec,
+    TableWeight,
     difference_term,
     run_series,
 )
@@ -72,38 +74,41 @@ VERIFY_KINDS = tuple(SERIES_KINDS)
 MAX_COUNT_DIGITS = 4300
 
 
-class UsageError(Exception):
-    """Invalid arguments detected after argparse; maps to exit 2."""
+class UsageError(ValueError):
+    """Invalid arguments detected after argparse; exit 2, as for any ValueError."""
 
 
 def parse_count(text: str) -> int:
     """Parse '1000000', '1_000_000', '1e6', or '10^6' to an exact int.
 
-    A count past MAX_COUNT_DIGITS digits is refused before it is computed.
+    A leading sign applies to the whole count ('-10^2' is -100); a count
+    past MAX_COUNT_DIGITS digits is refused before it is computed.
     """
     s = text.strip().replace("_", "")
+    base, caret, exp = s.partition("^")
     try:
-        if "^" in s:
-            base, _, exp = s.partition("^")
+        if caret:
             b, e = int(base), int(exp)
-            if e < 0:
-                raise UsageError(f"negative exponent in count: {text!r}")
-            # |b| >= 2 gives b**e at least e/4 digits
-            if abs(b) > 1 and (e > 4 * MAX_COUNT_DIGITS
-                               or e * math.log10(abs(b)) >= MAX_COUNT_DIGITS):
-                raise UsageError(f"count has more than {MAX_COUNT_DIGITS} digits: {text!r}")
-            return b**e
-        if "e" in s or "E" in s:
+        elif "e" in s or "E" in s:
             d = Decimal(s)
-            if d and d.adjusted() >= MAX_COUNT_DIGITS:
-                raise UsageError(f"count has more than {MAX_COUNT_DIGITS} digits: {text!r}")
-            n = int(d)
-            if d != n:
-                raise UsageError(f"count is not an integer: {text!r}")
-            return n
-        return int(s)
+        else:
+            return int(s)
     except (ValueError, InvalidOperation):
         raise UsageError(f"cannot parse count: {text!r}") from None
+    if caret:
+        if e < 0:
+            raise UsageError(f"negative exponent in count: {text!r}")
+        # |b| >= 2 gives b**e at least e/4 digits
+        if abs(b) > 1 and (e > 4 * MAX_COUNT_DIGITS
+                           or e * math.log10(abs(b)) >= MAX_COUNT_DIGITS):
+            raise UsageError(f"count has more than {MAX_COUNT_DIGITS} digits: {text!r}")
+        return b**e if b >= 0 else -((-b) ** e)
+    if d and d.adjusted() >= MAX_COUNT_DIGITS:
+        raise UsageError(f"count has more than {MAX_COUNT_DIGITS} digits: {text!r}")
+    n = int(d)
+    if d != n:
+        raise UsageError(f"count is not an integer: {text!r}")
+    return n
 
 
 def parse_optional_count(text: str | None) -> int | None:
@@ -137,10 +142,8 @@ def parse_weight(text: str) -> PrimeWeight:
         if kind == "table":
             items = [item.partition("=") for item in rest.split(",")] if rest else []
             keys = [parse_count(p_s) for p_s, _, _ in items]
-            if len(set(keys)) != len(keys):
-                raise UsageError(f"repeated prime in {keys}")
-            return PrimeWeight.from_table({p: float(v) for p, (_, _, v) in zip(keys, items)})
-    except (ValueError, UsageError) as exc:
+            return TableWeight(tuple(sorted(zip(keys, [float(v) for _, _, v in items]))))
+    except ValueError as exc:
         raise UsageError(f"bad weight spec {text!r}: {exc}") from None
     raise UsageError(f"unknown weight kind {kind!r} (one, residue:K,L, table:P=V,...)")
 
@@ -262,8 +265,8 @@ def cmd_csum(args) -> int:
     if args.check_oracle and n_hi > DIRECT_EVAL_CAP:
         raise UsageError(f"--check-oracle takes n <= {DIRECT_EVAL_CAP}, got n up to {n_hi}")
     t = obtain_table(max(n_hi, 2), args.cache)
-    dest = open(args.out, "w", encoding="utf-8") if args.out else sys.stdout
-    try:
+    with (open(args.out, "w", encoding="utf-8") if args.out
+          else contextlib.nullcontext(sys.stdout)) as dest:
         dest.write("n,m,c\n")
         for n in range(n_lo, n_hi + 1):
             for m in range(m_lo, m_hi + 1):
@@ -278,26 +281,19 @@ def cmd_csum(args) -> int:
                         )
                         return EXIT_ORACLE
                 dest.write(f"{n},{m},{c}\n")
-    finally:
-        if dest is not sys.stdout:
-            dest.close()
     return EXIT_OK
 
 
 def _series_spec_from_args(args, checkpoints) -> SeriesSpec:
-    """The spec the verify flags describe; SeriesSpec rejects a missing
-    flag the kind requires and a flag it does not take."""
+    """The spec the verify flags describe; SeriesSpec rejects, with a
+    ValueError, a missing flag the kind requires and a flag it does not take."""
     weight = parse_weight(args.weight) if args.weight is not None else None
     counts = {name: parse_optional_count(getattr(args, name)) for name in ("m", "k", "l", "y")}
-    try:
-        return SeriesSpec(kind=args.kind, weight=weight, checkpoints=checkpoints, **counts)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    return SeriesSpec(kind=args.kind, weight=weight, checkpoints=checkpoints, **counts)
 
 
 def cmd_verify(args) -> int:
     limit = parse_count(args.limit)
-    _check_limit(limit)
     spec = _series_spec_from_args(args, parse_checkpoints(args.checkpoints, limit))
     if args.assert_tol is not None and spec.target is None:
         raise UsageError(f"--assert-tol needs a targeted series; {spec.kind} has no target")
@@ -349,28 +345,22 @@ def cmd_identity(args) -> int:
     t = obtain_table(max(x, 2), args.cache)
     lhs, rhs = difference_term(t, m, weight, x, exact=args.exact)
     if args.exact:
-        # sides of tens of thousands of digits: convert agreeing sides to
-        # decimal once, and subtract them only on a breach
-        agree = lhs == rhs
-        with _int_digits_unlimited():
-            text = str(lhs)
-            print(f"lhs  = {text}")
-            print(f"rhs  = {text if agree else rhs}")
-            print(f"diff = {0 if agree else lhs - rhs}")
-        if not agree:
-            print("identity breach: sides differ in exact arithmetic", file=sys.stderr)
-            return EXIT_IDENTITY
+        # sides of tens of thousands of digits: subtract them only on a breach
+        agree, breach = lhs == rhs, "sides differ in exact arithmetic"
+        diff = 0 if agree else lhs - rhs
     else:
         diff = abs(lhs - rhs)
-        print(f"lhs  = {lhs!r}")
-        print(f"rhs  = {rhs!r}")
-        print(f"diff = {diff!r}")
-        if not diff <= IDENTITY_TOL:
-            print(
-                f"identity breach: |lhs - rhs| = {diff!r} > {IDENTITY_TOL!r}",
-                file=sys.stderr,
-            )
-            return EXIT_IDENTITY
+        # diff <= tol is false for nan
+        agree, breach = diff <= IDENTITY_TOL, f"|lhs - rhs| = {diff!r} > {IDENTITY_TOL!r}"
+    with _int_digits_unlimited():
+        # agreeing exact sides are one object: convert it to decimal once
+        text = str(lhs)
+        print(f"lhs  = {text}")
+        print(f"rhs  = {text if lhs is rhs else rhs}")
+        print(f"diff = {diff}")
+    if not agree:
+        print(f"identity breach: {breach}", file=sys.stderr)
+        return EXIT_IDENTITY
     return EXIT_OK
 
 
@@ -444,7 +434,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.fn(args)
-    except (UsageError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except ArithmeticError as exc:

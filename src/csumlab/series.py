@@ -616,17 +616,14 @@ def _exact_value(lanes: _Lanes, sums: tuple, scale: int) -> Fraction:
 def _column(mu: np.ndarray, terms, lo: int, hi: int) -> np.ndarray:
     """The sum of c * mu(n / d) over the (d, c) in terms with d | n, for n in [lo, hi).
 
-    Each pair adds one contiguous mu slice at stride d (n = d*j walks
-    j0..j1) times c: (d, -d) over the divisors d of m gives -c_n(m), and
-    (1, 1) gives mu(n).  The column has the narrowest signed dtype that
-    holds +-sum |c|, a bound on every entry, so no entry overflows (int8
-    for sum |c| <= 127).
+    Every pair, d = 1 included, adds one contiguous mu slice at stride d
+    (n = d*j walks j0..j1) times c to a zeroed column: (d, -d) over the
+    divisors d of m gives -c_n(m), and (1, 1) gives mu(n).  The column
+    has the narrowest signed dtype that holds +-sum |c|, a bound on every
+    entry, so no entry overflows (int8 for sum |c| <= 127).
     """
     dtype = np.min_scalar_type(-sum(abs(c) for _, c in terms) - 1)
-    if terms and terms[0][0] == 1:  # one array per chunk, not a zeroed one + a temporary
-        col, terms = np.multiply(mu[lo:hi], terms[0][1], dtype=dtype), terms[1:]
-    else:
-        col = np.zeros(hi - lo, dtype=dtype)
+    col = np.zeros(hi - lo, dtype=dtype)
     for d, c in terms:
         j0 = (lo + d - 1) // d
         j1 = (hi - 1) // d

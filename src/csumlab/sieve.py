@@ -369,14 +369,12 @@ def largest_prime_factor(t: SpfTable, n: int) -> int:
 
 
 def moebius(t: SpfTable, n: int) -> int:
-    """mu(n): 1 at n=1, (-1)^k for squarefree n with k prime factors, else 0.
+    """mu(n): (-1)^k for squarefree n with k prime factors, else 0.
 
-    Its own walk, not factorize: it stops at the first repeated prime, and
-    point queries of mu are the hot path of the per-n oracles.
+    Its own walk, not factorize: it stops at the first repeated prime, for
+    the per-n oracles' point queries.  n = 1 runs through the same walk.
     """
     _check_range(t, n, 1)
-    if n == 1:
-        return 1
     spf = t.spf
     sign = 1
     prev = 0

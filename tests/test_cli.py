@@ -48,6 +48,10 @@ def test_parse_count_forms():
     assert parse_count("10^7") == 10**7
     assert parse_count("2^10") == 1024
     assert parse_count(" 42 ") == 42
+    # a leading sign applies to b^e, as in Python's -2**2
+    assert parse_count("-2^2") == -4
+    assert parse_count("-10^3") == -1000
+    assert parse_count("+2^3") == 8
 
 
 def test_parse_count_rejects_non_integers():
@@ -389,6 +393,25 @@ def test_nan_identity_sides_are_a_breach(monkeypatch, capsys):
     nan = float("nan")
     monkeypatch.setattr(cli, "difference_term", lambda *a, **k: (nan, nan))
     assert main(["identity", "--m", "6", "--x", "1e3"]) == EXIT_IDENTITY
+
+
+def test_float_identity_breach_report(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "difference_term", lambda *a, **k: (0.0, 1.0))
+    assert main(["identity", "--m", "6", "--x", "1e3"]) == EXIT_IDENTITY
+    out, err = capsys.readouterr()
+    assert out.splitlines() == ["lhs  = 0.0", "rhs  = 1.0", "diff = 1.0"]
+    assert err.splitlines() == ["identity breach: |lhs - rhs| = 1.0 > 1e-09"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["identity", "--m=-2^2", "--x", "100"],
+    ["verify", "mertens-restricted", "--y=-10^2", "--limit", "1e3"],
+])
+def test_signed_caret_count_is_negative(argv, capsys):
+    # -2^2 is -4 and -10^2 is -100, not (-2)^2 and (-10)^2: both out of range
+    assert main(argv) == EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert out == "" and len(err.splitlines()) == 1, err
 
 
 @pytest.mark.parametrize("kind,flags", [

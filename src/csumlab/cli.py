@@ -42,7 +42,6 @@ from .series import (
     SERIES_KINDS,
     PrimeWeight,
     SeriesSpec,
-    TableWeight,
     difference_term,
     run_series,
 )
@@ -102,7 +101,7 @@ def parse_count(text: str) -> int:
         if abs(b) > 1 and (e > 4 * MAX_COUNT_DIGITS
                            or e * math.log10(abs(b)) >= MAX_COUNT_DIGITS):
             raise UsageError(f"count has more than {MAX_COUNT_DIGITS} digits: {text!r}")
-        return b**e if b >= 0 else -((-b) ** e)
+        return -(abs(b) ** e) if base.startswith("-") else b**e
     if d and d.adjusted() >= MAX_COUNT_DIGITS:
         raise UsageError(f"count has more than {MAX_COUNT_DIGITS} digits: {text!r}")
     n = int(d)
@@ -142,7 +141,7 @@ def parse_weight(text: str) -> PrimeWeight:
         if kind == "table":
             items = [item.partition("=") for item in rest.split(",")] if rest else []
             keys = [parse_count(p_s) for p_s, _, _ in items]
-            return TableWeight(tuple(sorted(zip(keys, [float(v) for _, _, v in items]))))
+            return PrimeWeight.from_table(zip(keys, [float(v) for _, _, v in items]))
     except ValueError as exc:
         raise UsageError(f"bad weight spec {text!r}: {exc}") from None
     raise UsageError(f"unknown weight kind {kind!r} (one, residue:K,L, table:P=V,...)")
@@ -294,6 +293,7 @@ def _series_spec_from_args(args, checkpoints) -> SeriesSpec:
 
 def cmd_verify(args) -> int:
     limit = parse_count(args.limit)
+    _check_limit(limit)  # before parse_checkpoints sizes a geometric spec by it
     spec = _series_spec_from_args(args, parse_checkpoints(args.checkpoints, limit))
     if args.assert_tol is not None and spec.target is None:
         raise UsageError(f"--assert-tol needs a targeted series; {spec.kind} has no target")

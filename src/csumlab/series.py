@@ -107,8 +107,9 @@ class PrimeWeight:
         return ResidueWeight(k, l)
 
     @staticmethod
-    def from_table(values: dict[int, float]) -> "TableWeight":
-        return TableWeight(tuple(sorted(values.items())))
+    def from_table(values) -> "TableWeight":
+        """From a {p: v} dict or (p, v) pairs; TableWeight refuses a repeated p."""
+        return TableWeight(tuple(sorted(values.items() if isinstance(values, dict) else values)))
 
 
 @dataclass(frozen=True)

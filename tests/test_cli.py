@@ -52,6 +52,7 @@ def test_parse_count_forms():
     assert parse_count("-2^2") == -4
     assert parse_count("-10^3") == -1000
     assert parse_count("+2^3") == 8
+    assert parse_count("-0^0") == -1
 
 
 def test_parse_count_rejects_non_integers():
@@ -470,7 +471,8 @@ def test_huge_counts_are_usage_errors_without_allocating():
     t0 = time.monotonic()
     for flags in (["--limit", "1e200000"], ["--limit", "10^30000000"],
                   ["--limit", "1e3000000"],
-                  ["--limit", "1e4", "--checkpoints", "1:2:100000000"]):
+                  ["--limit", "1e4", "--checkpoints", "1:2:100000000"],
+                  ["--limit", "10^4299", "--checkpoints", "1:10^4299:14000"]):
         assert main(["verify", "mu-baseline", *flags]) == EXIT_USAGE, flags
     assert time.monotonic() - t0 < 5
     assert main(["verify", "mu-baseline", "--limit", "1e4",

@@ -11,12 +11,17 @@ floating-point summation, part I", 2008); the limbs of any cut sum exactly,
 so it builds no Python objects per term, releases the GIL and gives the
 same value for any piece width.
 
-One cell schedule serves every run: a checkpoint x reads [start, x] cut on
-the fixed CHUNK grid, whole cells and then one last cell ending at x.  The
-sieve's driver maps each distinct cell once over its threads and folds
-each checkpoint's unit results in cell order.  A row is thus a function of
-its checkpoint alone, never of the other checkpoints or the thread count,
-so rows are bit-identical for any schedule and parallelism.
+One cell schedule serves every run: a run walks each cell of [start, x]
+on the fixed CHUNK grid once, x its last checkpoint, and every other
+checkpoint that ends inside a cell cuts it.  A unit returns one result
+per end of its cell, each that of the prefix up to the end: the float
+reducer rounds its running limbs there, the counts take prefix sums, and
+the exact reducer snapshots its running lanes.  A checkpoint reads the
+whole cells below it and the prefix that ends at it, in cell order, which
+are the values its own run of whole cells and one last cell ending at x
+would give, since the limbs of any cut sum exactly.  A row is thus a
+function of its checkpoint alone, never of the other checkpoints or the
+thread count, so rows are bit-identical for any schedule and parallelism.
 
 The kinds live in one registry, SERIES_KINDS: each maps to its required
 parameters, its target and a unit factory.  run_series drives the kind's
@@ -36,11 +41,13 @@ kept terms of one piece at a time, as lpf-density reads a table weight,
 so neither builds a chunk-sized selection or float array.
 
 The finite-x rearrangement identity (difference_term) builds its two sides
-with the same unit builder, from the pairs (d, d) over d | m, d > 1, and
-one (1, 1) column per such d read at p(d*n), and drives each side's cells
-over the same threads, adding the cells' results in cell order as the
-threads finish them.  Its float and exact modes differ only in the
-reducer and the combine step: both reducers read one term selection.
+with the same unit builder: lhs from the pairs (d, d) over d | m, d > 1,
+and rhs from one (1, 1) column per least prime p of those d, read at
+p(p*n), which is p(d*n) for each d of least prime p.  That column is
+walked once over [1, x // p] and cut at every x // d.  The lhs walk and
+every rhs walk go over one thread map, and each is folded in cell order
+as the threads finish.  Its float and exact modes differ only in the
+reducer and the fold: both reducers read one term selection.
 The exact one fixes one lane per prime p <= x, with denominator q_p the
 largest power of p up to x, and writes the sum of its terms a/n as
 z + sum r_p / q_p, 0 <= r_p < q_p: it factors n through the table and
@@ -50,8 +57,9 @@ t = -(u mod s)**-1 mod s, which asks for an inverse at the smaller
 modulus s.  It builds one read-only table of s**-1 mod u for every modulus
 u <= 500 (254,516 B); w = u mod q reads its entry at q when q <= 500, and
 otherwise takes swap steps down to the table.  Each unit returns one such
-sum, times the power of two that makes every f value an integer; sums add
-lane by lane.  The form is canonical,
+sum per end, of its terms times scale, the power of two that makes every
+f value an integer: each term's integer part and residues are multiplied
+by its c = scale * f.  Sums add lane by lane.  The form is canonical,
 so the two sides are equal exactly when their z and lanes are: then one
 Fraction serves both, and otherwise each side becomes its own.  A
 Fraction comes from a product tree over the pairwise coprime prime
@@ -63,6 +71,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache, cached_property, partial
+from itertools import accumulate
 from fractions import Fraction
 from math import frexp, fsum, gcd, isfinite, isqrt, ldexp
 from typing import Callable
@@ -84,6 +93,9 @@ MAX_TABLE_WEIGHT = 1e100
 
 #: The primes below 2**16: every composite below 2**32 has one as a factor.
 _SMALL_PRIMES = np.array(_base_primes(2**16 - 1), dtype=np.int64)
+
+#: A table weight reads its keys below this bound from one dense array.
+_DENSE = 2**16
 
 
 class PrimeWeight:
@@ -181,15 +193,29 @@ class TableWeight(PrimeWeight):
     def scale(self) -> int:
         return max((Fraction(v).denominator for _, v in self.table), default=1)
 
+    @cached_property
+    def _lookup(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(dense, keys, vals), built once per weight: dense[p] = f(p) for
+        every p < 2**16, 0.0 off the table, and the keys >= 2**16 ascending
+        with their values."""
+        dense = np.zeros(_DENSE)
+        small = [(p, v) for p, v in self.table if p < _DENSE]
+        dense[[p for p, _ in small]] = [v for _, v in small]
+        big = sorted((p, v) for p, v in self.table if p >= _DENSE)
+        return dense, np.array([p for p, _ in big], dtype=np.uint32), np.array([v for _, v in big])
+
     def at(self, primes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """One binary search per entry over the sorted keys and a key 0 of
-        value 0.0, which every entry off the table also reads."""
-        keys, vals = zip((0, 0.0), *sorted(self.table))
-        keys = np.array(keys, dtype=np.uint32)
-        i = np.searchsorted(keys, primes)
-        np.minimum(i, keys.size - 1, out=i)
-        i[keys[i] != primes] = 0
-        f = np.array(vals)[i]
+        """One read of the dense table per entry; only the entries >= 2**16
+        take a binary search over the large keys, and only if there are any.
+        Those first read dense[2**16 - 1] = 0.0, as 2**16 - 1 is no prime."""
+        dense, keys, vals = self._lookup
+        f = dense.take(primes, mode="clip")
+        if keys.size:
+            at = np.flatnonzero(primes >= _DENSE)
+            i = np.searchsorted(keys, primes[at])
+            np.minimum(i, keys.size - 1, out=i)
+            hit = keys[i] == primes[at]
+            f[at[hit]] = vals[i[hit]]
         return f != 0.0, f
 
     def describe(self) -> str:
@@ -302,23 +328,27 @@ def _select(col: np.ndarray, primes: np.ndarray, weight: PrimeWeight):
     return sel, col[sel], None if fv is None else fv[sel]
 
 
-def _block_sum(n: int, block: Callable[[int, int, np.ndarray], np.ndarray]) -> float:
-    """The exact sum of the float64 terms block(a, b, out) over the pieces
-    [a, b) of [0, n), rounded once, as math.fsum of all the terms gives it.
+def _block_sum(lens: list[int], block: Callable[[int, int, np.ndarray], np.ndarray]) -> list[float]:
+    """For each k in the ascending lens, the exact sum of the float64 terms
+    block(a, b, out) over the pieces [a, b) of [0, k), rounded once, as
+    math.fsum of all those terms gives it.
 
     block returns its piece's terms, at most b - a and possibly none, in
-    the scratch array out or elsewhere; pieces span _PIECE indices and
-    share three buffers allocated once per call.  Every term must be
-    finite with |term| < 2**(1023 - k), k as in _block_limbs.  fsum of
-    every piece's limbs, each an exact float, is the correctly rounded
-    value of the whole sum.
+    the scratch array out or elsewhere; pieces span at most _PIECE indices,
+    end at each k and share three buffers allocated once per call.  Every
+    term must be finite with |term| < 2**(1023 - k), k as in _block_limbs.
+    The limbs of the pieces so far are exact floats, so their fsum at each
+    k is the correctly rounded value of that prefix.
     """
-    out, q, r = np.empty((3, min(n, _PIECE)))
-    limbs = []
-    for a in range(0, n, _PIECE):
-        p = block(a, min(n, a + _PIECE), out[: n - a])
-        _block_limbs(p, q[: p.size], r[: p.size], limbs)
-    return fsum(limbs)
+    out, q, r = np.empty((3, min(lens[-1], _PIECE)))
+    limbs, sums, start = [], [], 0
+    for end in lens:
+        for a in range(start, end, _PIECE):
+            p = block(a, min(end, a + _PIECE), out)
+            _block_limbs(p, q[: p.size], r[: p.size], limbs)
+        sums.append(fsum(limbs))
+        start = end
+    return sums
 
 
 def _block_limbs(p: np.ndarray, q: np.ndarray, r: np.ndarray, limbs: list[float]) -> None:
@@ -347,8 +377,10 @@ def _block_limbs(p: np.ndarray, q: np.ndarray, r: np.ndarray, limbs: list[float]
         p = np.subtract(p, q, out=r)
 
 
-def _reduce(col: np.ndarray, primes: np.ndarray, weight: PrimeWeight, lo: int) -> float:
-    """fsum of col[i] * f(primes[i]) / (lo + i) over the kept terms.
+def _reduce(col: np.ndarray, primes: np.ndarray, weight: PrimeWeight, lo: int,
+            lens: list[int]) -> list[float]:
+    """fsum of col[i] * f(primes[i]) / (lo + i) over the kept terms of each
+    prefix col[:k], k in the ascending lens.
 
     Each piece of the index range selects its kept terms and converts,
     weights and divides them straight into the exact sum's buffer.  A
@@ -365,22 +397,32 @@ def _reduce(col: np.ndarray, primes: np.ndarray, weight: PrimeWeight, lo: int) -
         out /= sel
         return out
 
-    return _block_sum(col.size, terms)
+    return _block_sum(lens, terms)
+
+
+def _prefix_sums(total: Callable, values: np.ndarray, lens: list[int]) -> list[int]:
+    """total(values[:k]) for each k in the ascending lens, as the running
+    sum of one total of each stretch between them."""
+    return list(accumulate(int(total(values[a:b])) for a, b in zip([0, *lens], lens)))
 
 
 # --- the exact reducer: sums as prime-power partial fractions ---------------
 #
-# A partial-fraction sum (z, r) over the prime layout of one exact call,
-# _Lanes, stands for z + sum r[i] / q[i], z a Python int and r one int64
-# lane per prime with 0 <= r[i] < q[i], so equal values have equal lanes.
+# A partial-fraction sum (z, r) over moduli q stands for z + sum r[i] / q[i],
+# z a Python int and r int64 with 0 <= r[i] < q[i].  Over the prime layout
+# of one exact call, _Lanes, q is one lane per prime, so equal values have
+# equal lanes; a piece's terms take q at the lanes of their prime powers.
 
 _EMPTY = np.zeros(0, dtype=np.int64)
 
-#: Kept terms per piece of the exact reducer, which selects a whole chunk once;
-#: each term spreads over a dozen int64 or float64 work arrays.  The twelve
-#: 1e5-term identity calls of exact-oracle (2 CPUs, 3 runs) took 0.74-0.98 s
-#: at 37.0 MB peak RSS with 2^12-term pieces, 0.86-1.12 s at 49.7 MB with 2^15.
-_EXACT_PIECE = 1 << 12
+#: Indices per piece of the exact reducer, which selects and factors each
+#: piece's kept terms in turn; each term spreads over a dozen int64 or
+#: float64 work arrays.  The twelve 1e5 identity calls of exact-oracle,
+#: whose walks share one thread map, took (2 CPUs, 3 runs) 0.31-0.34 s at
+#: 38.0-38.8 MB peak RSS with 2^13-index pieces, 0.38-0.39 s at 36.5-37.1
+#: MB with 2^12 and 0.31-0.32 s at 56-58 MB with whole cells; at x = 4e6
+#: the m = 12 sides took 2.4-2.5 s of CPU with 2^13 and 3.6-3.7 s with 2^12.
+_EXACT_PIECE = 1 << 13
 
 
 class _Lanes:
@@ -390,8 +432,8 @@ class _Lanes:
     are found cell by cell by the driver, so no temporary spans [0, x]."""
 
     def __init__(self, spf: np.ndarray, x: int):
-        found = _drive(lambda lo, hi: lo + np.flatnonzero(
-            spf[lo:hi] == np.arange(lo, hi, dtype=spf.dtype)), (x,))[0]
+        found = next(_drive([(lambda lo, hi: [lo + np.flatnonzero(
+            spf[lo:hi] == np.arange(lo, hi, dtype=spf.dtype))], (x,), 2)]))
         self.spf, self.primes = spf, np.concatenate([_EMPTY, *found])
         self.q, more = self.primes.copy(), np.flatnonzero(self.primes <= x // self.primes)
         while more.size:
@@ -477,16 +519,18 @@ def _inverse_table() -> tuple[np.ndarray, np.ndarray]:
     return start, table
 
 
-def _piece_fractions(lanes: _Lanes, a: np.ndarray, n: np.ndarray, acc: np.ndarray) -> int:
-    """The int z with sum a/n = z + sum r/q, after adding each r/q, one per
-    p**k || n, into p's lane of acc as r * (q_p / q) / q_p.
+def _piece_fractions(lanes: _Lanes, a: np.ndarray, n: np.ndarray) -> tuple:
+    """(z, at, lane, r) with a[i]/n[i] = z[i] + the sum of r / lanes.q[lane]
+    over the entries with at = i: one entry, 0 <= r < lanes.q[lane], for
+    each p**k || n[i].
 
     Each n >= 1 is factored through spf.  For n = q * u with q = p**k and
-    p not dividing u, r = a * u**-1 mod q; then a/n - sum r/q over the
-    prime powers of n is the integer (a - sum r * u) / n, and r * u < n.
+    p not dividing u, s = a * u**-1 mod q; then a/n - sum s/q over the
+    prime powers of n is the integer (a - sum s * u) / n, and s * u < n.
     The product a * u**-1 is taken in uint64, which holds it for q < 2**32.
+    Each s/q enters p's lane as r = s * (q_p / q) over q_p = lanes.q[lane].
     """
-    a, spf = a.astype(np.int64), lanes.spf  # a copy: a - sum r * u goes into it
+    a, spf = a.astype(np.int64), lanes.spf  # a copy: a - sum s * u goes into it
     at = np.flatnonzero(n > 1)  # spf[1] is not a prime
     rem, idx, ps, qs = n[at], [_EMPTY], [_EMPTY], [_EMPTY]
     while at.size:
@@ -505,62 +549,89 @@ def _piece_fractions(lanes: _Lanes, a: np.ndarray, n: np.ndarray, acc: np.ndarra
         at, rem = at[go], rem[go]
     at, p, q = np.concatenate(idx), np.concatenate(ps), np.concatenate(qs)
     u = n[at] // q
-    r = (a[at] % q).astype(np.uint64) * _inverse(u % q, q) % q.astype(np.uint64)
-    r = r.astype(np.int64)
-    np.add.at(a, at, -r * u)
+    s = (a[at] % q).astype(np.uint64) * _inverse(u % q, q) % q.astype(np.uint64)
+    s = s.astype(np.int64)
+    np.add.at(a, at, -s * u)
     lane = lanes.rank[p]
-    np.add.at(acc, lane, r * (lanes.q[lane] // q))
-    return int((a // n).sum())
+    return a // n, at, lane, s * (lanes.q[lane] // q)
 
 
-def _add(lanes: _Lanes, sums) -> tuple:
-    """The partial-fraction sum of the (z, r) pairs that the iterable sums
-    yields: their lanes, any int64 values whose totals stay in int64, are
-    added, and one carry moves each total's quotient by q into z."""
-    z, acc = 0, np.zeros(lanes.q.size, dtype=np.int64)
+def _add(q: np.ndarray, sums) -> tuple:
+    """The partial-fraction sum of the (z, r) pairs over the moduli q that
+    the iterable sums yields: their r, any int64 arrays whose totals stay
+    in int64, are added, and one carry moves each total's quotient by q
+    into z."""
+    z, acc = 0, np.zeros(q.size, dtype=np.int64)
     for s in sums:
         z += s[0]
         acc += s[1]
-    return z + int((acc // lanes.q).sum()), acc % lanes.q
+    return z + int((acc // q).sum()), acc % q
 
 
-def _times(lanes: _Lanes, c: int, sums: tuple) -> tuple:
-    """c * sums for a Python int c of any size, by Horner's rule on the
-    30-bit digits of |c|: each step takes lanes below 2**32 into
-    (-2**62, 2**63), so none leaves int64, and carries once."""
-    z, r = sums
-    acc, sign, mag = (0, np.zeros_like(r)), (1 if c >= 0 else -1), abs(c)
-    for s in reversed(range(0, mag.bit_length(), 30)):
-        d = sign * (mag >> s & (1 << 30) - 1)
-        acc = _add(lanes, [((acc[0] << 30) + d * z, (acc[1] << 30) + d * r)])
-    return acc
+def _times(q: np.ndarray, c: list[int], k: np.ndarray, r: np.ndarray) -> tuple:
+    """(z, s) with sum c[k] r / q = z + sum s / q and 0 <= s < q, for
+    entries 0 <= r < q < 2**32, c a list of ints of any size and k an
+    index into it per entry.  Horner's rule on the 30-bit digits of each
+    |c| keeps every entry below 2**31 q in int64, and each step carries
+    the quotients by q into z."""
+    mag = [abs(v) for v in c]
+    r = np.array([1 if v >= 0 else -1 for v in c], dtype=np.int64)[k] * r  # the sign of c, |r| < q
+    z, s = 0, np.zeros_like(r)
+    for b in reversed(range(0, max((v.bit_length() for v in mag), default=0), 30)):
+        d = np.array([v >> b & (1 << 30) - 1 for v in mag], dtype=np.int64)
+        s = (s << 30) + d[k] * r
+        z = (z << 30) + int((s // q).sum())
+        s %= q
+    return z, s
 
 
-def _partial_fractions(lanes: _Lanes, a: np.ndarray, n: np.ndarray) -> tuple:
-    """The partial-fraction sum of a/n over integer arrays a and n, n >= 1
-    in the table, factored one _EXACT_PIECE piece at a time so that the
-    temporaries stay bounded.  Each term adds less than 2**32 to a lane and
-    a unit has fewer than 2**31 terms, so one carry at the end suffices."""
-    acc = np.zeros(lanes.q.size, dtype=np.int64)
-    z = sum(_piece_fractions(lanes, a[i : i + _EXACT_PIECE], n[i : i + _EXACT_PIECE], acc)
-            for i in range(0, n.size, _EXACT_PIECE))
-    return _add(lanes, [(z, acc)])
+def _partial_fractions(lanes: _Lanes, terms) -> tuple:
+    """The partial-fraction sum of c[g] a/n over the (c, g, a, n) that
+    terms yields: c a list of ints of any size, g an index into it per
+    term, and a, n integer arrays with n >= 1 in the table.  Each piece is
+    factored once and multiplied by its c on its own prime powers, so the
+    temporaries stay those of one piece.  Each term adds less than 2**32
+    to a lane and a unit has fewer than 2**31 terms, so one carry at the
+    end suffices."""
+    z, acc = 0, np.zeros(lanes.q.size, dtype=np.int64)
+    for c, g, a, n in terms:
+        y, at, lane, r = _piece_fractions(lanes, a, n)
+        ys = np.zeros(len(c), dtype=np.int64)
+        np.add.at(ys, g, y)
+        dz, r = _times(lanes.q[lane], c, g[at], r)
+        z += dz + sum(v * w for v, w in zip(c, ys.tolist()))
+        np.add.at(acc, lane, r)
+    return _add(lanes.q, [(z, acc)])
 
 
 def _reduce_exact(lanes: _Lanes, scale: int, col: np.ndarray, primes: np.ndarray,
-                  weight: PrimeWeight, lo: int) -> tuple:
-    """scale times the exact value of the sum _reduce rounds, from the same
-    selection, as one partial-fraction sum over lanes: the terms of each f
-    value (for the 0/1 weights, all with f = 1 and scale 1) are summed and
-    multiplied by the integer scale * f, scale being a power of two that
-    makes every f value an integer."""
-    sel, a, fv = _select(col, primes, weight)
-    n = sel + lo
-    if fv is None:
-        return _partial_fractions(lanes, a, n)
-    groups = ((Fraction(v), fv == v) for v in np.unique(fv))
-    return _add(lanes, (_times(lanes, f.numerator * (scale // f.denominator),
-                               _partial_fractions(lanes, a[k], n[k])) for f, k in groups))
+                  weight: PrimeWeight, lo: int, lens: list[int]) -> list[tuple]:
+    """scale times the exact value of each sum _reduce rounds, from the same
+    selection, as partial-fraction sums over lanes: a running sum of the
+    kept terms a f / n, snapshot at each k in lens.  scale is a power of
+    two that makes every c = scale * f an integer.
+
+    The column is read in pieces of _EXACT_PIECE indices, each selected
+    and factored once, so a unit holds one piece's terms.  Each kept term
+    carries the c of its f value (c = scale for the 0/1 weights) into its
+    integer part and prime-power residues, so a table weight of any
+    values takes one pass.
+    """
+
+    def terms(start: int, end: int):
+        for a in range(start, end, _EXACT_PIECE):
+            b = min(end, a + _EXACT_PIECE)
+            sel, num, fv = _select(col[a:b], primes[a:b], weight)
+            sel += lo + a  # the kept n
+            vals, g = np.unique(np.ones(num.size) if fv is None else fv, return_inverse=True)
+            yield [int(Fraction(v) * scale) for v in vals], g, num, sel
+
+    run, sums, start = (0, 0), [], 0
+    for end in lens:
+        run = _add(lanes.q, [run, _partial_fractions(lanes, terms(start, end))])
+        sums.append(run)
+        start = end
+    return sums
 
 
 def _coprime_sum(nums: list[int], dens: list[int]) -> tuple[int, int]:
@@ -637,18 +708,21 @@ def _mu_units(t: SpfTable, weight: PrimeWeight, terms, support=None, head=(),
               reduce=None, stride: int = 1):
     """(unit, combine) of a sum over the column _column(mu, terms, lo, hi).
 
-    unit(lo, hi) builds the column, lets support(col, lo, hi) zero its
-    entries off the kind's support in place, and reduces it, _reduce when
-    reduce is None, with f read at p(stride * n).  combine(x, results)
+    unit(lo, *ends) builds the column of its cell [lo, hi), hi = ends[-1],
+    lets support(col, lo, hi) zero its entries off the kind's support in
+    place, and reduces it, _reduce when reduce is None, with f read at
+    p(stride * n), to one result per prefix [lo, end).  combine(x, results)
     is the fsum of the head terms and the unit results.
     """
     spf, mu, reduce = t.spf, t.mu_table(), reduce or _reduce
 
-    def unit(lo: int, hi: int):
+    def unit(lo: int, *ends: int):
+        hi = ends[-1]
         col = _column(mu, terms, lo, hi)
         if support is not None:
             support(col, lo, hi)
-        return reduce(col, spf[stride * lo : stride * (hi - 1) + 1 : stride], weight, lo)
+        primes = spf[stride * lo : stride * (hi - 1) + 1 : stride]
+        return reduce(col, primes, weight, lo, [end - lo for end in ends])
 
     return unit, lambda x, sums: (fsum([*head, *sums]), None)
 
@@ -688,7 +762,7 @@ def _above(t: SpfTable, y: int):
 def _mertens_units(t: SpfTable, spec: SeriesSpec):
     # 1 is the n = 1 sentinel term; |M(x, y)| < 2**53, so fsum adds the ints exactly
     return _mu_units(t, spec.prime_weight, [(1, 1)], _above(t, spec.y), head=(1,),
-                     reduce=lambda col, primes, weight, lo: int(col.sum(dtype=np.int64)))
+                     reduce=lambda col, primes, weight, lo, lens: _prefix_sums(partial(np.sum, dtype=np.int64), col, lens))
 
 
 def _mu_over_n_units(t: SpfTable, spec: SeriesSpec):
@@ -701,13 +775,14 @@ def _lpf_units(t: SpfTable, spec: SeriesSpec):
     lpf, weight = t.lpf_table(), spec.weight
     indicator = weight.at(lpf[:0])[1] is None  # the 0/1 weights give no f values
 
-    def unit(lo: int, hi: int):
-        view = lpf[lo:hi]
+    def unit(lo: int, *ends: int):
+        view, lens = lpf[lo : ends[-1]], [end - lo for end in ends]
         if not indicator:  # sum each piece's supported f values, fv[support]
-            return _block_sum(view.size, lambda a, b, _: np.compress(*weight.at(view[a:b]))), None
+            sums = _block_sum(lens, lambda a, b, _: np.compress(*weight.at(view[a:b])))
+            return [(s, None) for s in sums]
         support = weight.at(view)[0]
-        cnt = view.size if support is None else int(np.count_nonzero(support))
-        return float(cnt), cnt
+        counts = lens if support is None else _prefix_sums(np.count_nonzero, support, lens)
+        return [(float(c), c) for c in counts]
 
     def combine(x: int, parts):
         value = fsum(s for s, _ in parts) / x
@@ -801,7 +876,7 @@ def run_series(t: SpfTable, spec: SeriesSpec) -> PartialSumSeries:
     unit, combine = SERIES_KINDS[spec.kind].units(t, spec)
     target = spec.target
     rows = []
-    for x, parts in zip(cps, _drive(unit, cps)):
+    for x, parts in zip(cps, _drive([(unit, cps, 2)])):
         value, count = combine(x, parts)
         error = None if target is None else abs(value - target)
         rows.append(SeriesRow(x, value, error, count))
@@ -904,32 +979,41 @@ def difference_term(
     sides agree at every finite x: to within ~1e-9 in float mode, and
     identically as Fractions when exact=True.  The sides stay independent
     groupings of the terms: lhs reduces the c_n(m) column without its
-    d = 1 slice, rhs one mu slice per divisor d > 1 with f read at p(d*n).
-    Both modes share the columns and the driver; only the reducer and the
-    combine step depend on exact.  m is any integer in [1, 2**32 - 1];
-    only x must lie in the table.
+    d = 1 slice, and rhs sums one mu prefix per divisor d > 1.  Since
+    p(d*n) = min(p(d), p(n)) = p(p*n) for p = p(d), the divisors of one
+    least prime p read one mu column with f at p(p*n), walked once over
+    [1, x // p] and cut at each x // d.  Both modes share the columns and
+    the one thread map of every walk; only the reducer and the fold depend
+    on exact.  m is any integer in [1, 2**32 - 1]; only x must lie in the
+    table.
     """
     if not 1 <= m <= MAX_LIMIT:
         raise ValueError(f"m must be in [1, {MAX_LIMIT}], got {m}")
     if not 1 <= x <= t.limit:
         raise ValueError(f"x={x} outside table range [1, {t.limit}]")
+    factors = _trial_factors(m)
     # the d = 1 term of c_n(m) is mu(n), so the lhs column leaves it out
-    divs = _divisors(_trial_factors(m))[1:]
+    divs = _divisors(factors)[1:]
     if exact:
         lanes = _Lanes(t.spf, x)
-        reduce, add = partial(_reduce_exact, lanes, weight.scale), partial(_add, lanes)
+        reduce, total = partial(_reduce_exact, lanes, weight.scale), partial(_add, lanes.q)
+        fold = {"add": lambda s, r: total([s, r]), "zero": (0, 0)}
     else:
-        reduce, add = _reduce, fsum
+        reduce, fold = _reduce, {}
 
-    def side(terms, stride: int, top: int, start: int):
-        """The sum of one column over [start, top], each cell added as
-        its thread finishes it; an empty range is the empty sum."""
-        unit, _ = _mu_units(t, weight, terms, reduce=reduce, stride=stride)
-        return _drive(unit, (top,), start, add)[0]
+        def total(tops):  # each top rounds alone, as the sum over its divisor's prefix
+            return fsum(fsum(parts) for parts in tops)
 
-    lhs = side([(d, d) for d in divs], 1, x, 2)
-    # one mu slice per divisor d > 1: n walks [1, x // d] and f reads p(d*n)
-    rhs = add(side([(1, 1)], d, x // d, 1) for d in divs)
+    def walk(terms, stride: int, tops, start: int):
+        return _mu_units(t, weight, terms, reduce=reduce, stride=stride)[0], tops, start
+
+    cuts = {p: [] for p, _ in factors}  # x // d for each divisor d > 1 of least prime p
+    for d in divs:
+        cuts[next(p for p in cuts if d % p == 0)].append(x // d)
+    tops = _drive([walk([(d, d) for d in divs], 1, (x,), 2),
+                   *(walk([(1, 1)], p, sorted(c), 1) for p, c in cuts.items())], **fold)
+    lhs = total([next(tops)])
+    rhs = total(tops)
     if not exact:
         return lhs, rhs
     del lanes.rank  # the value step reads no rank, so free its 4 bytes per n first

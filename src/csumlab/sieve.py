@@ -46,8 +46,11 @@ allocated once per unit) stay in cache.
 One grid, one driver: every threaded walk (the sieve's segments, the
 mu/lpf units, the series rows, the identity sides and the exact layout's
 prime scan) cuts its range on the fixed CHUNK grid and goes through
-_drive, which maps the cells over one thread per CPU (_THREADS) and folds
-their results in cell order, so no result depends on the thread count.
+_drive.  A walk reads each grid cell of its range once; a top that ends
+inside a cell cuts it, and the cell's unit returns one result per end.
+The driver maps the cells of all its walks over one thread per CPU
+(_THREADS) and folds each top's results in cell order, so no result
+depends on the thread count.
 
 Memory per n: 4 bytes for spf (uint32), so a limit of 10**8 costs ~400 MB
 resident.  Limits must stay below 2**32.  The optional mu and lpf tables,
@@ -75,11 +78,12 @@ import os
 import stat
 import struct
 import zlib
+from bisect import bisect_left, bisect_right
 from concurrent import futures
 from dataclasses import dataclass, field
 from functools import partial
 from math import isqrt
-from typing import Callable, Iterator
+from typing import Iterator
 
 import numpy as np
 
@@ -105,21 +109,25 @@ _ENTRY_WIDTH = 4
 _HEADER = struct.Struct("<4sIQBI")
 
 
-def _thread_map(fn: Callable, items: list) -> Iterator:
-    """fn(*item) for each item, mapped over up to _THREADS threads and
-    yielded in item order.  Nothing runs until the first result is asked
-    for, so a caller must consume it; one that folds each result as it
-    comes holds about one per thread.
+def _thread_map(calls: list) -> Iterator:
+    """f(*args) for each (f, *args) in calls, mapped over up to _THREADS
+    threads and yielded in call order.  Nothing runs until the first result
+    is asked for, so a caller must consume it; one that folds each result
+    as it comes holds about one per thread.
 
-    A single item, or a single thread, runs in the calling thread, one
-    item per result asked for.
+    A single call, or a single thread, runs in the calling thread, one
+    call per result asked for.
     """
-    threads = min(_THREADS, len(items))
+    threads = min(_THREADS, len(calls))
     if threads <= 1:
-        yield from (fn(*item) for item in items)
+        yield from map(_call, calls)
         return
     with futures.ThreadPoolExecutor(max_workers=threads) as pool:
-        yield from pool.map(lambda item: fn(*item), items)
+        yield from pool.map(_call, calls)
+
+
+def _call(call: tuple):
+    return call[0](*call[1:])
 
 
 def _cells(start: int, top: int) -> list[tuple[int, int]]:
@@ -135,20 +143,44 @@ def _cells(start: int, top: int) -> list[tuple[int, int]]:
     return list(zip(bounds, bounds[1:]))
 
 
-def _drive(unit, tops: tuple[int, ...], start: int = 2, fold=list) -> list:
-    """fold of the unit results of each top x, in ascending cell order.
+def _concat(parts: tuple, result) -> tuple:
+    return (*parts, result)
 
-    unit(lo, hi) works on the half-open range [lo, hi); x reads the cells
-    of [start, x + 1).  With a single top, fold consumes the results as
-    the threads yield them; with several, each distinct cell is mapped
-    once, however many tops share it.
+
+def _drive(walks, add=_concat, zero=()) -> Iterator:
+    """For each walk (unit, tops, start) in turn and each of its ascending
+    tops x, the fold from zero by add of x's unit results in cell order.
+
+    A walk reads each cell of [start, max(tops) + 1) on the CHUNK grid
+    once, and the cells of every walk go over one thread map.  A top that
+    ends inside a cell cuts it: unit(lo, *ends) works on the cell
+    [lo, ends[-1]) and gets the ascending ends x + 1 of the tops that cut
+    it, then the cell's own end.  It returns one result per end, that of
+    [lo, end), so a walk of one top calls unit(lo, hi).  x reads the
+    result at the end of each cell below x + 1, then the one at x + 1; a
+    top below start reads none.
+
+    Each walk folds its cells as the threads yield them, and no cell's
+    results outlive its turn of the loop, so a walk holds its running fold
+    and the cells in flight.
     """
-    plans = [_cells(start, x + 1) for x in tops]
-    if len(plans) == 1:
-        return [fold(_thread_map(unit, plans[0]))]
-    cells = sorted({cell for plan in plans for cell in plan})
-    results = dict(zip(cells, _thread_map(unit, cells)))
-    return [fold(results[cell] for cell in plan) for plan in plans]
+    plans = []
+    for unit, tops, start in walks:
+        cuts = [x + 1 for x in tops]
+        cells = [(unit, lo, *dict.fromkeys(cuts[bisect_right(cuts, lo) : bisect_left(cuts, hi)]), hi)
+                 for lo, hi in _cells(start, max(cuts, default=start))]
+        plans.append((cuts, start, cells))
+    results = _thread_map([cell for _, _, cells in plans for cell in cells])
+    for cuts, start, cells in plans:
+        i = bisect_right(cuts, start)
+        yield from [zero] * i
+        acc = zero
+        for _, _, *ends in cells:
+            for end, value in zip(ends, map(partial(add, acc), next(results))):
+                while i < len(cuts) and cuts[i] == end:
+                    yield value
+                    i += 1
+            acc = value
 
 
 @dataclass(eq=False)
@@ -276,7 +308,7 @@ def _derive(spf: np.ndarray, dtype, seed: tuple[int, int], step) -> np.ndarray:
     lo = 2
     while lo < n:
         hi = min(2 * lo, n)
-        _drive(partial(step, spf, out), (hi - 1,), lo)
+        next(_drive([(lambda a, b: [step(spf, out, a, b)], (hi - 1,), lo)]))
         lo = hi
     out.setflags(write=False)
     return out
@@ -333,7 +365,7 @@ def build_spf_table(limit: int) -> SpfTable:
 
     spf = np.zeros(limit + 1, dtype=np.uint32)
     base = _base_primes(isqrt(limit))
-    _drive(partial(_mark_segment, spf, base), (limit,), 0)
+    next(_drive([(lambda lo, hi: [_mark_segment(spf, base, lo, hi)], (limit,), 0)]))
     spf.setflags(write=False)
     return SpfTable(limit=limit, spf=spf)
 
@@ -430,8 +462,7 @@ def save_spf_table(t: SpfTable, path: str) -> None:
             with open(tmp, "xb") as fh:
                 # the checksum and the payload write overlap: both release the GIL
                 fh.seek(_HEADER.size)
-                jobs = [(zlib.crc32, payload), (fh.write, payload.data)]
-                crc, _ = _thread_map(lambda job, data: job(data), jobs)
+                crc, _ = _thread_map([(zlib.crc32, payload), (fh.write, payload.data)])
                 fh.seek(0)
                 fh.write(_HEADER.pack(_CACHE_MAGIC, _CACHE_VERSION, t.limit, _ENTRY_WIDTH, crc))
             os.replace(tmp, path)

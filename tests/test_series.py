@@ -569,6 +569,14 @@ def exact_reducer_batches(spf):
         yield f"random, {size} terms", a, rng.integers(1, limit + 1, size)
 
 
+def pieces(a, n):
+    """(a, n) cut into pieces of _EXACT_PIECE terms, as the exact reducer cuts
+    a unit, each with the one multiplier c = 1."""
+    step = series._EXACT_PIECE
+    return [([1], np.zeros(min(step, n.size - i), dtype=np.intp), a[i : i + step], n[i : i + step])
+            for i in range(0, n.size, step)]
+
+
 @pytest.fixture(scope="module")
 def lanes_mid(table_mid):
     return series._Lanes(table_mid.spf, table_mid.limit)
@@ -577,13 +585,15 @@ def lanes_mid(table_mid):
 @pytest.fixture
 def lane_rule(monkeypatch):
     """Checks every sum that _partial_fractions, _add and _times return, also
-    inside other calls: an int z and one int64 lane per prime, 0 <= r < q."""
+    inside other calls: an int z and one int64 r per modulus, 0 <= r < q,
+    for the moduli q that _add and _times take or the lanes' q."""
 
     def checked(op):
         def run(lanes, *args):
             z, r = out = op(lanes, *args)
-            assert type(z) is int and r.dtype == np.int64 and r.shape == lanes.q.shape
-            assert np.all((r >= 0) & (r < lanes.q)), op.__name__
+            q = getattr(lanes, "q", lanes)
+            assert type(z) is int and r.dtype == np.int64 and r.shape == q.shape
+            assert np.all((r >= 0) & (r < q)), op.__name__
             return out
 
         return run
@@ -595,7 +605,7 @@ def lane_rule(monkeypatch):
 def test_exact_reducer_matches_fraction_bruteforce(table_mid, lanes_mid, lane_rule):
     spf = table_mid.spf
     for name, a, n in exact_reducer_batches(spf):
-        got = series._exact_value(lanes_mid, series._partial_fractions(lanes_mid, a, n), 1)
+        got = series._exact_value(lanes_mid, series._partial_fractions(lanes_mid, pieces(a, n)), 1)
         want = fraction_sum(a, n)
         # equal as normalized pairs, not only as values
         assert type(got) is Fraction, name
@@ -609,23 +619,32 @@ def test_exact_reducer_scales_groups_by_any_float(table_mid, lanes_mid, lane_rul
     spf, rng = table_mid.spf, np.random.default_rng(7)
     fs = [1.0, -0.75, 0.1, 1e100, -1e100, 5e-324, -2.5e-300, 2.0**31, -(2.0**62) - 2.0**10]
     keys = [2, 3, 5, 7]  # 7 stays off the table: f = 0
-    for trial in range(12):
-        values = rng.choice(fs, size=3, replace=False).tolist()
+    for trial in range(18):
+        # past the first 12 trials, f whose scale * f stay small, some of
+        # them subnormal, with a scale of 2**1074
+        small = (fs[:2] + fs[7:8] + [0.5], [5e-324, -1e-323, 1.5e-323])[trial % 2]
+        values = rng.choice(fs if trial < 12 else small, size=3, replace=False).tolist()
         weight = PrimeWeight.from_table(dict(zip(keys, values)))
         size = int(rng.integers(0, 900))
         lo = int(rng.integers(1, spf.size - size))
-        col = rng.integers(-200, 201, size)
+        wide = rng.integers(-200, 201, size)
         primes = rng.choice(keys, size).astype(np.uint32)
         n = np.arange(lo, lo + size)
         f = [Fraction(dict(weight.table).get(int(p), 0.0)) for p in primes]
-        want = sum((Fraction(int(a), int(d)) * v for a, d, v in zip(col, n, f)), Fraction(0))
         # the least scale that makes every f an integer, and a larger one
         least = max(Fraction(v).denominator for v in values)
-        for scale in (least, least << 40):
-            sums = series._reduce_exact(lanes_mid, scale, col, primes, weight, lo)
-            got = series._exact_value(lanes_mid, sums, scale)
-            assert (got.numerator, got.denominator) == (want.numerator, want.denominator), trial
-    assert series._exact_value(lanes_mid, series._add(lanes_mid, []), 2**1074) == 0
+        # an int64 column and an int8 one
+        for col in (wide, np.clip(wide, -127, 127).astype(np.int8)):
+            want = sum((Fraction(int(a), int(d)) * v for a, d, v in zip(col, n, f)), Fraction(0))
+            # the prefix of the first half of the terms, then the whole
+            half = sum((Fraction(int(a), int(d)) * v
+                        for a, d, v in zip(col[: size // 2], n, f)), Fraction(0))
+            for scale in (least, least << 40):
+                sums = series._reduce_exact(lanes_mid, scale, col, primes, weight, lo, [size // 2, size])
+                got = [series._exact_value(lanes_mid, s, scale) for s in sums]
+                assert [(g.numerator, g.denominator) for g in got] == [
+                    (v.numerator, v.denominator) for v in (half, want)], trial
+    assert series._exact_value(lanes_mid, series._add(lanes_mid.q, []), 2**1074) == 0
 
 
 def same_lanes(s, t) -> bool:
@@ -640,13 +659,13 @@ def test_equal_values_have_equal_lanes(table_small, lane_rule, monkeypatch):
     rng = np.random.default_rng(11)
     a, n = rng.integers(-99, 100, 3000), rng.integers(1, spf.size, 3000)
     o = rng.permutation(n.size)
-    split = [series._partial_fractions(lanes, a[o[i:j]], n[o[i:j]])
+    split = [series._partial_fractions(lanes, pieces(a[o[i:j]], n[o[i:j]]))
              for i, j in ((0, 7), (7, 1200), (1200, 3000))]
     pairs = {
-        "1/2 + 1/2 and 1/1": (series._partial_fractions(lanes, np.int8([1, 1]), np.array([2, 2])),
-                              series._partial_fractions(lanes, np.int8([1]), np.array([1]))),
-        "a batch and its permuted split": (series._partial_fractions(lanes, a, n),
-                                           series._add(lanes, split)),
+        "1/2 + 1/2 and 1/1": (series._partial_fractions(lanes, pieces(np.int8([1, 1]), np.array([2, 2]))),
+                              series._partial_fractions(lanes, pieces(np.int8([1]), np.array([1])))),
+        "a batch and its permuted split": (series._partial_fractions(lanes, pieces(a, n)),
+                                           series._add(lanes.q, split)),
     }
     # the raw sides of difference_term, before they become Fractions
     monkeypatch.setattr(series, "_exact_value", lambda lanes, sums, scale: sums)
@@ -759,8 +778,10 @@ def test_piece_fractions_equal_past_the_inverse_table(table_mid, lanes_mid, monk
         for b in (bound, 1):
             monkeypatch.setattr(series, "_INVERSE_BOUND", b)
             steps.clear()
+            z, _, lane, r = series._piece_fractions(lanes_mid, a, n)
             acc = np.zeros(lanes_mid.q.size, dtype=np.int64)
-            got.append((series._piece_fractions(lanes_mid, a, n, acc), acc))
+            np.add.at(acc, lane, r)
+            got.append((int(z.sum()), acc))
             # one _swap call a level, deepest first: the last covers every
             # lane past the table, the one before it those with w past it too
             table, one, deeper = depths(n, b)
@@ -824,7 +845,7 @@ def test_exact_side_folds_each_cell_as_it_finishes(table_small, monkeypatch):
 
     def reduce(*args):
         out = real_reduce(*args)
-        held.append(weakref.ref(out[1]))
+        held.extend(weakref.ref(lanes) for _, lanes in out)
         most.append(sum(ref() is not None for ref in held))
         return out
 
@@ -878,6 +899,28 @@ def test_worker_count_never_changes_rows(table_mid, monkeypatch):
         assert frac_rows(base) == frac_rows(multi), threads
 
 
+def walk_cells(start, tops, chunk):
+    """(lo, *ends) of each grid cell of [start, max(tops) + 1), cut at the
+    multiples of chunk: the ends x + 1 of the tops inside the cell, then its
+    own end; none when the range is empty."""
+    top = max(tops) + 1
+    cuts = [start, *(c for c in range(chunk, top, chunk) if c > start), top]
+    return [(lo, *sorted({x + 1 for x in tops if lo < x + 1 < hi}), hi)
+            for lo, hi in zip(cuts, cuts[1:])] if top > start else []
+
+
+def spy_maps(monkeypatch):
+    """The (lo, *ends) calls of every thread map, one list per map."""
+    mapped, real_map = [], sieve._thread_map
+
+    def spy(calls):
+        mapped.append([tuple(call[1:]) for call in calls])
+        return real_map(calls)
+
+    monkeypatch.setattr(sieve, "_thread_map", spy)
+    return mapped
+
+
 def test_checkpoint_prefix_consistency(table_small, monkeypatch):
     # evaluating at [a, b, c] must agree with three standalone runs
     joint = mu_baseline(table_small, [37, 503, 9001])
@@ -886,56 +929,37 @@ def test_checkpoint_prefix_consistency(table_small, monkeypatch):
         assert alone.rows[0].value == row.value, row.x
 
     # the same across chunk edges: checkpoints below start, on, beside and
-    # between the edges of 97-term cells
+    # between the edges of 97-term cells, and a run walks each grid cell of
+    # [2, 9001] once, with every checkpoint that ends inside it as a cut
     chunk, cps = 97, (1, 96, 97, 98, 194, 195, 500, 9001)
     monkeypatch.setattr(sieve, "CHUNK", chunk)
     table_small.lpf_table()  # built first: the spy counts the series' walks only
-    mapped, real_map = [], sieve._thread_map
-
-    def spy(fn, items):
-        mapped.append(list(items))
-        return real_map(fn, items)
-
-    monkeypatch.setattr(sieve, "_thread_map", spy)
-    # perfbench's series_chunks: the grid cells up to the last checkpoint,
-    # plus one cell for each checkpoint off the grid
-    cells = len(range(chunk, cps[-1] + 2, chunk)) + sum(
-        1 for x in cps if max(2, (x + 1) // chunk * chunk) < x + 1
-    )
+    mapped = spy_maps(monkeypatch)
     for kind, params in (
         ("mu-baseline", {}),
         ("mertens-restricted", {"y": 3}),
         ("lpf-density", {"weight": PrimeWeight.residue_class(4, 3)}),
+        ("lpf-density", {"weight": TABLE_W}),
     ):
         mapped.clear()
         joint = run_series(table_small, SeriesSpec(kind=kind, checkpoints=cps, **params))
-        assert len(mapped) == 1 and len(set(mapped[0])) == len(mapped[0]) == cells, kind
+        assert mapped == [walk_cells(2, cps, chunk)], kind
+        assert sum(cell[-1] - cell[0] for cell in mapped[0]) == cps[-1] - 1, kind
         for row in joint.rows:
             spec = SeriesSpec(kind=kind, checkpoints=(row.x,), **params)
             alone = run_series(table_small, spec).rows[0]
             assert (alone.value.hex(), alone.count) == (row.value.hex(), row.count), (kind, row.x)
 
 
-def grid_cells(start, top, chunk):
-    """[start, top) cut at the multiples of chunk, none when top <= start."""
-    cuts = [start, *(c for c in range(chunk, top, chunk) if c > start), top]
-    return list(zip(cuts, cuts[1:])) if top > start else []
-
-
 def test_every_threaded_walk_maps_its_grid_cells(monkeypatch):
     # one driver on one grid: the sieve's segments, each doubling block of
-    # the mu and lpf tables, a series' distinct checkpoint cells, the exact
-    # layout's prime scan and each identity side hand the thread map
-    # exactly their cells of the CHUNK grid, one map per walk
+    # the mu and lpf tables, a series' checkpoints, the exact layout's
+    # prime scan and the identity hand the thread map each grid cell of
+    # their walks once, with its ends; one identity makes one map, its lhs
+    # walk then one rhs walk per least prime of the divisors of m
     chunk, limit, x = 1000, 5000, 4321
     monkeypatch.setattr(sieve, "CHUNK", chunk)
-    mapped, real_map = [], sieve._thread_map
-
-    def spy(fn, items):
-        mapped.append(list(items))
-        return real_map(fn, items)
-
-    monkeypatch.setattr(sieve, "_thread_map", spy)
+    mapped = spy_maps(monkeypatch)
 
     def maps(call):
         mapped.clear()
@@ -943,20 +967,55 @@ def test_every_threaded_walk_maps_its_grid_cells(monkeypatch):
         return mapped[:]
 
     t = build_spf_table(limit)
-    assert mapped == [grid_cells(0, limit + 1, chunk)]
+    assert mapped == [walk_cells(0, (limit,), chunk)]
     blocks = [(2**k, min(2 ** (k + 1), limit + 1)) for k in range(1, limit.bit_length())]
-    derived = [grid_cells(lo, hi, chunk) for lo, hi in blocks]
+    derived = [walk_cells(lo, (hi - 1,), chunk) for lo, hi in blocks]
     assert maps(t.mu_table) == derived
     assert maps(t.lpf_table) == derived
     cps = (1, 999, 1000, 2500, x)
     spec = SeriesSpec(kind="ramanujan-alladi", m=6, k=4, l=3, checkpoints=cps)
-    assert maps(lambda: run_series(t, spec)) == [
-        sorted({cell for cp in cps for cell in grid_cells(2, cp + 1, chunk)})]
-    rhs = [grid_cells(1, x // d + 1, chunk) for d in (2, 3, 6)]
+    assert maps(lambda: run_series(t, spec)) == [walk_cells(2, cps, chunk)]
+    # 12: d = 2, 4, 6, 12 share p = 2 and d = 3 walks alone
+    identity = [*walk_cells(2, (x,), chunk), *walk_cells(1, (x // 12, x // 6, x // 4, x // 2), chunk),
+                *walk_cells(1, (x // 3,), chunk)]
     one = PrimeWeight.constant_one()
-    assert maps(lambda: difference_term(t, 6, one, x)) == [grid_cells(2, x + 1, chunk), *rhs]
-    assert maps(lambda: difference_term(t, 6, one, x, exact=True)) == [
-        grid_cells(2, x + 1, chunk), grid_cells(2, x + 1, chunk), *rhs]
+    assert maps(lambda: difference_term(t, 12, one, x)) == [identity]
+    assert maps(lambda: difference_term(t, 12, one, x, exact=True)) == [
+        walk_cells(2, (x,), chunk), identity]
+
+
+def rhs_per_divisor(t, m, weight, x, chunk):
+    """The float and exact rhs of the identity, one walk per divisor d > 1
+    of m as the identity once took them: each cell of [1, x // d] on the
+    grid summed by fsum, each d's cells by fsum, then the divisors by fsum;
+    and the Fraction sum of the same terms."""
+    factors = factorize_naive(m)
+    divs = [1]
+    for p, e in factors:
+        divs = [d * p**i for d in divs for i in range(e + 1)]
+    mu, spf = t.mu_table(), t.spf
+    sides, exact = [], Fraction(0)
+    for d in sorted(divs)[1:]:
+        cells = []
+        for lo, hi in (cell[::len(cell) - 1] for cell in walk_cells(1, (x // d,), chunk)):
+            terms = [(int(mu[n]) * weight_naive(weight, int(spf[d * n])), n) for n in range(lo, hi)]
+            cells.append(math.fsum(float(a) / n for a, n in terms if a))
+            exact += sum((a / n for a, n in terms), Fraction(0))
+        sides.append(math.fsum(cells))
+    return math.fsum(sides), exact
+
+
+@pytest.mark.parametrize("m", [2**10, 360, 30030, 2**32 - 1])
+def test_grouped_rhs_matches_one_walk_per_divisor(table_small, monkeypatch, m):
+    # x // d on, beside and between the edges of 100-term cells, and past
+    # every d > x (2**32 - 1 = 3 * 5 * 17 * 257 * 65537)
+    chunk = 100
+    monkeypatch.setattr(sieve, "CHUNK", chunk)
+    for x in (1, 1598, 1599, 1600, 4001):
+        for weight in IDENTITY_WEIGHTS:
+            want_float, want_exact = rhs_per_divisor(table_small, m, weight, x, chunk)
+            assert difference_term(table_small, m, weight, x)[1].hex() == want_float.hex(), (x, weight)
+            assert difference_term(table_small, m, weight, x, exact=True)[1] == want_exact, (x, weight)
 
 
 TABLE_W = PrimeWeight.from_table({2: 0.5, 3: -0.25, 7: 1.0})
@@ -1091,15 +1150,18 @@ def test_prime_weight_validation():
 
 
 def test_table_weight_lookup_paths_agree():
-    # one binary search serves every table size: with 0 to 201 keys, given
-    # out of order or sorted, over a slice holding 0, primes off the table,
-    # the largest key 2**32 - 5 and 2**32 - 1, at() gives the dict's values
+    # the dense table below 2**16 and the binary search above it agree
+    # with the dict: with 0 to 203 keys, given out of order or sorted, some
+    # only past 2**16 (65537, the largest key 2**32 - 5), some on both
+    # sides (65521 too), over a slice holding 0, 2**16 - 1, primes off the
+    # table, the keys next to 2**16, 2**32 - 5 and 2**32 - 1
     rng = np.random.default_rng(33)
     primes = np.array(sieve._base_primes(2**16), dtype=np.uint32)
-    keys = rng.choice(primes, 200, replace=False).tolist() + [2**32 - 5]
+    keys = rng.choice(primes[primes < 65521], 200, replace=False).tolist() + [65521, 65537, 2**32 - 5]
     values = rng.choice([0.5, -1.0, 0.0, 5e-324, -1e100], len(keys)).tolist()
-    slice_ = np.concatenate([[0, 2**32 - 5, 2**32 - 1], rng.choice(primes, 5000)]).astype(np.uint32)
-    for size in (0, 1, 4, 32, 33, 201):
+    edges = [0, 2**16 - 1, 65521, 65537, 2**32 - 5, 2**32 - 1]
+    slice_ = np.concatenate([edges, rng.choice(primes, 5000)]).astype(np.uint32)
+    for size in (0, 1, 2, 3, 4, 32, 33, 203):
         table = tuple(zip(keys, values))[len(keys) - size :]  # unsorted on purpose
         expected = np.array([dict(table).get(int(p), 0.0) for p in slice_])
         for weight in (TableWeight(table), PrimeWeight.from_table(dict(table))):
@@ -1308,14 +1370,16 @@ def test_exact_sum_matches_fsum():
 
     for name, a in exact_sum_cases():
         before = a.copy()
-        want = float.hex(fsum_reference(a))
-        assert float.hex(series._block_sum(a.size, lambda lo, hi, out: a[lo:hi])) == want, name
-        assert float.hex(series._block_sum(a.size, nonzero_terms(a))) == want, name
+        # prefixes that end inside a piece, on its edge and at the end
+        lens = sorted({k for k in (1, a.size // 3, series._PIECE) if k < a.size} | {a.size})
+        want = [float.hex(fsum_reference(a[:k])) for k in lens]
+        assert [float.hex(v) for v in series._block_sum(lens, lambda lo, hi, out: a[lo:hi])] == want, name
+        assert [float.hex(v) for v in series._block_sum(lens, nonzero_terms(a))] == want, name
         assert np.array_equal(a, before), name  # the input is left alone
     for bad in (np.nan, np.inf):
         terms = np.array([1.0, bad])
         with pytest.raises(ValueError):
-            series._block_sum(terms.size, lambda lo, hi, out: terms[lo:hi])
+            series._block_sum([terms.size], lambda lo, hi, out: terms[lo:hi])
 
 
 def test_empty_pieces_add_no_limb():
@@ -1323,19 +1387,19 @@ def test_empty_pieces_add_no_limb():
     series._block_limbs(np.zeros(0), np.zeros(0), np.zeros(0), limbs)
     assert limbs == []
     piece, terms = series._PIECE, np.array([0.1, -2.0**-60, 3.0])
-    got = series._block_sum(5 * piece, lambda lo, hi, out: terms if lo == 2 * piece else terms[:0])
-    assert float.hex(got) == float.hex(math.fsum(terms.tolist()))
-    assert series._block_sum(5 * piece, lambda lo, hi, out: terms[:0]) == 0.0
+    got = series._block_sum([5 * piece], lambda lo, hi, out: terms if lo == 2 * piece else terms[:0])
+    assert [float.hex(v) for v in got] == [float.hex(math.fsum(terms.tolist()))]
+    assert series._block_sum([piece, 5 * piece], lambda lo, hi, out: terms[:0]) == [0.0, 0.0]
 
 
-def reduce_reference(col, primes, weight, lo):
-    """_reduce as one whole-chunk float64 array summed by math.fsum."""
+def reduce_reference(col, primes, weight, lo, lens):
+    """_reduce as one whole-chunk float64 array, each prefix summed by math.fsum."""
     sel, num, fv = series._select(col, primes, weight)
     num = num.astype(np.float64)
     if fv is not None:
         num *= fv
     num /= sel + lo
-    return fsum_reference(num)
+    return [fsum_reference(num[sel < k]) for k in lens]
 
 
 REDUCE_WEIGHTS = (
@@ -1368,8 +1432,11 @@ def test_reduce_matches_fsum_of_its_terms(weight):
         keep = (col != 0) & (f != 0)
         terms = col[keep].astype(np.float64) * f[keep] / n[keep]
         assert terms.size == kept
-        got = series._reduce(col, primes, weight, lo)
-        assert float.hex(got) == float.hex(math.fsum(terms.tolist())), (weight_id(weight), kept)
+        # each prefix: one term, a piece edge and a term past it, the whole column
+        lens = [1, piece, piece + 1, size]
+        want = [math.fsum(terms[: np.count_nonzero(keep[:k])].tolist()) for k in lens]
+        got = series._reduce(col, primes, weight, lo, lens)
+        assert list(map(float.hex, got)) == list(map(float.hex, want)), (weight_id(weight), kept)
 
 
 def test_reduce_builds_no_chunk_sized_float_array(table_big):
@@ -1383,11 +1450,11 @@ def test_reduce_builds_no_chunk_sized_float_array(table_big):
     for weight in REDUCE_WEIGHTS:
         tracemalloc.start()
         try:
-            value = series._reduce(col, primes, weight, lo)
+            value = series._reduce(col, primes, weight, lo, [series.CHUNK])
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert float.hex(value) == float.hex(reduce_reference(col, primes, weight, lo))
+        assert value == reduce_reference(col, primes, weight, lo, [series.CHUNK])
         assert peak < 6 * 2**20, (weight_id(weight), peak)
 
 
@@ -1452,9 +1519,9 @@ def test_piece_width_never_changes_a_float_row(table_big, table_small, monkeypat
         assert float_rows(table_small, cps) == want, width
 
 
-def block_sum_reference(n, block):
-    """_block_sum as math.fsum of the terms of one piece spanning [0, n)."""
-    return fsum_reference(block(0, n, np.empty(n)))
+def block_sum_reference(lens, block):
+    """_block_sum as math.fsum of the terms of one piece spanning [0, k), for each k in lens."""
+    return [fsum_reference(block(0, k, np.empty(k))) for k in lens]
 
 
 def test_exact_sum_rows_match_fsum_reference(table_big, monkeypatch):

@@ -9,7 +9,14 @@ chunk in pieces of _PIECE indices and splits each piece's terms into limbs
 on power-of-two grids by float operations (Rump, Ogita & Oishi, "Accurate
 floating-point summation, part I", 2008); the limbs of any cut sum exactly,
 so it builds no Python objects per term, releases the GIL and gives the
-same value for any piece width.
+same value for any piece width.  The unit that builds a piece states its
+bound without reading the terms, 2**e >= every |term| and 2**f <= every
+nonzero one: each extraction at sigma = 2**(e + k), 2**k > size + 1,
+leaves remainders on the grid 2**(f - 52) at most 2**(e + k - 53), so
+once e - f <= 54 - 2k held for the last extraction, every partial sum
+of them fits 53 bits and one plain sum is the last limb.  A floor below
+2**-1022, a bound wider than 53 bits or none at all reads each
+extraction's e from max|term| instead.
 
 One cell schedule serves every run: a run walks each cell of [start, x]
 on the fixed CHUNK grid once, x its last checkpoint, and every other
@@ -81,9 +88,10 @@ import numpy as np
 from .sieve import CHUNK, MAX_LIMIT, SpfTable, _base_primes, _divisors, _drive
 
 #: Indices per piece of a float sum, which selects and sums each piece in
-#: turn through three float64 buffers of this length.  warm-sweep-1e7
-#: solve_s medians (5 seeds, 2 CPUs): 2.07 s at 2^16, 1.54 s at 2^17 and
-#: 1.52 s at 2^18, whose larger buffers raised peak RSS 189 -> 200 MB.
+#: turn through three float64 buffers of this length.  solve_s medians
+#: over seeds 1-3 (2 CPUs) at 2^15, 2^16, 2^17 and 2^18: cold-1e8 0.88,
+#: 0.66, 0.65 and 0.67 s; warm-sweep-1e7 1.10, 0.94, 0.89 and 0.93 s,
+#: where 2^18's larger buffers raised peak RSS 183.9 -> 193.3 MB.
 _PIECE = CHUNK // 8
 
 #: Largest |f(p)| of a table weight.  A term is at most sigma(m) < 2**35
@@ -106,8 +114,9 @@ class PrimeWeight:
     or lpf slice): support is the mask f != 0, None when f is 1
     everywhere, and f the float64 values, None for the 0/1 weights.
     density is f's density over the primes or None, scale the power of
-    two that makes every f value an integer, and describe() the one-token
-    description in report metadata that cli.parse_weight reads back.
+    two that makes every f value an integer, magnitudes the largest and
+    the smallest nonzero |f(p)|, and describe() the one-token description
+    in report metadata that cli.parse_weight reads back.
     """
 
     @staticmethod
@@ -130,6 +139,7 @@ class OneWeight(PrimeWeight):
 
     density = 1.0
     scale = 1
+    magnitudes = (1.0, 1.0)
 
     def at(self, primes: np.ndarray) -> tuple[None, None]:
         return None, None
@@ -146,6 +156,7 @@ class ResidueWeight(PrimeWeight):
     k: int
     l: int
     scale = 1
+    magnitudes = (1.0, 1.0)
 
     def __post_init__(self):
         if not 1 <= self.k <= MAX_LIMIT:
@@ -192,6 +203,12 @@ class TableWeight(PrimeWeight):
     @property
     def scale(self) -> int:
         return max((Fraction(v).denominator for _, v in self.table), default=1)
+
+    @cached_property
+    def magnitudes(self) -> tuple[float, float]:
+        """Cached; (1.0, 1.0) when f is 0 everywhere, as then no term is kept."""
+        mags = [abs(v) for _, v in self.table if v]
+        return (max(mags), min(mags)) if mags else (1.0, 1.0)
 
     @cached_property
     def _lookup(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -328,7 +345,8 @@ def _select(col: np.ndarray, primes: np.ndarray, weight: PrimeWeight):
     return sel, col[sel], None if fv is None else fv[sel]
 
 
-def _block_sum(lens: list[int], block: Callable[[int, int, np.ndarray], np.ndarray]) -> list[float]:
+def _block_sum(lens: list[int], block: Callable[[int, int, np.ndarray], np.ndarray],
+               bound: Callable[[int, int], tuple[int, int]] | None = None) -> list[float]:
     """For each k in the ascending lens, the exact sum of the float64 terms
     block(a, b, out) over the pieces [a, b) of [0, k), rounded once, as
     math.fsum of all those terms gives it.
@@ -337,44 +355,78 @@ def _block_sum(lens: list[int], block: Callable[[int, int, np.ndarray], np.ndarr
     the scratch array out or elsewhere; pieces span at most _PIECE indices,
     end at each k and share three buffers allocated once per call.  Every
     term must be finite with |term| < 2**(1023 - k), k as in _block_limbs.
-    The limbs of the pieces so far are exact floats, so their fsum at each
-    k is the correctly rounded value of that prefix.
+    bound(a, b), if given, states (e, f) for the piece without reading its
+    terms: 2**e >= every |term| and 2**f <= every nonzero |term|, with
+    e + k <= 1023.  The limbs of the pieces so far are exact floats, so
+    their fsum at each k is the correctly rounded value of that prefix.
     """
     out, q, r = np.empty((3, min(lens[-1], _PIECE)))
     limbs, sums, start = [], [], 0
     for end in lens:
         for a in range(start, end, _PIECE):
-            p = block(a, min(end, a + _PIECE), out)
-            _block_limbs(p, q[: p.size], r[: p.size], limbs)
+            b = min(end, a + _PIECE)
+            p = block(a, b, out)
+            _block_limbs(p, q[: p.size], r[: p.size], limbs, bound and bound(a, b))
         sums.append(fsum(limbs))
         start = end
     return sums
 
 
-def _block_limbs(p: np.ndarray, q: np.ndarray, r: np.ndarray, limbs: list[float]) -> None:
+def _block_limbs(p: np.ndarray, q: np.ndarray, r: np.ndarray, limbs: list[float],
+                 bound: tuple[int, int] | None = None) -> None:
     """Append to limbs floats whose exact sum is the exact sum of p.
 
-    Each pass adds and subtracts sigma = 2**(e + k), where max|p| < 2**e
-    and 2**k > p.size + 1 (ExtractVector of Rump, Ogita & Oishi, 2008).
-    That rounds p to multiples q of 2**(e + k - 53) with |q| <= 2**e, so
-    every partial sum of q is such a multiple below 2**(e + k) and np.sum(q)
-    is exact in any order.  The remainder p - q is exact and lowers e by at
-    least 52 - k.  p must be finite with max|p| < 2**(1023 - k).  q and r
-    are scratch arrays of p's size; the remainders go to r, so p is left
-    alone.
+    Each extraction adds and subtracts sigma = 2**(e + k), where
+    max|p| <= 2**e and 2**k > p.size + 1 (ExtractVector of Rump, Ogita &
+    Oishi, 2008).  That rounds p to multiples q of 2**(e + k - 53) with
+    |q| <= 2**e, so every partial sum of q is such a multiple below
+    2**(e + k) and np.sum(q) is exact in any order.  The remainder p - q
+    is exact, at most 2**(e + k - 53) in magnitude, so e falls by 53 - k.
+
+    With a bound (e, f) as _block_sum states it, e starts there and is
+    never read from the terms.  Every nonzero term is then a multiple of
+    2**(f - 52), and so is every remainder, while e + k - 53 >= f - 52.
+    Once e + k - f <= 1, every partial sum of p is such a multiple below
+    2**(e + k) <= 2**53 * 2**(f - 52), so one plain np.sum(p) is the last,
+    exact limb: that is e - f <= 54 - 2k for the e of the extraction before.
+    Without a bound, a floor 2**f below 2**-1022 (where subnormal terms
+    keep no such grid) or a bound wider than 53 bits (where terms may
+    cluster far apart, and reading max|p| skips the empty bits between
+    them), each extraction reads e from max|p|, raises ValueError on a
+    non-finite term and the loop ends when p is all zero.  q and r are
+    scratch arrays of p's size that take the remainders in turn, so p is
+    left alone.
     """
     k = (p.size + 1).bit_length()
+    e, f = bound or (0, None)
+    if f is not None and (f < -1022 or e - f > 53):
+        f = None
     while p.size:  # an empty piece appends no limb
-        top = max(p.max(), -p.min())
-        if top == 0:
+        if f is None:
+            top = max(p.max(), -p.min())
+            if top == 0:
+                return
+            if not isfinite(top):
+                raise ValueError(f"cannot sum a non-finite term ({top})")
+            e = frexp(top)[1]
+        elif e + k - f <= 1:
+            limbs.append(float(p.sum()))
             return
-        if not isfinite(top):
-            raise ValueError(f"cannot sum a non-finite term ({top})")
-        sigma = ldexp(1.0, frexp(top)[1] + k)
+        sigma = ldexp(1.0, e + k)
         np.add(p, sigma, out=q)
         q -= sigma
         limbs.append(float(q.sum()))
-        p = np.subtract(p, q, out=r)
+        p = np.subtract(p, q, out=q)  # in place: 25 us a 2^17-index piece, 65 into a third array
+        q, r = r, q
+        e -= 53 - k
+
+
+def _term_bound(weight: PrimeWeight, bits: int, lo: int, hi: int) -> tuple[int, int]:
+    """(e, f) with 2**e >= |c f(p) / n| >= 2**f, both as float64 operations
+    round them, for every |c| <= 2**bits, nonzero c and f(p), and n in
+    [lo, hi]: rounding is monotone and keeps powers of two."""
+    top, least = weight.magnitudes
+    return bits + frexp(top)[1] - lo.bit_length() + 1, frexp(least)[1] - 1 - (hi - 1).bit_length()
 
 
 def _reduce(col: np.ndarray, primes: np.ndarray, weight: PrimeWeight, lo: int,
@@ -385,19 +437,20 @@ def _reduce(col: np.ndarray, primes: np.ndarray, weight: PrimeWeight, lo: int,
     Each piece of the index range selects its kept terms and converts,
     weights and divides them straight into the exact sum's buffer.  A
     sign carried in the integer column rounds as negating each term does.
+    Each piece's bound comes from the column's dtype, |col| <= 2**bits,
+    the weight's magnitudes and the piece's n range.
     """
+    bits = np.iinfo(col.dtype).max.bit_length()
 
     def terms(a: int, b: int, out: np.ndarray) -> np.ndarray:
         sel, num, fv = _select(col[a:b], primes[a:b], weight)
         out = out[: sel.size]
-        np.copyto(out, num)
-        if fv is not None:
-            out *= fv
         sel += lo + a  # the kept n
-        out /= sel
-        return out
+        if fv is not None:
+            num = np.multiply(num, fv, out=out)
+        return np.divide(num, sel, out=out)
 
-    return _block_sum(lens, terms)
+    return _block_sum(lens, terms, lambda a, b: _term_bound(weight, bits, lo + a, lo + b - 1))
 
 
 def _prefix_sums(total: Callable, values: np.ndarray, lens: list[int]) -> list[int]:
@@ -774,11 +827,13 @@ def _lpf_units(t: SpfTable, spec: SeriesSpec):
     """(1/x) sum f(P(n)); indicator weights also keep the integer count."""
     lpf, weight = t.lpf_table(), spec.weight
     indicator = weight.at(lpf[:0])[1] is None  # the 0/1 weights give no f values
+    bound = _term_bound(weight, 0, 1, 1)  # of every piece, whose terms are f values
 
     def unit(lo: int, *ends: int):
         view, lens = lpf[lo : ends[-1]], [end - lo for end in ends]
         if not indicator:  # sum each piece's supported f values, fv[support]
-            sums = _block_sum(lens, lambda a, b, _: np.compress(*weight.at(view[a:b])))
+            sums = _block_sum(lens, lambda a, b, _: np.compress(*weight.at(view[a:b])),
+                              lambda a, b: bound)
             return [(s, None) for s in sums]
         support = weight.at(view)[0]
         counts = lens if support is None else _prefix_sums(np.count_nonzero, support, lens)

@@ -1439,6 +1439,108 @@ def test_reduce_matches_fsum_of_its_terms(weight):
         assert list(map(float.hex, got)) == list(map(float.hex, want)), (weight_id(weight), kept)
 
 
+def watch_limbs(monkeypatch) -> list[list[int]]:
+    """Patch _block_limbs to record [limbs appended, max|p| reads] per call,
+    check that a stated bound holds for the piece's terms, and check that
+    the limbs sum exactly to the piece: math.fsum of them and the negated
+    terms is 0.0 just when their exact sum is 0.  The data-driven path
+    reads max|p| once per extraction and at its end, the bounded path
+    never."""
+    seen, limbs_of = [], series._block_limbs
+
+    class Watched(np.ndarray):
+        def max(self, *args, **kwargs):
+            self.record[1] += 1
+            return np.ndarray.max(self, *args, **kwargs)
+
+    def spy(p, q, r, limbs, bound=None):  # the walks run it on many threads at once
+        mags = np.abs(p[p != 0])
+        if bound and mags.size:  # the stated bound holds
+            assert math.ldexp(1.0, bound[1]) <= mags.min() <= mags.max() <= math.ldexp(1.0, bound[0])
+        record, views = [len(limbs), 0], [a.view(Watched) for a in (p, q, r)]
+        for v in views:
+            v.record = record
+        limbs_of(*views, limbs, bound)
+        assert math.fsum([*limbs[record[0]:], *np.negative(p).tolist()]) == 0.0, bound
+        record[0] = len(limbs) - record[0]
+        seen.append(record)
+
+    monkeypatch.setattr(series, "_block_limbs", spy)
+    return seen
+
+
+def bound_cases(mu):
+    """(name, col, lo, weight, bounded): columns at their dtype's bound or
+    from the real mu table, and table weights whose bound fits one
+    extraction, fits two, spans past 53 bits or has a subnormal floor."""
+    piece = series._PIECE
+    size, lo = 3 * piece + 5, 5 * series.CHUNK + 17
+    rng = np.random.default_rng(30)
+    small = rng.choice(np.array([-3, -1, 1, 2, 126], dtype=np.int8), size)
+    m96 = [(d, -d) for d in series._divisors(series._trial_factors(96))]  # sigma(96) = 252
+    col96 = series._column(mu, m96, lo, lo + size)
+    assert col96.dtype == np.int16
+    yield "int8 at its bound", rng.choice(np.array([-127, -126, 126, 127], dtype=np.int8), size), \
+        lo, OneWeight(), True
+    yield "int16 from m = 96", col96, lo, ResidueWeight(4, 3), True
+    yield "first cell, from n = 2", series._column(mu, [(1, -1)], 2, 2 + size), 2, OneWeight(), True
+    for values, bounded in (({3: 0.75, 7: -1.5, 11: 0.3}, True),
+                            ({3: 2.0**20, 7: -1e-3, 11: 0.1}, True),
+                            ({3: 1e30, 7: -1e-30, 11: 0.5}, False),
+                            ({3: 0.75, 7: -1e100, 11: 5e-324}, False)):
+        yield f"table {values}", small, lo, PrimeWeight.from_table(values), bounded
+
+
+def test_bounded_and_fallback_pieces_match_fsum(table_big, monkeypatch):
+    # each case against the whole-chunk fsum of its terms, bit for bit, at
+    # one term, a piece edge, a term past it and the whole column; a
+    # bounded case never reads max|p|, a fallback case does
+    piece, mu = series._PIECE, table_big.mu_table()
+    primes = np.random.default_rng(7).choice(np.array([3, 7, 11], dtype=np.uint32), 3 * piece + 5)
+    seen = watch_limbs(monkeypatch)
+    for name, col, lo, weight, bounded in bound_cases(mu):
+        lens = [1, piece, piece + 1, col.size]
+        want = reduce_reference(col, primes, weight, lo, lens)
+        seen.clear()
+        got = series._reduce(col, primes, weight, lo, lens)
+        assert list(map(float.hex, got)) == list(map(float.hex, want)), name
+        reads = [r for n, r in seen if n]
+        assert reads and (max(reads) == 0 if bounded else min(reads) > 0), (name, seen)
+
+
+def test_past_the_first_cell_pieces_take_one_extraction(table_big, monkeypatch):
+    # a mu-baseline and a ramanujan-alladi walk from the second cell, one
+    # cell cut: every piece appends one extracted limb and one plain sum
+    # and never reads max|p|, so a bound that silently stops holding fails
+    # here and not only in the benchmark
+    chunk, seen = series.CHUNK, watch_limbs(monkeypatch)
+    for kind, params in (("mu-baseline", {}), ("ramanujan-alladi", {"m": 30, "k": 4, "l": 1})):
+        spec = SeriesSpec(kind=kind, checkpoints=(3 * chunk,), **params)
+        unit, _ = SERIES_KINDS[kind].units(table_big, spec)
+        seen.clear()
+        list(sieve._drive([(unit, (2 * chunk + 12345, 4 * chunk - 1), chunk)]))
+        assert len(seen) > 3 * chunk // series._PIECE, kind
+        assert all(s == [2, 0] for s in seen), (kind, seen)
+
+
+def test_bounded_limbs_at_the_edge_of_exactness():
+    # every remainder of one extraction sits just below its bound
+    # 2**(e + k - 53), e = 0, and one term is odd on the grid 2**(f - 52):
+    # at e - f = 54 - 2k, the widest span one extraction serves, the plain
+    # sum of the remainders is exact, and one bit wider takes a second
+    # extraction
+    size = 2**17 - 2
+    k = (size + 1).bit_length()
+    for f, want in ((2 * k - 54, 2), (2 * k - 55, 3)):
+        p = np.full(size, 0.5 + 2.0 ** (k - 53) - 2.0**-53)
+        p[0] = -1.0  # |p| reaches 2**e
+        p[-1] = 2.0**f * (1 + 2.0**-52)
+        limbs = []
+        series._block_limbs(p, np.empty(size), np.empty(size), limbs, (0, f))
+        assert len(limbs) == want, f
+        assert math.fsum([*limbs, *np.negative(p).tolist()]) == 0.0, f
+
+
 def test_reduce_builds_no_chunk_sized_float_array(table_big):
     # one mu-baseline chunk, 61% of its terms kept: a whole-chunk selection
     # would hold about 5 MB of indices, whole-chunk float64 terms 10 MB
@@ -1519,8 +1621,9 @@ def test_piece_width_never_changes_a_float_row(table_big, table_small, monkeypat
         assert float_rows(table_small, cps) == want, width
 
 
-def block_sum_reference(lens, block):
-    """_block_sum as math.fsum of the terms of one piece spanning [0, k), for each k in lens."""
+def block_sum_reference(lens, block, bound=None):
+    """_block_sum as math.fsum of the terms of one piece spanning [0, k), for
+    each k in lens; the stated bound is not read."""
     return [fsum_reference(block(0, k, np.empty(k))) for k in lens]
 
 

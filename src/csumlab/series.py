@@ -15,8 +15,7 @@ nonzero one: each extraction at sigma = 2**(e + k), 2**k > size + 1,
 leaves remainders on the grid 2**(f - 52) at most 2**(e + k - 53), so
 once e - f <= 54 - 2k held for the last extraction, every partial sum
 of them fits 53 bits and one plain sum is the last limb.  A floor below
-2**-1022, a bound wider than 53 bits or none at all reads each
-extraction's e from max|term| instead.
+2**-1022 counts as 2**-1022, as every float64 is a multiple of 2**-1074.
 
 One cell schedule serves every run: a run walks each cell of [start, x]
 on the fixed CHUNK grid once, x its last checkpoint, and every other
@@ -80,7 +79,7 @@ from dataclasses import dataclass
 from functools import cache, cached_property, partial
 from itertools import accumulate
 from fractions import Fraction
-from math import frexp, fsum, gcd, isfinite, isqrt, ldexp
+from math import frexp, fsum, gcd, isqrt, ldexp
 from typing import Callable
 
 import numpy as np
@@ -346,19 +345,17 @@ def _select(col: np.ndarray, primes: np.ndarray, weight: PrimeWeight):
 
 
 def _block_sum(lens: list[int], block: Callable[[int, int, np.ndarray], np.ndarray],
-               bound: Callable[[int, int], tuple[int, int]] | None = None) -> list[float]:
+               bound: Callable[[int, int], tuple[int, int]]) -> list[float]:
     """For each k in the ascending lens, the exact sum of the float64 terms
     block(a, b, out) over the pieces [a, b) of [0, k), rounded once, as
     math.fsum of all those terms gives it.
 
     block returns its piece's terms, at most b - a and possibly none, in
     the scratch array out or elsewhere; pieces span at most _PIECE indices,
-    end at each k and share three buffers allocated once per call.  Every
-    term must be finite with |term| < 2**(1023 - k), k as in _block_limbs.
-    bound(a, b), if given, states (e, f) for the piece without reading its
-    terms: 2**e >= every |term| and 2**f <= every nonzero |term|, with
-    e + k <= 1023.  The limbs of the pieces so far are exact floats, so
-    their fsum at each k is the correctly rounded value of that prefix.
+    end at each k and share three buffers allocated once per call.
+    bound(a, b) states the piece's bound as _block_limbs takes it.  The
+    limbs of the pieces so far are exact floats, so their fsum at each k
+    is the correctly rounded value of that prefix.
     """
     out, q, r = np.empty((3, min(lens[-1], _PIECE)))
     limbs, sums, start = [], [], 0
@@ -366,50 +363,42 @@ def _block_sum(lens: list[int], block: Callable[[int, int, np.ndarray], np.ndarr
         for a in range(start, end, _PIECE):
             b = min(end, a + _PIECE)
             p = block(a, b, out)
-            _block_limbs(p, q[: p.size], r[: p.size], limbs, bound and bound(a, b))
+            _block_limbs(p, q[: p.size], r[: p.size], limbs, bound(a, b))
         sums.append(fsum(limbs))
         start = end
     return sums
 
 
 def _block_limbs(p: np.ndarray, q: np.ndarray, r: np.ndarray, limbs: list[float],
-                 bound: tuple[int, int] | None = None) -> None:
-    """Append to limbs floats whose exact sum is the exact sum of p.
+                 bound: tuple[int, int]) -> None:
+    """Append to limbs floats whose exact sum is the exact sum of p, from
+    bound = (e, f) alone, stated without reading p: 2**e >= every |p| and
+    2**f <= every nonzero |p|, with e + k <= 1023.
 
     Each extraction adds and subtracts sigma = 2**(e + k), where
-    max|p| <= 2**e and 2**k > p.size + 1 (ExtractVector of Rump, Ogita &
-    Oishi, 2008).  That rounds p to multiples q of 2**(e + k - 53) with
-    |q| <= 2**e, so every partial sum of q is such a multiple below
-    2**(e + k) and np.sum(q) is exact in any order.  The remainder p - q
-    is exact, at most 2**(e + k - 53) in magnitude, so e falls by 53 - k.
+    2**k > p.size + 1 (ExtractVector of Rump, Ogita & Oishi, 2008).  That
+    rounds p to multiples q of 2**(e + k - 53) with |q| <= 2**e, so every
+    partial sum of q is such a multiple below 2**(e + k) and np.sum(q) is
+    exact in any order.  The remainder p - q is exact, at most
+    2**(e + k - 53) in magnitude, so e falls by 53 - k.
 
-    With a bound (e, f) as _block_sum states it, e starts there and is
-    never read from the terms.  Every nonzero term is then a multiple of
-    2**(f - 52), and so is every remainder, while e + k - 53 >= f - 52.
-    Once e + k - f <= 1, every partial sum of p is such a multiple below
-    2**(e + k) <= 2**53 * 2**(f - 52), so one plain np.sum(p) is the last,
-    exact limb: that is e - f <= 54 - 2k for the e of the extraction before.
-    Without a bound, a floor 2**f below 2**-1022 (where subnormal terms
-    keep no such grid) or a bound wider than 53 bits (where terms may
-    cluster far apart, and reading max|p| skips the empty bits between
-    them), each extraction reads e from max|p|, raises ValueError on a
-    non-finite term and the loop ends when p is all zero.  q and r are
-    scratch arrays of p's size that take the remainders in turn, so p is
-    left alone.
+    With f raised to -1022 at least, every nonzero term is a multiple of
+    2**(f - 52): a term of at least 2**f > 2**-1022 is normal, and every
+    float64 is a multiple of 2**-1074 = 2**(-1022 - 52).  So is every
+    remainder, while e + k - 53 >= f - 52.  Once e + k - f <= 1,
+    every partial sum of p is such a multiple below 2**(e + k) <= 2**53 *
+    2**(f - 52), so one plain np.sum(p) is the last, exact limb: that is
+    e - f <= 54 - 2k for the e of the extraction before, and with the
+    raised floor the sums stay below 2**-1021.  Each sigma is at least
+    2**(f + 2), a normal float, and a wide span only takes more
+    extractions.  q and r are scratch arrays of p's size that take the
+    remainders in turn, so p is left alone.
     """
     k = (p.size + 1).bit_length()
-    e, f = bound or (0, None)
-    if f is not None and (f < -1022 or e - f > 53):
-        f = None
+    e, f = bound
+    f = max(f, -1022)
     while p.size:  # an empty piece appends no limb
-        if f is None:
-            top = max(p.max(), -p.min())
-            if top == 0:
-                return
-            if not isfinite(top):
-                raise ValueError(f"cannot sum a non-finite term ({top})")
-            e = frexp(top)[1]
-        elif e + k - f <= 1:
+        if e + k - f <= 1:
             limbs.append(float(p.sum()))
             return
         sigma = ldexp(1.0, e + k)

@@ -15,6 +15,7 @@ import tracemalloc
 import weakref
 from dataclasses import FrozenInstanceError, fields, is_dataclass, replace
 from fractions import Fraction
+from itertools import combinations_with_replacement, product
 from math import gcd
 from pathlib import Path
 
@@ -1314,6 +1315,15 @@ def fsum_reference(a):
     return math.fsum(a.tolist())
 
 
+def data_bound(a):
+    """(e, f) with 2**e > every |a| and 2**f <= every nonzero |a|, read
+    from a; (0, 0) when a has no nonzero entry."""
+    mags = np.abs(a[a != 0])
+    if not mags.size:
+        return 0, 0
+    return math.frexp(mags.max())[1], math.frexp(mags.min())[1] - 1
+
+
 def exact_sum_cases():
     rng = np.random.default_rng(2008)
     n = np.arange(1, 2**20 + 2, dtype=np.float64)
@@ -1373,23 +1383,22 @@ def test_exact_sum_matches_fsum():
         # prefixes that end inside a piece, on its edge and at the end
         lens = sorted({k for k in (1, a.size // 3, series._PIECE) if k < a.size} | {a.size})
         want = [float.hex(fsum_reference(a[:k])) for k in lens]
-        assert [float.hex(v) for v in series._block_sum(lens, lambda lo, hi, out: a[lo:hi])] == want, name
-        assert [float.hex(v) for v in series._block_sum(lens, nonzero_terms(a))] == want, name
+        bound = data_bound(a)  # every piece takes the whole case's bound
+        for block in (lambda lo, hi, out: a[lo:hi], nonzero_terms(a)):
+            got = series._block_sum(lens, block, lambda lo, hi: bound)
+            assert [float.hex(v) for v in got] == want, name
         assert np.array_equal(a, before), name  # the input is left alone
-    for bad in (np.nan, np.inf):
-        terms = np.array([1.0, bad])
-        with pytest.raises(ValueError):
-            series._block_sum([terms.size], lambda lo, hi, out: terms[lo:hi])
 
 
 def test_empty_pieces_add_no_limb():
     limbs = []
-    series._block_limbs(np.zeros(0), np.zeros(0), np.zeros(0), limbs)
+    series._block_limbs(np.zeros(0), np.zeros(0), np.zeros(0), limbs, (0, -1022))
     assert limbs == []
     piece, terms = series._PIECE, np.array([0.1, -2.0**-60, 3.0])
-    got = series._block_sum([5 * piece], lambda lo, hi, out: terms if lo == 2 * piece else terms[:0])
+    bound = lambda lo, hi: (2, -61)  # 2**-61 <= every nonzero |term| <= 2**2
+    got = series._block_sum([5 * piece], lambda lo, hi, out: terms if lo == 2 * piece else terms[:0], bound)
     assert [float.hex(v) for v in got] == [float.hex(math.fsum(terms.tolist()))]
-    assert series._block_sum([piece, 5 * piece], lambda lo, hi, out: terms[:0]) == [0.0, 0.0]
+    assert series._block_sum([piece, 5 * piece], lambda lo, hi, out: terms[:0], bound) == [0.0, 0.0]
 
 
 def reduce_reference(col, primes, weight, lo, lens):
@@ -1441,11 +1450,10 @@ def test_reduce_matches_fsum_of_its_terms(weight):
 
 def watch_limbs(monkeypatch) -> list[list[int]]:
     """Patch _block_limbs to record [limbs appended, max|p| reads] per call,
-    check that a stated bound holds for the piece's terms, and check that
-    the limbs sum exactly to the piece: math.fsum of them and the negated
-    terms is 0.0 just when their exact sum is 0.  The data-driven path
-    reads max|p| once per extraction and at its end, the bounded path
-    never."""
+    check that the stated bound holds for the piece's terms, and check
+    that the limbs sum exactly to the piece: math.fsum of them and the
+    negated terms is 0.0 just when their exact sum is 0.  _block_limbs
+    reads only its bound, so the read count stays 0."""
     seen, limbs_of = [], series._block_limbs
 
     class Watched(np.ndarray):
@@ -1453,9 +1461,9 @@ def watch_limbs(monkeypatch) -> list[list[int]]:
             self.record[1] += 1
             return np.ndarray.max(self, *args, **kwargs)
 
-    def spy(p, q, r, limbs, bound=None):  # the walks run it on many threads at once
+    def spy(p, q, r, limbs, bound):  # the walks run it on many threads at once
         mags = np.abs(p[p != 0])
-        if bound and mags.size:  # the stated bound holds
+        if mags.size:  # the stated bound holds
             assert math.ldexp(1.0, bound[1]) <= mags.min() <= mags.max() <= math.ldexp(1.0, bound[0])
         record, views = [len(limbs), 0], [a.view(Watched) for a in (p, q, r)]
         for v in views:
@@ -1470,9 +1478,10 @@ def watch_limbs(monkeypatch) -> list[list[int]]:
 
 
 def bound_cases(mu):
-    """(name, col, lo, weight, bounded): columns at their dtype's bound or
-    from the real mu table, and table weights whose bound fits one
-    extraction, fits two, spans past 53 bits or has a subnormal floor."""
+    """(name, col, lo, weight): columns at their dtype's bound or from the
+    real mu table, and table weights whose bound fits one extraction, fits
+    two, spans past 53 bits, has a subnormal floor or holds subnormals
+    only."""
     piece = series._PIECE
     size, lo = 3 * piece + 5, 5 * series.CHUNK + 17
     rng = np.random.default_rng(30)
@@ -1481,31 +1490,30 @@ def bound_cases(mu):
     col96 = series._column(mu, m96, lo, lo + size)
     assert col96.dtype == np.int16
     yield "int8 at its bound", rng.choice(np.array([-127, -126, 126, 127], dtype=np.int8), size), \
-        lo, OneWeight(), True
-    yield "int16 from m = 96", col96, lo, ResidueWeight(4, 3), True
-    yield "first cell, from n = 2", series._column(mu, [(1, -1)], 2, 2 + size), 2, OneWeight(), True
-    for values, bounded in (({3: 0.75, 7: -1.5, 11: 0.3}, True),
-                            ({3: 2.0**20, 7: -1e-3, 11: 0.1}, True),
-                            ({3: 1e30, 7: -1e-30, 11: 0.5}, False),
-                            ({3: 0.75, 7: -1e100, 11: 5e-324}, False)):
-        yield f"table {values}", small, lo, PrimeWeight.from_table(values), bounded
+        lo, OneWeight()
+    yield "int16 from m = 96", col96, lo, ResidueWeight(4, 3)
+    yield "first cell, from n = 2", series._column(mu, [(1, -1)], 2, 2 + size), 2, OneWeight()
+    for values in ({3: 0.75, 7: -1.5, 11: 0.3}, {3: 2.0**20, 7: -1e-3, 11: 0.1},
+                   {3: 1e30, 7: -1e-30, 11: 0.5}, {3: 0.75, 7: -1e100, 11: 5e-324}):
+        yield f"table {values}", small, lo, PrimeWeight.from_table(values)
+    # from n = 2, so that c * f(3) / n stays nonzero for the smallest n
+    yield "subnormal table from n = 2", small, 2, PrimeWeight.from_table({2: 5e-324, 3: -1e-323})
 
 
-def test_bounded_and_fallback_pieces_match_fsum(table_big, monkeypatch):
+def test_every_piece_sums_from_its_bound(table_big, monkeypatch):
     # each case against the whole-chunk fsum of its terms, bit for bit, at
-    # one term, a piece edge, a term past it and the whole column; a
-    # bounded case never reads max|p|, a fallback case does
+    # one term, a piece edge, a term past it and the whole column; no case
+    # reads max|p|
     piece, mu = series._PIECE, table_big.mu_table()
     primes = np.random.default_rng(7).choice(np.array([3, 7, 11], dtype=np.uint32), 3 * piece + 5)
     seen = watch_limbs(monkeypatch)
-    for name, col, lo, weight, bounded in bound_cases(mu):
+    for name, col, lo, weight in bound_cases(mu):
         lens = [1, piece, piece + 1, col.size]
         want = reduce_reference(col, primes, weight, lo, lens)
         seen.clear()
         got = series._reduce(col, primes, weight, lo, lens)
         assert list(map(float.hex, got)) == list(map(float.hex, want)), name
-        reads = [r for n, r in seen if n]
-        assert reads and (max(reads) == 0 if bounded else min(reads) > 0), (name, seen)
+        assert seen and all(r == 0 for _, r in seen), (name, seen)
 
 
 def test_past_the_first_cell_pieces_take_one_extraction(table_big, monkeypatch):
@@ -1521,6 +1529,26 @@ def test_past_the_first_cell_pieces_take_one_extraction(table_big, monkeypatch):
         list(sieve._drive([(unit, (2 * chunk + 12345, 4 * chunk - 1), chunk)]))
         assert len(seen) > 3 * chunk // series._PIECE, kind
         assert all(s == [2, 0] for s in seen), (kind, seen)
+
+
+@pytest.mark.parametrize("kind, params", [
+    ("ramanujan-alladi", {"m": 2**31 - 1, "k": 4, "l": 1}),
+    ("weighted-lhs", {"m": 2**32 - 1, "weight": PrimeWeight.from_table({2: 1e100, 3: -1e100})}),
+], ids=["ramanujan-alladi", "weighted-lhs"])
+def test_int64_columns_sum_from_their_bound(table_big, monkeypatch, kind, params):
+    # m = 2**31 - 1 (sum |c| = 2**31) and m = 2**32 - 1 (sigma(m) ~ 7.3e9,
+    # with the largest |f| a table takes) make int64 columns, whose bound
+    # spans more than 53 bits: every piece still sums from its bound alone,
+    # and the rows, one of them cut inside a cell, match the whole-chunk
+    # fsum of their terms
+    terms = [(d, -d) for d in series._divisors(series._trial_factors(params["m"]))]
+    assert series._column(table_big.mu_table(), terms, 2, 3).dtype == np.int64
+    spec = SeriesSpec(kind=kind, checkpoints=(2 * series.CHUNK + 12345, 3 * series.CHUNK + 5), **params)
+    seen = watch_limbs(monkeypatch)
+    got = [float.hex(r.value) for r in run_series(table_big, spec).rows]
+    assert seen and all(r == 0 for _, r in seen), seen
+    monkeypatch.setattr(series, "_reduce", reduce_reference)
+    assert [float.hex(r.value) for r in run_series(table_big, spec).rows] == got
 
 
 def test_bounded_limbs_at_the_edge_of_exactness():
@@ -1539,6 +1567,34 @@ def test_bounded_limbs_at_the_edge_of_exactness():
         series._block_limbs(p, np.empty(size), np.empty(size), limbs, (0, f))
         assert len(limbs) == want, f
         assert math.fsum([*limbs, *np.negative(p).tolist()]) == 0.0, f
+    # terms on the 2**-1074 grid with a floor below 2**-1022, which counts
+    # as 2**-1022: at e + k = -1021 one plain sum is exact, and one bit
+    # higher, where the partial sums pass 2**-1021 and their odd multiple
+    # of 2**-1074 no longer fits, the sum takes an extraction first
+    size = 2**18 - 2
+    k = (size + 1).bit_length()
+    for e, want in ((-1021 - k, 1), (-1020 - k, 2)):
+        p = np.full(size, math.ldexp(1.0, e) - 1e-323)
+        p[-1] = 5e-324
+        limbs = []
+        series._block_limbs(p, np.empty(size), np.empty(size), limbs, (e, -1074))
+        assert len(limbs) == want, e
+        assert math.fsum([*limbs, *np.negative(p).tolist()]) == 0.0, e
+
+
+def test_term_bound_holds_at_its_corners():
+    # every column dtype, weight magnitudes from the largest a table takes
+    # to the least subnormal, and n from 1 to the largest a series sums:
+    # each nonzero term fl(fl(c f) / n), rounded in _reduce's order, lies
+    # within the bound stated for every n range [lo, hi] that holds its n
+    mags, ns = (1e100, 1.0, 1e-300, 5e-324), (1, 2, 2**20, 2**32 - 2)
+    for bits, (top, least) in product((7, 15, 31, 63), combinations_with_replacement(mags, 2)):
+        weight = PrimeWeight.from_table({2: top, 3: -least})
+        for lo, hi in combinations_with_replacement(ns, 2):
+            e, f = series._term_bound(weight, bits, lo, hi)
+            for c, v, n in product((1, 2**bits), (top, least), [n for n in ns if lo <= n <= hi]):
+                term = Fraction(abs(float(c) * v / n))
+                assert not term or Fraction(2) ** f <= term <= Fraction(2) ** e, (bits, top, least, lo, hi, c, v, n)
 
 
 def test_reduce_builds_no_chunk_sized_float_array(table_big):
@@ -1621,7 +1677,7 @@ def test_piece_width_never_changes_a_float_row(table_big, table_small, monkeypat
         assert float_rows(table_small, cps) == want, width
 
 
-def block_sum_reference(lens, block, bound=None):
+def block_sum_reference(lens, block, bound):
     """_block_sum as math.fsum of the terms of one piece spanning [0, k), for
     each k in lens; the stated bound is not read."""
     return [fsum_reference(block(0, k, np.empty(k))) for k in lens]

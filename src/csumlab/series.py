@@ -419,17 +419,16 @@ def _term_bound(weight: PrimeWeight, bits: int, lo: int, hi: int) -> tuple[int, 
 
 
 def _reduce(col: np.ndarray, primes: np.ndarray, weight: PrimeWeight, lo: int,
-            lens: list[int]) -> list[float]:
+            lens: list[int], bits: int) -> list[float]:
     """fsum of col[i] * f(primes[i]) / (lo + i) over the kept terms of each
     prefix col[:k], k in the ascending lens.
 
     Each piece of the index range selects its kept terms and converts,
     weights and divides them straight into the exact sum's buffer.  A
     sign carried in the integer column rounds as negating each term does.
-    Each piece's bound comes from the column's dtype, |col| <= 2**bits,
+    Each piece's bound comes from the column's own bound |col| <= 2**bits,
     the weight's magnitudes and the piece's n range.
     """
-    bits = np.iinfo(col.dtype).max.bit_length()
 
     def terms(a: int, b: int, out: np.ndarray) -> np.ndarray:
         sel, num, fv = _select(col[a:b], primes[a:b], weight)
@@ -753,10 +752,13 @@ def _mu_units(t: SpfTable, weight: PrimeWeight, terms, support=None, head=(),
     unit(lo, *ends) builds the column of its cell [lo, hi), hi = ends[-1],
     lets support(col, lo, hi) zero its entries off the kind's support in
     place, and reduces it, _reduce when reduce is None, with f read at
-    p(stride * n), to one result per prefix [lo, end).  combine(x, results)
-    is the fsum of the head terms and the unit results.
+    p(stride * n), to one result per prefix [lo, end).  _reduce takes the
+    bound sum |c| <= 2**bits that _column sizes its dtype by, which is
+    tighter than the dtype's.  combine(x, results) is the fsum of the head
+    terms and the unit results.
     """
-    spf, mu, reduce = t.spf, t.mu_table(), reduce or _reduce
+    bits = (sum(abs(c) for _, c in terms) - 1).bit_length()
+    spf, mu, reduce = t.spf, t.mu_table(), reduce or partial(_reduce, bits=bits)
 
     def unit(lo: int, *ends: int):
         hi = ends[-1]
@@ -1043,7 +1045,7 @@ def difference_term(
         reduce, total = partial(_reduce_exact, lanes, weight.scale), partial(_add, lanes.q)
         fold = {"add": lambda s, r: total([s, r]), "zero": (0, 0)}
     else:
-        reduce, fold = _reduce, {}
+        reduce, fold = None, {}
 
         def total(tops):  # each top rounds alone, as the sum over its divisor's prefix
             return fsum(fsum(parts) for parts in tops)

@@ -53,23 +53,28 @@ The driver maps the cells of all its walks over one thread per CPU
 depends on the thread count.
 
 Memory per n: 4 bytes for spf (uint32), so a limit of 10**8 costs ~400 MB
-resident.  Limits must stay below 2**32.  The optional mu and lpf tables,
-built lazily for bulk workloads, cost 1 and 4 more bytes per n.
+resident.  Limits must stay below 2**32.  The mu and lpf tables, built
+lazily for bulk workloads, cost 1 and 4 more bytes per n; a table loaded
+from a cache holds its mu from the start.
 
-Cache file (version 2, little-endian): the 21-byte header b"SPFT",
-uint32 version, uint64 limit, uint8 entry width (4) and uint32 zlib.crc32
-of the payload, then the limit+1 uint32 spf entries.  A save creates the
-target's directory and renames a temporary file written beside the target
-into place, so an interrupted save leaves the old file or none; a target
-that exists but is not a regular file (a FIFO, a device, a directory) is
-refused, not replaced, by check_spf_target, which a caller can also run
-before it builds the table.  The
-checksum and the payload write run as two jobs on _thread_map, both
-releasing the GIL, and the header goes in last.  A load
-fails three ways: NotACacheError if the path is not a regular file, which
-is never opened, or if its first bytes are no prefix of b"SPFT",
-else ValueError for a truncated file (shorter than the header, unlike any v1
-cache) or a bad one (other version, width or limit, wrong size or checksum).
+Cache file (version 3, little-endian): the 25-byte header b"SPFT",
+uint32 version, uint64 limit, uint8 spf entry width (4) and one uint32
+zlib.crc32 per payload, then the two payloads: the limit+1 uint32 spf
+entries and the limit+1 int8 mu entries, 5 bytes per n.  Every series
+kind but lpf-density reads mu, so the save derives it (if the table has
+not) and a load derives nothing; lpf stays out, as only lpf-density reads
+it.  A save creates the target's directory and renames a temporary file
+written beside the target into place, so an interrupted save leaves the
+old file or none; a target that exists but is not a regular file (a FIFO,
+a device, a directory) is refused, not replaced, by check_spf_target,
+which a caller can also run before it builds the table.  The payload
+writes (one job) and the two checksums run as three jobs on _thread_map,
+all releasing the GIL, and the header goes in last; a load checks both
+checksums as two jobs.  A load fails three ways: NotACacheError if the
+path is not a regular file, which is never opened, or if its first bytes
+are no prefix of b"SPFT", else ValueError for a truncated file (shorter
+than the header, unlike any older cache) or a bad one (other version,
+width or limit, wrong size or checksum).
 """
 
 from __future__ import annotations
@@ -103,10 +108,10 @@ _CACHE_BLOCK = 1 << 15
 _THREADS = os.cpu_count() or 1
 
 _CACHE_MAGIC = b"SPFT"
-_CACHE_VERSION = 2
+_CACHE_VERSION = 3
 _ENTRY_WIDTH = 4
-#: magic, version, limit, entry width, crc32 of the payload
-_HEADER = struct.Struct("<4sIQBI")
+#: magic, version, limit, spf entry width, crc32 of the spf and of the mu payload
+_HEADER = struct.Struct("<4sIQBII")
 
 
 def _thread_map(calls: list) -> Iterator:
@@ -196,7 +201,8 @@ class SpfTable:
     The array is frozen after construction and safe to share across
     threads; a table equals only itself and hashes by identity.  The lazy
     mu/lpf tables are pure functions of spf, so a racy double build is
-    harmless.
+    harmless.  A table from load_spf_table comes with its mu table, read
+    from the cache.
     """
 
     limit: int
@@ -208,6 +214,7 @@ class SpfTable:
         """Precomputed mu(n) for all n <= limit (int8); mu[0] = 0.
 
         Opt-in bulk companion to :func:`moebius`; costs one byte per entry.
+        A table from load_spf_table has it already; a save derives it.
         """
         if self._mu is None:
             self._mu = _derive(self.spf, np.int8, (0, 1), _mu_step)
@@ -449,22 +456,25 @@ def check_spf_target(path: str) -> None:
 
 
 def save_spf_table(t: SpfTable, path: str) -> None:
-    """Write the spf array as a version-2 binary cache (see the module doc),
-    creating the directory of path.  The bytes go to a temporary file beside
-    path, which then replaces it, so an interrupted save leaves the previous
-    file or none.  check_spf_target runs first, before anything is written."""
+    """Write the spf and mu arrays as a version-3 binary cache (see the
+    module doc), 5 bytes per n, creating the directory of path.  mu is
+    derived first if the table has not yet.  The bytes go to a temporary
+    file beside path, which then replaces it, so an interrupted save leaves
+    the previous file or none.  check_spf_target runs first, before
+    anything is written."""
     check_spf_target(path)
-    payload = t.spf.astype("<u4", copy=False)
+    payloads = (t.spf.astype("<u4", copy=False), t.mu_table())
     tmp = f"{path}.{os.urandom(6).hex()}.tmp"
     try:
         os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
         try:
             with open(tmp, "xb") as fh:
-                # the checksum and the payload write overlap: both release the GIL
+                # the checksums and the payload writes overlap: all release the GIL
                 fh.seek(_HEADER.size)
-                crc, _ = _thread_map([(zlib.crc32, payload), (fh.write, payload.data)])
+                _, *crcs = _thread_map([(fh.writelines, [a.data for a in payloads]),
+                                        *((zlib.crc32, a) for a in payloads)])
                 fh.seek(0)
-                fh.write(_HEADER.pack(_CACHE_MAGIC, _CACHE_VERSION, t.limit, _ENTRY_WIDTH, crc))
+                fh.write(_HEADER.pack(_CACHE_MAGIC, _CACHE_VERSION, t.limit, _ENTRY_WIDTH, *crcs))
             os.replace(tmp, path)
         except BaseException:
             if os.path.exists(tmp):
@@ -475,9 +485,10 @@ def save_spf_table(t: SpfTable, path: str) -> None:
 
 
 def load_spf_table(path: str) -> SpfTable:
-    """Load a cache written by save_spf_table: NotACacheError for a file that
-    is not a cache, ValueError for a truncated or bad one (see the module doc).
-    The path is checked before it is opened, so a FIFO never blocks."""
+    """Load a cache written by save_spf_table, with its mu table set and
+    read-only: NotACacheError for a file that is not a cache, ValueError for
+    a truncated or bad one (see the module doc).  The path is checked
+    before it is opened, so a FIFO never blocks."""
     try:
         if not stat.S_ISREG(os.stat(path).st_mode):
             raise NotACacheError(f"{path}: not a regular file")
@@ -488,24 +499,27 @@ def load_spf_table(path: str) -> SpfTable:
                 raise NotACacheError(f"{path}: not an spf cache (bad magic)")
             if len(head) < _HEADER.size:
                 raise ValueError(f"{path}: truncated cache header")
-            _, version, limit, width, crc = _HEADER.unpack(head)
+            _, version, limit, width, *crcs = _HEADER.unpack(head)
             if version != _CACHE_VERSION:
                 raise ValueError(f"{path}: unsupported cache version {version}")
             if width != _ENTRY_WIDTH:
                 raise ValueError(f"{path}: unsupported entry width {width}")
             if not 2 <= limit <= MAX_LIMIT:
                 raise ValueError(f"{path}: table limit {limit} out of range")
-            expected = (limit + 1) * _ENTRY_WIDTH
+            expected = (limit + 1) * (_ENTRY_WIDTH + 1)
             if size - _HEADER.size != expected:
                 raise ValueError(
                     f"{path}: truncated cache (expected {expected} entry bytes, "
                     f"got {size - _HEADER.size})"
                 )
             spf = np.fromfile(fh, dtype="<u4", count=limit + 1)
+            mu = np.fromfile(fh, dtype=np.int8, count=limit + 1)
     except OSError as exc:
         raise OSError(f"cannot read spf cache from {path}: {exc}") from exc
-    if len(spf) != limit + 1 or zlib.crc32(spf) != crc:
+    whole = len(spf) == len(mu) == limit + 1
+    if not whole or list(_thread_map([(zlib.crc32, a) for a in (spf, mu)])) != crcs:
         raise ValueError(f"{path}: damaged cache (payload checksum mismatch)")
     spf = spf.astype(np.uint32, copy=False)
     spf.setflags(write=False)
-    return SpfTable(limit=int(limit), spf=spf)
+    mu.setflags(write=False)
+    return SpfTable(limit=int(limit), spf=spf, _mu=mu)

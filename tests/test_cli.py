@@ -1,6 +1,7 @@
 """Command-line surface: parsers, subcommands, exit codes, cache plumbing."""
 
 import os
+import re
 import resource
 import stat
 import struct
@@ -8,6 +9,7 @@ import subprocess
 import sys
 import time
 import warnings
+import zlib
 from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
@@ -15,6 +17,7 @@ from pathlib import Path
 import pytest
 
 import csumlab.cli as cli
+import csumlab.sieve as sieve
 from csumlab.cli import (
     EXIT_IDENTITY,
     EXIT_IO,
@@ -136,6 +139,30 @@ def test_sieve_writes_cache_and_is_deterministic(tmp_path):
     assert main(["sieve", "--limit", "10^4", "--out", str(out1)]) == EXIT_OK
     assert main(["sieve", "--limit", "1e4", "--out", str(out2)]) == EXIT_OK
     assert out1.read_bytes() == out2.read_bytes()
+
+
+def test_sieve_reports_build_and_mu_seconds(tmp_path, capsys):
+    out = tmp_path / "a.bin"
+    assert main(["sieve", "--limit", "1e4", "--out", str(out)]) == EXIT_OK
+    line = capsys.readouterr().out
+    assert re.fullmatch(rf"limit 10000: built in \d+\.\d\ds, mu in \d+\.\d\ds, wrote {re.escape(str(out))}\n",
+                        line), line
+
+
+def test_cached_run_reads_mu_and_derives_none(tmp_path, monkeypatch, capsys):
+    # the cache holds mu, so a run that loads it derives no table at all
+    monkeypatch.delenv("CSUMLAB_CACHE_DIR", raising=False)
+    argv = ["verify", "ramanujan-alladi", "--m", "30", "--k", "4", "--l", "1", "--limit", "1e5"]
+    assert main(argv) == EXIT_OK
+    fresh = capsys.readouterr().out
+    cache = tmp_path / "spf.bin"
+    assert main(["sieve", "--limit", "1e5", "--out", str(cache)]) == EXIT_OK
+    derived, derive = [], sieve._derive
+    monkeypatch.setattr(sieve, "_derive", lambda *args: derived.append(args[-1]) or derive(*args))
+    capsys.readouterr()
+    assert main(argv + ["--cache", str(cache)]) == EXIT_OK
+    assert capsys.readouterr().out == fresh
+    assert derived == []
 
 
 def test_sieve_rejects_tiny_limit(tmp_path):
@@ -627,7 +654,7 @@ def test_cache_rewrites_only_its_own_format(tmp_path, monkeypatch, capsys):
     assert main(["sieve", "--limit", "1e3", "--out", str(cache)]) == EXIT_OK
     good = cache.read_bytes()
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_bytes()
-    cases = [(good[:n], True, "truncated") for n in range(21)]  # the 21-byte header
+    cases = [(good[:n], True, "truncated") for n in range(25)]  # the 25-byte header
     cases += [(b"SPFT" + readme, True, "version"), (readme, False, "not an spf cache"),
               (b"SPX", False, "not an spf cache"), (b"\0", False, "not an spf cache")]
     for before, rewritten, says in cases:
@@ -737,17 +764,20 @@ def test_checksum_or_version_mismatch_is_rebuilt(tmp_path, monkeypatch, capsys):
     cache = tmp_path / "spf.bin"
     assert main(["sieve", "--limit", "1e4", "--out", str(cache)]) == EXIT_OK
     good = cache.read_bytes()
-    payload = good[-(10**4 + 1) * 4:]
-    flipped = bytearray(good)
-    flipped[-400] ^= 0x01  # one payload bit; header and length stay valid
+    payload = good[25 : 25 + (10**4 + 1) * 4]  # the spf section
+    flipped, flipped_mu = bytearray(good), bytearray(good)
+    flipped[400] ^= 0x01  # one spf bit; header and length stay valid
+    flipped_mu[-400] ^= 0x01  # one mu bit, in the last limit + 1 bytes
     v1 = b"SPFT" + struct.pack("<IQB", 1, 10**4, 4) + payload
-    for damaged in (bytes(flipped), v1):
+    v2 = b"SPFT" + struct.pack("<IQBI", 2, 10**4, 4, zlib.crc32(payload)) + payload
+    for damaged, says in ((bytes(flipped), "checksum"), (bytes(flipped_mu), "checksum"),
+                          (v1, "unsupported cache version 1"), (v2, "unsupported cache version 2")):
         cache.write_bytes(damaged)
         capsys.readouterr()
         assert main(argv + ["--cache", str(cache)]) == EXIT_OK
         captured = capsys.readouterr()
         assert captured.out == fresh
-        assert "warning" in captured.err
+        assert captured.err.startswith("warning") and says in captured.err, captured.err
         assert cache.read_bytes() == good
 
 

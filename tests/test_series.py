@@ -1401,14 +1401,20 @@ def test_empty_pieces_add_no_limb():
     assert series._block_sum([piece, 5 * piece], lambda lo, hi, out: terms[:0], bound) == [0.0, 0.0]
 
 
-def reduce_reference(col, primes, weight, lo, lens):
-    """_reduce as one whole-chunk float64 array, each prefix summed by math.fsum."""
+def reduce_reference(col, primes, weight, lo, lens, bits=None):
+    """_reduce as one whole-chunk float64 array, each prefix summed by
+    math.fsum; it reads no bound, so bits goes unused."""
     sel, num, fv = series._select(col, primes, weight)
     num = num.astype(np.float64)
     if fv is not None:
         num *= fv
     num /= sel + lo
     return [fsum_reference(num[sel < k]) for k in lens]
+
+
+def dtype_bits(col) -> int:
+    """A bound that every integer column meets: |col| <= 2**bits of its dtype."""
+    return np.iinfo(col.dtype).max.bit_length()
 
 
 REDUCE_WEIGHTS = (
@@ -1444,7 +1450,7 @@ def test_reduce_matches_fsum_of_its_terms(weight):
         # each prefix: one term, a piece edge and a term past it, the whole column
         lens = [1, piece, piece + 1, size]
         want = [math.fsum(terms[: np.count_nonzero(keep[:k])].tolist()) for k in lens]
-        got = series._reduce(col, primes, weight, lo, lens)
+        got = series._reduce(col, primes, weight, lo, lens, dtype_bits(col))
         assert list(map(float.hex, got)) == list(map(float.hex, want)), (weight_id(weight), kept)
 
 
@@ -1511,7 +1517,7 @@ def test_every_piece_sums_from_its_bound(table_big, monkeypatch):
         lens = [1, piece, piece + 1, col.size]
         want = reduce_reference(col, primes, weight, lo, lens)
         seen.clear()
-        got = series._reduce(col, primes, weight, lo, lens)
+        got = series._reduce(col, primes, weight, lo, lens, dtype_bits(col))
         assert list(map(float.hex, got)) == list(map(float.hex, want)), name
         assert seen and all(r == 0 for _, r in seen), (name, seen)
 
@@ -1549,6 +1555,19 @@ def test_int64_columns_sum_from_their_bound(table_big, monkeypatch, kind, params
     assert seen and all(r == 0 for _, r in seen), seen
     monkeypatch.setattr(series, "_reduce", reduce_reference)
     assert [float.hex(r.value) for r in run_series(table_big, spec).rows] == got
+
+
+def test_int64_column_is_bounded_by_its_own_sum(table_big, monkeypatch):
+    # m = 2**31 - 1 makes an int64 column whose entries are at most
+    # sum |c| = 2**31: bounded by that, not by the dtype's 2**63, every
+    # piece past the first cell takes two extractions and a plain sum,
+    # where the dtype's bound takes three and a plain sum
+    chunk, seen = series.CHUNK, watch_limbs(monkeypatch)
+    spec = SeriesSpec(kind="ramanujan-alladi", checkpoints=(3 * chunk,), m=2**31 - 1, k=4, l=1)
+    unit, _ = SERIES_KINDS[spec.kind].units(table_big, spec)
+    list(sieve._drive([(unit, (2 * chunk + 12345, 4 * chunk - 1), chunk)]))
+    assert len(seen) > 3 * chunk // series._PIECE
+    assert all(s == [3, 0] for s in seen), seen
 
 
 def test_bounded_limbs_at_the_edge_of_exactness():
@@ -1608,7 +1627,7 @@ def test_reduce_builds_no_chunk_sized_float_array(table_big):
     for weight in REDUCE_WEIGHTS:
         tracemalloc.start()
         try:
-            value = series._reduce(col, primes, weight, lo, [series.CHUNK])
+            value = series._reduce(col, primes, weight, lo, [series.CHUNK], dtype_bits(col))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

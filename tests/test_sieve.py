@@ -382,26 +382,73 @@ def test_save_is_deterministic(tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
 
 
-#: sha256 of the cache file of build_spf_table(10**6), pinned from the
-#: layout written before the checksum and the payload write overlapped
-CACHE_1E6_SHA256 = "96149ecb67b3bf1805f09696b5a3cb8122b89ca212986f42eb1cd72a741dd646"
+#: sha256 of the version-3 cache file of build_spf_table(10**6)
+CACHE_1E6_SHA256 = "7a4b0353e03a68239c8d9fc730360b5afd10feb00592a4565061c4345c6c01a3"
+#: sha256 of its spf section: the whole payload of the version-2 file,
+#: so the spf bytes did not move when the mu section was added
+SPF_1E6_SHA256 = "b623183698c02a675f4e93f24392556c714c21e53da874b4dfee487ebc1ef97d"
+
+HEADER = struct.Struct("<4sIQBII")  # magic, version, limit, width, spf crc, mu crc
+
+
+def sections(raw: bytes, limit: int) -> tuple[bytes, bytes]:
+    """The spf and mu sections of a version-3 cache of this limit."""
+    cut = HEADER.size + 4 * (limit + 1)
+    return raw[HEADER.size : cut], raw[cut:]
 
 
 def test_cache_bytes_are_pinned(tmp_path, table_mid):
     path = tmp_path / "spf.bin"
     save_spf_table(table_mid, str(path))
-    assert hashlib.sha256(path.read_bytes()).hexdigest() == CACHE_1E6_SHA256
+    raw = path.read_bytes()
+    assert hashlib.sha256(raw).hexdigest() == CACHE_1E6_SHA256
+    assert hashlib.sha256(sections(raw, 10**6)[0]).hexdigest() == SPF_1E6_SHA256
 
 
 @pytest.mark.parametrize("threads", [1, 2])
 def test_header_crc_is_the_payload_crc(tmp_path, monkeypatch, table_small, threads):
+    # one crc per section, each of its own bytes; mu is 1 byte per n
     monkeypatch.setattr(sieve, "_THREADS", threads)
     path = tmp_path / "spf.bin"
     save_spf_table(table_small, str(path))
     raw = path.read_bytes()
-    *_, crc = struct.unpack("<4sIQBI", raw[:21])
-    assert crc == zlib.crc32(raw[21:]) == zlib.crc32(table_small.spf.astype("<u4"))
-    assert raw[21:] == table_small.spf.astype("<u4").tobytes()
+    assert len(raw) == HEADER.size + 5 * (table_small.limit + 1)
+    *_, spf_crc, mu_crc = HEADER.unpack(raw[: HEADER.size])
+    spf, mu = sections(raw, table_small.limit)
+    assert spf == table_small.spf.astype("<u4").tobytes()
+    assert mu == table_small.mu_table().tobytes()
+    assert (spf_crc, mu_crc) == (zlib.crc32(spf), zlib.crc32(mu))
+
+
+@pytest.fixture
+def derived(monkeypatch) -> list:
+    """The step of each _derive call made while the test runs."""
+    steps, derive = [], sieve._derive
+    monkeypatch.setattr(sieve, "_derive", lambda spf, dtype, seed, step: steps.append(step)
+                        or derive(spf, dtype, seed, step))
+    return steps
+
+
+@pytest.mark.parametrize("limit", [10**6, 3 * 2**20 + 1])
+def test_loaded_mu_is_read_from_the_cache(tmp_path, derived, limit):
+    # the save derives mu once; the load reads it and derives nothing
+    path = tmp_path / "spf.bin"
+    save_spf_table(build_spf_table(limit), str(path))
+    derived.clear()
+    mu = load_spf_table(str(path)).mu_table()
+    assert derived == []
+    assert not mu.flags.writeable and mu.dtype == np.int8
+    with pytest.raises(ValueError):
+        mu[5] = 1
+    assert np.array_equal(mu, build_spf_table(limit).mu_table())
+
+
+def test_save_derives_mu_once(tmp_path, derived):
+    # a table whose mu is built is saved without a second derivation
+    t = build_spf_table(5000)
+    save_spf_table(t, str(tmp_path / "a.bin"))
+    save_spf_table(t, str(tmp_path / "b.bin"))
+    assert derived == [sieve._mu_step]
 
 
 def test_load_rejects_corrupt_header(tmp_path, table_small):
@@ -416,12 +463,13 @@ def test_load_rejects_corrupt_header(tmp_path, table_small):
 
 
 def test_load_rejects_truncated_payload(tmp_path, table_small):
+    # 8 bytes off the end cut the mu section, the last limit + 1 bytes
     path = tmp_path / "spf.bin"
     save_spf_table(table_small, str(path))
     raw = path.read_bytes()
     cut = tmp_path / "cut.bin"
     cut.write_bytes(raw[: len(raw) - 8])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="truncated cache"):
         load_spf_table(str(cut))
 
 
@@ -429,8 +477,19 @@ def test_load_rejects_flipped_payload_bit(tmp_path, table_small):
     path = tmp_path / "spf.bin"
     save_spf_table(table_small, str(path))
     raw = bytearray(path.read_bytes())
-    raw[-4 * 1000] ^= 0x08  # header and length stay valid
+    raw[HEADER.size + 4 * 1000] ^= 0x08  # in the spf section; header and length stay valid
     path.write_bytes(bytes(raw))
+    with pytest.raises(ValueError, match="checksum"):
+        load_spf_table(str(path))
+
+
+def test_load_rejects_flipped_mu_byte(tmp_path, table_small):
+    path = tmp_path / "spf.bin"
+    save_spf_table(table_small, str(path))
+    raw = bytearray(path.read_bytes())
+    raw[-1000] ^= 0x02  # mu(9001) = -1 reads as -3; the spf section is whole
+    path.write_bytes(bytes(raw))
+    assert sections(bytes(raw), table_small.limit)[0] == table_small.spf.astype("<u4").tobytes()
     with pytest.raises(ValueError, match="checksum"):
         load_spf_table(str(path))
 
@@ -440,10 +499,23 @@ def v1_cache_bytes(t) -> bytes:
     return b"SPFT" + struct.pack("<IQB", 1, t.limit, 4) + t.spf.astype("<u4").tobytes()
 
 
+def v2_cache_bytes(t) -> bytes:
+    """A table in the version-2 layout: one checksum, and spf alone."""
+    payload = t.spf.astype("<u4").tobytes()
+    return b"SPFT" + struct.pack("<IQBI", 2, t.limit, 4, zlib.crc32(payload)) + payload
+
+
 def test_load_rejects_version_1(tmp_path, table_small):
     path = tmp_path / "spf.bin"
     path.write_bytes(v1_cache_bytes(table_small))
     with pytest.raises(ValueError, match="version 1"):
+        load_spf_table(str(path))
+
+
+def test_load_rejects_version_2(tmp_path, table_small):
+    path = tmp_path / "spf.bin"
+    path.write_bytes(v2_cache_bytes(table_small))
+    with pytest.raises(ValueError, match="unsupported cache version 2$"):
         load_spf_table(str(path))
 
 
@@ -454,7 +526,7 @@ def cache_1000(tmp_path_factory):
     return path.read_bytes()
 
 
-@pytest.mark.parametrize("n", range(21))  # every proper prefix of the 21-byte header
+@pytest.mark.parametrize("n", range(HEADER.size))  # every proper prefix of the 25-byte header
 def test_load_calls_a_cut_header_truncated(tmp_path, cache_1000, n):
     path = tmp_path / "spf.bin"
     path.write_bytes(cache_1000[:n])
@@ -502,9 +574,10 @@ def test_load_calls_a_fifo_or_directory_not_a_cache(tmp_path):
 
 class _FailingWriter:
     """A file whose write number fail_at raises after a partial write: the
-    payload is the first write, the header the second."""
+    spf payload is the first write, the mu payload the second and the
+    header the third."""
 
-    def __init__(self, fh, exc, fail_at=2):
+    def __init__(self, fh, exc, fail_at=3):
         self.fh, self.exc, self.fail_at, self.writes = fh, exc, fail_at, 0
 
     def __enter__(self):
@@ -515,6 +588,10 @@ class _FailingWriter:
 
     def seek(self, offset):
         return self.fh.seek(offset)
+
+    def writelines(self, lines):
+        for data in lines:
+            self.write(data)
 
     def write(self, data):
         self.writes += 1
@@ -541,18 +618,20 @@ def test_interrupted_save_keeps_previous_file(tmp_path, monkeypatch, table_small
 @pytest.mark.parametrize("exc", [OSError("disk full"), KeyboardInterrupt()])
 @pytest.mark.parametrize("threads", [1, 2])
 def test_failed_payload_write_keeps_previous_file(tmp_path, monkeypatch, table_small, exc, threads):
-    # with two threads the payload write is the job that runs beside the checksum
+    # with two threads the payload writes are the job that runs beside the
+    # checksums; the spf write fails, then the mu write
     monkeypatch.setattr(sieve, "_THREADS", threads)
     path = tmp_path / "spf.bin"
     save_spf_table(build_spf_table(5000), str(path))
     before = path.read_bytes()
-    monkeypatch.setattr(
-        sieve, "open", lambda *a, **k: _FailingWriter(open(*a, **k), exc, 1), raising=False
-    )
-    with pytest.raises(type(exc)):
-        save_spf_table(table_small, str(path))
-    assert path.read_bytes() == before
-    assert [p.name for p in tmp_path.iterdir()] == ["spf.bin"]
+    for fail_at in (1, 2):
+        monkeypatch.setattr(
+            sieve, "open", lambda *a, **k: _FailingWriter(open(*a, **k), exc, fail_at), raising=False
+        )
+        with pytest.raises(type(exc)):
+            save_spf_table(table_small, str(path))
+        assert path.read_bytes() == before, fail_at
+        assert [p.name for p in tmp_path.iterdir()] == ["spf.bin"], fail_at
 
 
 def test_range_validation(table_small):

@@ -1,8 +1,8 @@
 """Numerical laboratory for Ramanujan-sum analogues of Mobius-sum identities.
 
 Layers, bottom up:
-    sieve     smallest-prime-factor tables and the arithmetic functions
-              (mu, largest prime factor, factorization) derived from them
+    sieve     spf tables and the mu, largest-prime-factor and factorization
+              they give; the primes below 2^16 and trial division by them
     ramanujan Ramanujan sums c_n(m), their exponential-sum oracle, and the
               weighted generalization with divisibility condition d^s | m
     series    deterministic chunked evaluation of the partial sums, densities,

@@ -8,8 +8,8 @@ as a slow independent oracle.
 
 The oracle keeps one piece of state, _last = (n, units, row), for the
 last modulus it saw; what it holds does not depend on m.  A call on a new
-modulus strikes the multiples of each prime of n (found by trial
-division) from [0, n) to get the units q of Z/nZ in ascending order,
+modulus strikes the multiples of each prime of n (sieve._trial_factors,
+off the table) from [0, n) to get the units q of Z/nZ in ascending order,
 takes cos((q * m mod n) * 2*pi/n) over those phi(n) angles alone, adds
 them with fsum and stores (n, units, None).  A call on the same modulus
 as the call just before it builds that modulus's row once from the units
@@ -33,7 +33,7 @@ from math import fsum, gcd, pi
 
 import numpy as np
 
-from .sieve import SpfTable, _divisors, factorize, moebius
+from .sieve import SpfTable, _divisors, _trial_factors, factorize, moebius
 
 #: Largest modulus accepted by the direct exponential-sum oracle.  The
 #: cosine sum needs O(n) work and stays comfortably exact in double
@@ -111,27 +111,11 @@ def _units(n: int) -> np.ndarray:
     int64 (the q in [1, n] coprime to n, since neither 0 nor n is): what
     is left after striking the multiples of each prime dividing n."""
     coprime = np.ones(n, dtype=bool)
-    for p in _prime_divisors(n):
+    for p, _ in _trial_factors(n):
         coprime[::p] = False
     units = np.flatnonzero(coprime).astype(np.int64, copy=False)
     units.flags.writeable = False
     return units
-
-
-def _prime_divisors(n: int) -> list[int]:
-    """The primes dividing n >= 2, ascending, by trial division: the oracle
-    keeps off the sieve tables that the divisor form reads."""
-    primes = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            primes.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        primes.append(n)
-    return primes
 
 
 def _check_residue(residue: float, n: int, phi: int, m: int | str) -> None:

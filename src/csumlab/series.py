@@ -69,8 +69,8 @@ by its c = scale * f.  Sums add lane by lane.  The form is canonical,
 so the two sides are equal exactly when their z and lanes are: then one
 Fraction serves both, and otherwise each side becomes its own.  A
 Fraction comes from a product tree over the pairwise coprime prime
-powers, in lowest terms without a big-int gcd.  m is factored by trial
-division by the primes below 2**16, never through the table.
+powers, in lowest terms without a big-int gcd.  m is factored off the
+table by sieve._trial_factors, trial division by the primes below 2**16.
 """
 
 from __future__ import annotations
@@ -79,12 +79,12 @@ from dataclasses import dataclass
 from functools import cache, cached_property, partial
 from itertools import accumulate
 from fractions import Fraction
-from math import frexp, fsum, gcd, isqrt, ldexp
+from math import frexp, fsum, gcd, ldexp
 from typing import Callable
 
 import numpy as np
 
-from .sieve import CHUNK, MAX_LIMIT, SpfTable, _base_primes, _divisors, _drive
+from .sieve import CHUNK, MAX_LIMIT, SpfTable, _divisors, _drive, _trial_factors
 
 #: Indices per piece of a float sum, which selects and sums each piece in
 #: turn through three float64 buffers of this length.  solve_s medians
@@ -97,9 +97,6 @@ _PIECE = CHUNK // 8
 #: times |f(p)|, and a series sums at most 2**32 terms, so no term, chunk
 #: sum or row can overflow.
 MAX_TABLE_WEIGHT = 1e100
-
-#: The primes below 2**16: every composite below 2**32 has one as a factor.
-_SMALL_PRIMES = np.array(_base_primes(2**16 - 1), dtype=np.int64)
 
 #: A table weight reads its keys below this bound from one dense array.
 _DENSE = 2**16
@@ -835,23 +832,6 @@ def _lpf_units(t: SpfTable, spec: SeriesSpec):
         return value, (sum(c for _, c in parts) if indicator else None)
 
     return unit, combine
-
-
-def _trial_factors(k: int) -> list[tuple[int, int]]:
-    """(prime, exponent) pairs of k in [1, MAX_LIMIT], ascending, so that
-    no target needs the table.  What is left once the primes up to
-    sqrt(k) < 2**16 that divide k are divided out is 1 or a prime."""
-    out = []
-    base = _SMALL_PRIMES[: np.searchsorted(_SMALL_PRIMES, isqrt(k), side="right")]
-    for p in base[k % base == 0].tolist():
-        e = 0
-        while k % p == 0:
-            k //= p
-            e += 1
-        out.append((p, e))
-    if k > 1:
-        out.append((k, 1))
-    return out
 
 
 def _totient(k: int) -> int:

@@ -4,8 +4,10 @@ Everything downstream (Ramanujan sums, series partial sums, densities) reads
 from one immutable SpfTable: an array holding the smallest prime factor of
 every n up to a configured limit.  From that array we derive, on demand,
 mu(n), the largest prime factor P(n), and factorizations as plain
-[(prime, exponent), ...] lists; _divisors lists the divisors of such a
-list, for the table's factorizations and for trial-division ones alike.
+[(prime, exponent), ...] lists.  The module also owns _SMALL_PRIMES, the
+primes below 2**16, sieved once at import: the sieve's base primes and
+the trial divisors of _trial_factors, which factors any k < 2**32 off
+the table (m, the oracle's moduli); _divisors lists either one's divisors.
 
 The sieve splits every n by parity (the two-spoke wheel).  Every even
 n >= 2 has spf 2, written by one stride-2 slice.  For the odd n it walks
@@ -112,6 +114,24 @@ _CACHE_VERSION = 3
 _ENTRY_WIDTH = 4
 #: magic, version, limit, spf entry width, crc32 of the spf and of the mu payload
 _HEADER = struct.Struct("<4sIQBII")
+
+
+def _small_primes() -> np.ndarray:
+    prime = np.ones(2**16, dtype=bool)
+    prime[:2] = False
+    for p in range(2, 2**8):
+        if prime[p]:
+            prime[p * p :: p] = False
+    primes = np.flatnonzero(prime).astype(np.int64, copy=False)
+    primes.setflags(write=False)
+    return primes
+
+
+#: The primes below 2**16, ascending read-only int64, by one plain sieve at
+#: import: the sieve's base primes for any limit (sqrt(MAX_LIMIT) < 2**16),
+#: and the trial divisors of _trial_factors, as every composite below 2**32
+#: has one as a factor.
+_SMALL_PRIMES = _small_primes()
 
 
 def _thread_map(calls: list) -> Iterator:
@@ -329,14 +349,29 @@ def _divisors(factors: list[tuple[int, int]]) -> list[int]:
     return sorted(divs)
 
 
-def _mark_segment(spf: np.ndarray, base: list[int], lo: int, hi: int) -> None:
-    # Odd base primes, descending, with plain stores at their odd multiples
-    # only: the last prime written to an odd composite is its smallest
-    # factor.  Composites n with spf(n)=p satisfy n >= p*p, so starting at
-    # p*p never skips one.
-    for p in reversed(base):
-        if p == 2:
-            break
+def _trial_factors(k: int) -> list[tuple[int, int]]:
+    """(prime, exponent) pairs of k in [1, MAX_LIMIT], ascending, found
+    without the table.  What is left once the primes up to sqrt(k) < 2**16 that
+    divide k are divided out is 1 or a prime."""
+    out = []
+    base = _SMALL_PRIMES[: np.searchsorted(_SMALL_PRIMES, isqrt(k), side="right")]
+    for p in base[k % base == 0].tolist():
+        e = 0
+        while k % p == 0:
+            k //= p
+            e += 1
+        out.append((p, e))
+    if k > 1:
+        out.append((k, 1))
+    return out
+
+
+def _mark_segment(spf: np.ndarray, odd: list[int], lo: int, hi: int) -> None:
+    # The odd base primes, descending, with plain stores at their odd
+    # multiples only: the last prime written to an odd composite is its
+    # smallest factor.  Composites n with spf(n)=p satisfy n >= p*p, so
+    # starting at p*p never skips one.
+    for p in reversed(odd):
         start = (lo + p - 1) // p * p
         start = max(p * p, start if start & 1 else start + p)
         if start < hi:
@@ -371,20 +406,10 @@ def build_spf_table(limit: int) -> SpfTable:
         )
 
     spf = np.zeros(limit + 1, dtype=np.uint32)
-    base = _base_primes(isqrt(limit))
-    next(_drive([(lambda lo, hi: [_mark_segment(spf, base, lo, hi)], (limit,), 0)]))
+    odd = _SMALL_PRIMES[1 : np.searchsorted(_SMALL_PRIMES, isqrt(limit), side="right")].tolist()
+    next(_drive([(lambda lo, hi: [_mark_segment(spf, odd, lo, hi)], (limit,), 0)]))
     spf.setflags(write=False)
     return SpfTable(limit=limit, spf=spf)
-
-
-def _base_primes(r: int) -> list[int]:
-    """Primes <= r, sieved with the primes <= sqrt(r) (r is at most sqrt(limit))."""
-    if r < 2:
-        return []
-    small = np.zeros(r + 1, dtype=np.uint32)
-    _mark_segment(small, _base_primes(isqrt(r)), 0, r + 1)
-    idx = np.arange(r + 1, dtype=np.uint32)
-    return np.flatnonzero((small == idx) & (idx >= 2)).tolist()
 
 
 def _check_range(t: SpfTable, n: int, lowest: int) -> None:

@@ -1157,7 +1157,7 @@ def test_table_weight_lookup_paths_agree():
     # sides (65521 too), over a slice holding 0, 2**16 - 1, primes off the
     # table, the keys next to 2**16, 2**32 - 5 and 2**32 - 1
     rng = np.random.default_rng(33)
-    primes = np.array(sieve._base_primes(2**16), dtype=np.uint32)
+    primes = np.array(sieve._SMALL_PRIMES, dtype=np.uint32)
     keys = rng.choice(primes[primes < 65521], 200, replace=False).tolist() + [65521, 65537, 2**32 - 5]
     values = rng.choice([0.5, -1.0, 0.0, 5e-324, -1e100], len(keys)).tolist()
     edges = [0, 2**16 - 1, 65521, 65537, 2**32 - 5, 2**32 - 1]

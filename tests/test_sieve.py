@@ -344,6 +344,27 @@ def test_spf_at_every_small_limit():
         assert t.spf[2:].tolist() == [spf_naive(n) for n in range(2, limit + 1)], limit
 
 
+def test_small_primes_are_the_primes_below_2_16():
+    # the one list of small primes: the sieve's base primes and the trial
+    # divisors of m and of the oracle's moduli
+    primes = sieve._SMALL_PRIMES
+    assert primes.dtype == np.int64 and not primes.flags.writeable
+    assert len(primes) == 6542 and primes[0] == 2 and primes[-1] == 65521
+    assert primes.tolist() == [n for n in range(2, 2**16) if spf_naive(n) == n]
+
+
+@pytest.mark.parametrize("p", [251, 257, 1021])
+def test_spf_where_a_base_prime_joins(p):
+    # p joins the base primes at limit p*p: one below, at and one above it
+    rng = np.random.default_rng(p)
+    for limit in (p * p - 1, p * p, p * p + 1):
+        t = build_spf_table(limit)
+        if limit >= p * p:
+            assert smallest_prime_factor(t, p * p) == p, limit
+        ns = [*range(limit - 99, limit + 1), *rng.integers(2, limit + 1, 2000).tolist()]
+        assert [int(t.spf[n]) for n in ns] == [spf_naive(n) for n in ns], limit
+
+
 def test_spf_with_cells_at_odd_lo(monkeypatch):
     # an odd CHUNK starts every other cell at an odd lo, so each cell's
     # odd-multiple stride and even slice start on either parity
